@@ -44,6 +44,7 @@ from .errors import (
     DimensionMismatch,
     InsufficientGap,
     InternalInconsistency,
+    InvalidBudget,
     IterationBudgetExhausted,
     LetterOutOfRange,
     LevelNotRemovable,

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
     InsufficientGap,
     InternalInconsistency,
+    InvalidBudget,
     IterationBudgetExhausted,
     LetterOutOfRange,
     NotAParkingWord,
@@ -82,7 +83,8 @@ class Diverged:
 @dataclass(frozen=True)
 class OrbitReport:
     outcome: Fixed | Cycle | Diverged
-    iterations: int
+    iterations: int  # applications of the plain orbit up to the outcome
+    applications: int  # applications the solver computed
 
 
 def _apply_raw(
@@ -159,11 +161,163 @@ def staircase_point(m: int, n: int) -> Point:
     return Point(tuple(range(1, m + 1)))
 
 
+def _positive_budget(value, source: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InvalidBudget(f"{source} must be a positive integer, got {value!r}")
+    return value
+
+
 def default_budget(m: int, n: int) -> int:
+    """``10*(m+n)**2`` word applications, or ``$RATPARK_MAX_ITER`` when set."""
     env = os.environ.get(MAX_ITER_ENV)
-    if env is not None:
-        return int(env)
-    return 10 * (m + n) ** 2
+    if env is None:
+        return 10 * (m + n) ** 2
+    try:
+        value = int(env)
+    except ValueError:
+        value = env
+    return _positive_budget(value, MAX_ITER_ENV)
+
+
+def _apply_traced(
+    coords: tuple[int, ...], letters: Sequence[int], add: int, total_sub: int
+) -> tuple[tuple[int, ...], list[int]]:
+    """:func:`_apply_raw` that also returns each letter's final slot.
+
+    The slots name the affine piece that ``coords`` lies in.  Only the
+    orbit solver needs them, so the other callers keep the leaner loop.
+    """
+    xs = list(coords)
+    last = len(xs) - 1
+    slots = []
+    for letter in letters:
+        v = xs[letter] + add
+        j = letter
+        while j < last and xs[j + 1] < v:
+            xs[j] = xs[j + 1]
+            j += 1
+        xs[j] = v
+        slots.append(j)
+    return tuple(x - total_sub for x in xs), slots
+
+
+class _Piece:
+    """The affine map of a word on one piece, and its drift per period.
+
+    On the sorted points whose letters all land in ``slots`` the word acts
+    as ``x -> (x[origin[p]] + shift[p])_p``: a permutation plus a constant.
+    After ``period`` applications (the permutation's order) every
+    coordinate has gone round its cycle, so the point has moved by
+    ``drift``, which is constant on each cycle and sums to 0.
+
+    On sorted input the piece is cut out by two comparisons per letter:
+    the moved value lies strictly above the last element it passed and
+    not above the element it stopped under.  Each is kept as
+    ``(hi, lo, c, slope)``, meaning ``x[hi] - x[lo] + c >= 0``, where
+    ``slope < 0`` is the change of the left side per period of drift; a
+    comparison the drift does not work against holds for good.
+    """
+
+    def __init__(self, slots: Sequence[int], letters: Sequence[int], m: int, n: int):
+        origin = list(range(m))
+        bumps = [0] * m
+        walls = []
+        for letter, j in zip(letters, slots):
+            o, k = origin[letter], bumps[letter] + 1
+            if j > letter:
+                walls.append((o, origin[j], m * (k - bumps[j]) - 1))
+            if j < m - 1:
+                walls.append((origin[j + 1], o, m * (bumps[j + 1] - k)))
+            origin[letter:j] = origin[letter + 1 : j + 1]
+            bumps[letter:j] = bumps[letter + 1 : j + 1]
+            origin[j], bumps[j] = o, k
+        self.origin = origin
+        self.shift = [m * b - n for b in bumps]
+        cycles = []
+        todo = set(range(m))
+        while todo:
+            cycle = [todo.pop()]
+            while origin[cycle[-1]] != cycle[0]:
+                cycle.append(origin[cycle[-1]])
+                todo.discard(cycle[-1])
+            cycles.append(cycle)
+        self.period = lcm(*(len(c) for c in cycles))
+        drift = [0] * m
+        for cycle in cycles:
+            d = self.period // len(cycle) * sum(self.shift[p] for p in cycle)
+            for p in cycle:
+                drift[p] = d
+        self.drift = drift
+        self.walls = [
+            (hi, lo, c, drift[hi] - drift[lo])
+            for hi, lo, c in walls
+            if drift[hi] < drift[lo]
+        ]
+
+    def periods_to_skip(self, cur: tuple[int, ...], bound: int, limit: int) -> int:
+        """How many whole periods the orbit can skip from ``cur``.
+
+        Requires the last ``period`` inputs of the orbit to lie in this
+        piece, so that they are ``y_r = A^r(cur - drift)`` and
+        ``cur = y_0 + drift``.  Skipping ``k`` periods applies the word to
+        ``y_r + s*drift`` for ``1 <= s <= k`` and yields outputs between
+        ``y_r + drift`` and ``y_r + (k+1)*drift``.  Returns the largest
+        ``k <= limit`` for which every skipped input stays in the piece
+        (each wall is linear in ``s`` and holds at ``s = 0``) and the norm
+        stays within ``bound`` at ``s = k + 1`` for every ``r``; the norm
+        is convex in ``s`` and within bound at ``s = 0`` (``r >= 1``) or
+        ``s = 1`` (``r = 0``), so it stays within bound in between.
+        """
+        drift, m = self.drift, len(cur)
+        if not any(drift):
+            return 0
+        quad = m * sum(d * d for d in drift)
+        k = limit
+        y = tuple(c - d for c, d in zip(cur, drift))
+        for _ in range(self.period):
+            for hi, lo, c, slope in self.walls:
+                k = min(k, (y[hi] - y[lo] + c) // -slope)
+            # norm(y + s*drift) = quad*s^2 + lin*s + _norm(y), as drift sums to 0
+            lin = 2 * m * sum(a * d for a, d in zip(y, drift))
+            rest = _norm(y) - bound
+            s = (isqrt(lin * lin - 4 * quad * rest) - lin) // (2 * quad)
+            while quad * (s + 1) ** 2 + lin * (s + 1) + rest <= 0:
+                s += 1
+            k = min(k, s - 1)
+            if k <= 0:
+                return 0
+            y = tuple(y[o] + a for o, a in zip(self.origin, self.shift))
+        return k
+
+
+def _first_repeat(
+    start: tuple[int, ...], letters: Sequence[int], m: int, n: int, period: int
+) -> tuple[int, tuple[int, ...]]:
+    """Index and point of the orbit's first repeat, given the cycle period.
+
+    The second phase of Brent's cycle detection: a walker ``period`` steps
+    ahead of another meets it first at the start of the cycle.
+    """
+    ahead = start
+    for _ in range(period):
+        ahead = _apply_raw(ahead, letters, m, n)
+    behind, index = start, 0
+    while behind != ahead:
+        behind = _apply_raw(behind, letters, m, n)
+        ahead = _apply_raw(ahead, letters, m, n)
+        index += 1
+    return index, behind
+
+
+def _cycle(
+    w: Word, period: int, first: int, witness: tuple[int, ...], applications: int
+) -> OrbitReport:
+    if gcd(w.m, w.n) == 1 and is_parking_word(w):
+        raise InternalInconsistency(
+            f"coprime parking word {w} entered a {period}-cycle",
+            witness=Point(witness),
+        )
+    return OrbitReport(Cycle(period, Point(witness)), first + period, applications)
 
 
 def find_fixed_point(
@@ -178,33 +332,93 @@ def find_fixed_point(
     are guaranteed to escape), and ``Cycle`` on a repeat of period > 1 —
     but a coprime parking word admits a unique fixed point, so a cycle
     there is surfaced as :class:`InternalInconsistency` with the witness.
+    ``iterations`` counts word applications of the plain orbit, and
+    ``applications`` those actually computed.
 
     The escape bound ``norm(start) + (m*n)**4`` is an engineering
     constant, not derived from any sharper estimate.
+
+    Drift jumps (coprime words).  The letters' final slots during one
+    application name an affine piece, on which the word acts as
+    ``x -> Px + c`` with ``P`` a permutation.  If the orbit stays in one
+    piece for ``L = ord(P)`` applications, then ``x_{k+L} = x_k + D`` with
+    ``D = (1 + P + ... + P^(L-1)) c``, and ``PD = D``: from there on, as
+    long as the inputs stay in the piece, the orbit is
+    ``x_{k+tL+r} = x_{k+r} + tD``.  The solver then skips whole periods
+    at once (:meth:`_Piece.periods_to_skip`), as many as keep every
+    skipped input inside the piece, every skipped output within the
+    escape bound and the count within the budget.  A piece with ``D != 0``
+    holds no fixed point (``x = Px + c`` forces ``D = 0``) and no repeat,
+    so no skipped application could have ended the plain orbit: the
+    outcome, ``iterations`` and any error are those of plain iteration.
+
+    Cycles are found by Brent's method in O(m) memory: the hare is
+    compared with a tortoise moved to the hare at each power of two, which
+    yields the period; a second phase re-walks from the start to find the
+    first repeat, so ``Cycle`` and ``iterations`` name the same repeat as
+    a full record of the orbit would.  Jumps stay off for gcd > 1 words,
+    and on exhausting the budget their orbit is searched for a repeat
+    that closed within it.
     """
     m, n = w.m, w.n
-    budget = default_budget(m, n) if max_iterations is None else max_iterations
+    if max_iterations is None:
+        budget = default_budget(m, n)
+    else:
+        budget = _positive_budget(max_iterations, "max_iterations")
     start = staircase_point(m, n).coords
     bound = (_norm(start) + (m * n) ** 4) if escape_bound is None else escape_bound
-    seen = {start: 0}
+    letters = w.letters
+    coprime = gcd(m, n) == 1
     cur = start
-    for it in range(1, budget + 1):
-        nxt = _apply_raw(cur, w.letters, m, n)
+    it = applications = 0
+    tortoise, power, lam = start, 1, 0
+    run_slots, piece = None, None
+    run = 0  # consecutive inputs in the piece since it was entered or skipped
+    while it < budget:
+        nxt, slots = _apply_traced(cur, letters, m, n)
+        it += 1
+        applications += 1
         if nxt == cur:
-            return OrbitReport(Fixed(Point(cur)), it)
+            return OrbitReport(Fixed(Point(cur)), it, applications)
         nrm = _norm(nxt)
         if nrm > bound:
-            return OrbitReport(Diverged(it, nrm), it)
-        if nxt in seen:
-            period = it - seen[nxt]
-            if gcd(m, n) == 1 and is_parking_word(w):
-                raise InternalInconsistency(
-                    f"coprime parking word {w} entered a {period}-cycle",
-                    witness=Point(nxt),
-                )
-            return OrbitReport(Cycle(period, Point(nxt)), it)
-        seen[nxt] = it
+            return OrbitReport(Diverged(it, nrm), it, applications)
+        lam += 1
+        if nxt == tortoise:
+            first, witness = _first_repeat(start, letters, m, n, lam)
+            return _cycle(w, lam, first, witness, applications + lam + 2 * first)
+        if lam == power:
+            tortoise, power, lam = nxt, 2 * power, 0
         cur = nxt
+        if not coprime:
+            continue
+        if slots != run_slots:
+            run_slots, piece, run = slots, None, 1
+            continue
+        run += 1
+        if piece is None:
+            piece = _Piece(slots, letters, m, n)
+        if run >= piece.period:
+            run = 0
+            k = piece.periods_to_skip(cur, bound, (budget - it) // piece.period)
+            if k:
+                cur = tuple(c + k * d for c, d in zip(cur, piece.drift))
+                it += k * piece.period
+                tortoise, power, lam = cur, 1, 0
+    if not coprime:
+        # a repeat that closed within the budget puts the last point on
+        # its cycle
+        ahead = cur
+        for period in range(1, budget + 1):
+            ahead = _apply_raw(ahead, letters, m, n)
+            applications += 1
+            if ahead == cur:
+                first, witness = _first_repeat(start, letters, m, n, period)
+                if first + period <= budget:
+                    return _cycle(
+                        w, period, first, witness, applications + period + 2 * first
+                    )
+                break
     raise IterationBudgetExhausted(
         f"no resolution for {w} within {budget} word applications"
     )

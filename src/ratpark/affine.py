@@ -14,14 +14,13 @@ Pak-Stanley parking words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator
 
 from .errors import (
     DimensionMismatch,
-    NotCoprime,
     NotDominant,
     NotInSommers,
+    require_coprime,
 )
 from .filters import Filter, column_minima, filter_from_column_minima
 from .tuples import FilterTuple, tuple_from_area_word, tuple_to_balanced
@@ -78,8 +77,7 @@ def in_sommers(w: AffinePermutation, m: int) -> bool:
     window only; for fixed i the only candidate j is the position of the
     value w(i) - m, which must therefore sit at or before i.
     """
-    if gcd(m, w.n) != 1:
-        raise NotCoprime(f"Sommers region needs gcd(m, n) = 1, got ({m}, {w.n})")
+    require_coprime(m, w.n, "the Sommers region")
     return all(
         value_position(w, w.window[i - 1] - m) < i for i in range(1, w.n + 1)
     )
@@ -91,8 +89,7 @@ def staircase_window(m: int, n: int) -> AffinePermutation:
     This is the dominant Sommers element matching the generator filter;
     its alcove realizes the m-fold dilation of the fundamental one.
     """
-    if gcd(m, n) != 1:
-        raise NotCoprime(f"need coprime (m, n), got ({m}, {n})")
+    require_coprime(m, n, "the staircase window")
     l = (1 + m + n - m * n) // 2
     return AffinePermutation(tuple(l + k * m for k in range(n)))
 
@@ -129,8 +126,7 @@ def tuple_to_window(t: FilterTuple) -> AffinePermutation:
 
 def window_to_tuple(w: AffinePermutation, m: int) -> FilterTuple:
     """Replay the window as removals from the balanced filter it sorts to."""
-    if gcd(m, w.n) != 1:
-        raise NotCoprime(f"need gcd(m, n) = 1, got ({m}, {w.n})")
+    require_coprime(m, w.n, "window tuples")
     try:
         initial = filter_from_column_minima(m, w.n, tuple(sorted(w.window)))
         return FilterTuple(initial, w.window)

@@ -133,19 +133,10 @@ def _run(args) -> int:
         report = find_fixed_point(_word_arg(args), max_iterations=args.max_iter)
         out = report.outcome
         if isinstance(out, Fixed):
-            payload = {
-                "outcome": "fixed",
-                "point": serialize.point_to_json(out.point),
-                "iterations": report.iterations,
-            }
+            payload = {"outcome": "fixed", "point": serialize.point_to_json(out.point)}
             text = "fixed " + ",".join(str(c) for c in out.point.coords)
         elif isinstance(out, Diverged):
-            payload = {
-                "outcome": "diverged",
-                "step": out.step,
-                "norm": out.norm,
-                "iterations": report.iterations,
-            }
+            payload = {"outcome": "diverged", "step": out.step, "norm": out.norm}
             text = f"diverged at application {out.step} with norm {out.norm}"
         else:
             assert isinstance(out, Cycle)
@@ -153,9 +144,10 @@ def _run(args) -> int:
                 "outcome": "cycle",
                 "period": out.period,
                 "witness": serialize.point_to_json(out.witness),
-                "iterations": report.iterations,
             }
             text = f"cycle of period {out.period}"
+        payload["iterations"] = report.iterations
+        payload["applications"] = report.applications
         _emit(payload, args.json, text)
         return 0
 

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all ratpark modules."""
 
+from math import gcd
+
 
 class RatparkError(Exception):
     """Base class for all library errors."""
@@ -21,6 +23,12 @@ class NotCoprime(RatparkError):
     pass
 
 
+def require_coprime(m: int, n: int, what: str) -> None:
+    """Raise :class:`NotCoprime` naming ``what`` unless gcd(m, n) = 1."""
+    if gcd(m, n) != 1:
+        raise NotCoprime(f"{what}: (m, n) must be coprime, got ({m}, {n})")
+
+
 class NotDyck(RatparkError):
     pass
 
@@ -39,6 +47,10 @@ class LevelNotRemovable(RatparkError):
 
 class InsufficientGap(RatparkError):
     pass
+
+
+class InvalidBudget(RatparkError):
+    """An iteration budget that is not a positive integer."""
 
 
 class IterationBudgetExhausted(RatparkError):

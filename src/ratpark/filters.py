@@ -22,6 +22,7 @@ from .errors import (
     NotAParkingWord,
     NotCoprime,
     NotDyck,
+    require_coprime,
 )
 from .words import Word, is_parking_word
 
@@ -162,6 +163,7 @@ def filter_from_column_minima(m: int, n: int, cols: Sequence[int]) -> Filter:
     the column minima recovers the whole filter; the row minima are read
     off by solving ``k*n = r - v (mod m)`` within each column.
     """
+    require_coprime(m, n, "filters")
     cols = tuple(cols)
     if len(cols) != n or len({v % n for v in cols}) != n:
         raise InternalInconsistency(

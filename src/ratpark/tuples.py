@@ -23,7 +23,12 @@ from math import gcd
 from typing import Iterator
 
 from . import action
-from .errors import InternalInconsistency, LevelNotRemovable, NotAParkingWord
+from .errors import (
+    InternalInconsistency,
+    LevelNotRemovable,
+    NotAParkingWord,
+    require_coprime,
+)
 from .filters import (
     Filter,
     column_minima,
@@ -135,6 +140,7 @@ def tuple_from_area_word(w: Word) -> FilterTuple:
     picks the residue class of its removed level (levels sharing a class
     are consumed in increasing order).
     """
+    require_coprime(w.m, w.n, "area-word tuples")
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
     m, n = w.m, w.n
@@ -211,10 +217,8 @@ def zeta_inverse(
 
 
 def _statistic_ceiling(m: int, n: int) -> int:
-    prod = (m - 1) * (n - 1)
-    if prod % 2:
-        raise InternalInconsistency(f"(m-1)(n-1) odd for coprime ({m}, {n})")
-    return prod // 2
+    require_coprime(m, n, "area and dinv")
+    return (m - 1) * (n - 1) // 2
 
 
 def area(x: Word | FilterTuple) -> int:
@@ -279,6 +283,7 @@ def qt_table(m: int, n: int, over: str = "parking") -> QTTable:
     """
     if over not in ("parking", "dyck"):
         raise ValueError(f"unknown table domain {over!r}")
+    require_coprime(m, n, "qt_table")
     size = _statistic_ceiling(m, n) + 1
     counts = [[0] * size for _ in range(size)]
     if over == "dyck":

@@ -12,9 +12,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from math import comb, gcd
+from math import comb
 
 from . import reference as ref
+from .errors import require_coprime
 from .action import (
     Diverged,
     Fixed,
@@ -656,6 +657,10 @@ def run_verify(
     reference_only: bool = False,
     seed: int = 0,
 ) -> VerifyReport:
+    if pairs is None:
+        pairs = DEFAULT_PAIRS
+    for m, n in pairs:
+        require_coprime(m, n, "verify")
     report = VerifyReport()
 
     def run(name, fn, *args):
@@ -671,12 +676,8 @@ def run_verify(
     if reference_only:
         return report
 
-    if pairs is None:
-        pairs = DEFAULT_PAIRS
     rng = random.Random(seed)
     for m, n in pairs:
-        if gcd(m, n) != 1:
-            continue
         tag = f"({m},{n})"
         run(f"counts {tag}", _suite_counts, m, n)
         run(f"solver-vs-parking {tag}", _suite_solver_matches_parking, m, n)

@@ -1,4 +1,7 @@
 import itertools
+import random
+import tracemalloc
+from math import gcd
 
 import pytest
 
@@ -8,8 +11,12 @@ from ratpark import (
     Diverged,
     Fixed,
     InsufficientGap,
+    InternalInconsistency,
+    InvalidBudget,
+    IterationBudgetExhausted,
     LetterOutOfRange,
     Point,
+    RatparkError,
     Word,
     apply_letter,
     apply_word,
@@ -18,9 +25,12 @@ from ratpark import (
     distance,
     find_fixed_point,
     fixed_point_oracle,
+    is_parking_word,
     norm,
     staircase_point,
 )
+from ratpark import action
+from ratpark.action import _apply_raw, _norm
 from ratpark.reference import (
     FIXED_POINTS_3_4,
     FIXED_REGIONS_3_3,
@@ -243,3 +253,195 @@ def test_six_nine_simplex_and_convexity():
         for b in GCD_EXAMPLE_6_9["simplex"]:
             summed = tuple(x + y for x, y in zip(a, b))
             assert _apply_raw(summed, word_.letters, 12, 18) == summed
+
+
+# ------------------------------------------ drift jumps against the plain orbit
+
+
+def _plain_orbit(w, max_iterations=None, escape_bound=None):
+    """Plain value iteration with every orbit point recorded.
+
+    The solver's definition: ``find_fixed_point`` must report the same
+    outcome and iteration count, and raise the same errors.
+    """
+    m, n = w.m, w.n
+    if max_iterations is None:
+        budget = action.default_budget(m, n)
+    else:
+        budget = max_iterations
+    start = action.staircase_point(m, n).coords
+    bound = (_norm(start) + (m * n) ** 4) if escape_bound is None else escape_bound
+    seen = {start: 0}
+    cur = start
+    for it in range(1, budget + 1):
+        nxt = _apply_raw(cur, w.letters, m, n)
+        if nxt == cur:
+            return Fixed(Point(cur)), it
+        nrm = _norm(nxt)
+        if nrm > bound:
+            return Diverged(it, nrm), it
+        if nxt in seen:
+            period = it - seen[nxt]
+            if gcd(m, n) == 1 and is_parking_word(w):
+                raise InternalInconsistency(
+                    f"coprime parking word {w} entered a {period}-cycle",
+                    witness=Point(nxt),
+                )
+            return Cycle(period, Point(nxt)), it
+        seen[nxt] = it
+        cur = nxt
+    raise IterationBudgetExhausted(
+        f"no resolution for {w} within {budget} word applications"
+    )
+
+
+def _run(solve, w, **kwargs):
+    try:
+        result = solve(w, **kwargs)
+    except RatparkError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    if isinstance(result, tuple):
+        return result
+    return result.outcome, result.iterations
+
+
+def _assert_matches_plain(w, **kwargs):
+    expected = _run(_plain_orbit, w, **kwargs)
+    assert _run(find_fixed_point, w, **kwargs) == expected, (w, kwargs)
+    return expected
+
+
+def _outcome_kind(result):
+    return result[0] if isinstance(result[0], type) else type(result[0])
+
+
+def test_solver_matches_plain_orbit_on_small_sizes():
+    from ratpark import enumerate_words
+
+    kinds = set()
+    for m, n in ((3, 4), (4, 3), (3, 5), (4, 5), (5, 4), (2, 4), (3, 3), (4, 6)):
+        for word_ in enumerate_words(m, n, "all"):
+            for kwargs in ({}, {"max_iterations": 4}, {"escape_bound": 300}):
+                kinds.add(_outcome_kind(_assert_matches_plain(word_, **kwargs)))
+    assert kinds == {Fixed, Diverged, IterationBudgetExhausted}
+
+
+def test_solver_matches_plain_orbit_on_cycles(monkeypatch):
+    # off the balanced slice integral fixed points may not exist, and the
+    # orbit closes into a cycle instead: gcd > 1 words report it, coprime
+    # parking words raise
+    rng = random.Random(3)
+    kinds = set()
+    for m, n in ((4, 2), (4, 6), (6, 4), (3, 4), (5, 4)):
+        for _ in range(150):
+            word_ = Word(m, n, tuple(rng.randrange(m) for _ in range(n)))
+            coords = tuple(sorted(rng.randrange(-3 * m, 3 * m) for _ in range(m)))
+            monkeypatch.setattr(action, "staircase_point", lambda m, n: Point(coords))
+            # the solver looks for a repeat that closed within a tight
+            # budget only on gcd > 1 words: from the staircase a coprime
+            # orbit never cycles
+            budgets = (None,) if gcd(m, n) == 1 else (None, 1, 2, 3, 5, 8)
+            for budget in budgets:
+                result = _assert_matches_plain(word_, max_iterations=budget)
+                kinds.add(_outcome_kind(result))
+    assert {Cycle, InternalInconsistency, IterationBudgetExhausted} <= kinds
+
+
+def _random_parking_word(rng, m, n):
+    """A uniform parking word: exactly one letter shift of a word parks."""
+    raw = [rng.randrange(m) for _ in range(n)]
+    shifts = (Word(m, n, tuple((x + c) % m for x in raw)) for c in range(m))
+    (word_,) = [u for u in shifts if is_parking_word(u)]
+    return word_
+
+
+def _parking_words_by_slack(m, n, seed, slacks):
+    """One seeded uniform parking word for each smallest slack in ``slacks``.
+
+    Zeta is a bijection of the parking words, so these are also uniform
+    rank words.  The slack ``m * #{j : w_j < i} - i * n`` (``0 < i < m``)
+    sets how long the orbit solver runs.
+    """
+    rng = random.Random(seed)
+    found = {}
+    while len(found) < len(slacks):
+        word_ = _random_parking_word(rng, m, n)
+        below = list(itertools.accumulate(word_.letters.count(i) for i in range(m)))
+        slack = min(m * below[i - 1] - i * n for i in range(1, m))
+        if slack in slacks:
+            found.setdefault(slack, word_)
+    return found
+
+
+def test_solver_matches_plain_orbit_on_large_rank_words():
+    found = _parking_words_by_slack(50, 77, seed=11, slacks=(1, 2, 3, 4))
+    for slack, word_ in sorted(found.items()):
+        outcome, iterations = _assert_matches_plain(word_)
+        assert isinstance(outcome, Fixed)
+        report = find_fixed_point(word_)
+        if slack <= 3:
+            assert report.applications < iterations // 4, (slack, report)
+    # budgets that run out inside the long drift of the slack-1 orbit
+    word_ = found[1]
+    for budget in (900, 4_321, 10_000):
+        assert _assert_matches_plain(word_, max_iterations=budget)[0] is (
+            IterationBudgetExhausted
+        )
+
+
+def test_solver_matches_plain_orbit_on_near_misses():
+    # parking words at (13,21) with one letter raised until they stop
+    # parking: their orbits drift off through long runs in one piece
+    rng = random.Random(5)
+    m, n = 13, 21
+    near = []
+    while len(near) < 6:
+        letters = list(_random_parking_word(rng, m, n).letters)
+        j = rng.randrange(n)
+        while letters[j] < m - 1:
+            letters[j] += 1
+            if not is_parking_word(Word(m, n, tuple(letters))):
+                near.append(Word(m, n, tuple(letters)))
+                break
+    diverged = []
+    for word_ in near:
+        result = _assert_matches_plain(word_)
+        if isinstance(result[0], Diverged):
+            diverged.append(word_)
+            assert find_fixed_point(word_).applications < result[1] // 4
+    # exhaustion and escape inside a jump window
+    word_ = diverged[0]
+    outcome, iterations = _assert_matches_plain(word_)
+    for budget in (iterations // 3, iterations // 2 + 1, iterations - 1):
+        assert _assert_matches_plain(word_, max_iterations=budget)[0] is (
+            IterationBudgetExhausted
+        )
+    steps = set()
+    for k in range(1, 12):
+        escaped, step = _assert_matches_plain(word_, escape_bound=outcome.norm >> k)
+        assert isinstance(escaped, Diverged)
+        steps.add(step)
+    assert len(steps) > 5 and max(steps) < iterations
+
+
+def test_solver_memory_is_bounded():
+    word_ = _parking_words_by_slack(50, 77, seed=11, slacks=(1,))[1]
+    tracemalloc.start()
+    try:
+        report = find_fixed_point(word_)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.iterations > 10_000
+    assert peak < 1_000_000
+
+
+def test_budget_must_be_a_positive_integer(monkeypatch):
+    word_ = w(3, 5, "10011")
+    for bad in (0, -5, 2.5, True, "10"):
+        with pytest.raises(InvalidBudget):
+            find_fixed_point(word_, max_iterations=bad)
+    for bad in ("abc", "0", "-5", "1.5"):
+        monkeypatch.setenv("RATPARK_MAX_ITER", bad)
+        with pytest.raises(InvalidBudget):
+            action.default_budget(3, 5)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ratpark.cli import main
 from ratpark.reference import PARKING_WORDS_4_3
 
@@ -161,3 +163,50 @@ def test_env_var_budget(capsys, monkeypatch):
     )
     assert code == 2
     assert "within 1" in err
+
+
+def test_fixed_point_json_reports_applications(capsys):
+    code, out, _ = run(
+        capsys, "fixed-point", "--m", "4", "--n", "3", "--word", "022", "--json"
+    )
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["iterations"] == payload["step"]
+    assert 1 <= payload["applications"] <= payload["iterations"]
+
+
+def test_bad_budgets_are_usage_errors(capsys, monkeypatch):
+    fixed_point = ("fixed-point", "--m", "3", "--n", "5", "--word", "10011")
+    for bad in ("0", "-5"):
+        code, out, err = run(capsys, *fixed_point, "--max-iter", bad)
+        assert (code, out) == (2, "")
+        assert "positive integer" in err
+    with pytest.raises(SystemExit) as exc:
+        main([*fixed_point, "--max-iter", "abc"])
+    assert exc.value.code == 2
+    for bad in ("abc", "0", "-5"):
+        monkeypatch.setenv("RATPARK_MAX_ITER", bad)
+        code, out, err = run(capsys, *fixed_point)
+        assert (code, out) == (2, "")
+        assert "RATPARK_MAX_ITER" in err
+
+
+def test_non_coprime_input_is_a_usage_error(capsys):
+    for argv in (
+        ("qt-table", "--m", "4", "--n", "6"),
+        ("stats", "--m", "3", "--n", "3", "--word", "012"),
+        ("stats", "--m", "4", "--n", "6", "--word", "000000"),
+        ("zeta", "--m", "3", "--n", "3", "--word", "012"),
+        ("zeta-inv", "--m", "3", "--n", "3", "--word", "012"),
+        ("sweep", "--m", "3", "--n", "3", "--path", "NNNWWW"),
+        ("sweep-inv", "--m", "3", "--n", "3", "--path", "NNNWWW"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "coprime" in err and "inconsistency" not in err
+
+
+def test_verify_refuses_non_coprime_pair(capsys):
+    code, out, err = run(capsys, "verify", "--m", "2", "--n", "4")
+    assert (code, out) == (2, "")
+    assert "(2, 4)" in err
