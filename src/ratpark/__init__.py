@@ -19,7 +19,6 @@ from .action import (
     contraction_certificate,
     distance,
     find_fixed_point,
-    fixed_point_oracle,
     norm,
     staircase_point,
 )
@@ -91,6 +90,7 @@ from .tuples import (
     area,
     area_word,
     dinv,
+    fixed_point_oracle,
     qt_table,
     rank_word,
     tuple_from_area_word,

@@ -424,26 +424,6 @@ def find_fixed_point(
     )
 
 
-def fixed_point_oracle(w: Word) -> Point:
-    """Brute-force fixed point, independent of the orbit solver.
-
-    Enumerates every parking word ``u``, builds its filter tuple on the
-    area side, and returns the balanced row minima of the tuple whose
-    rank word equals ``w``.  Only sensible when ``m**(n-1)`` is small.
-    """
-    from .filters import to_balanced
-    from .tuples import rank_word, tuple_from_area_word
-    from .words import enumerate_words
-
-    if gcd(w.m, w.n) != 1 or not is_parking_word(w):
-        raise NotAParkingWord(f"oracle needs a coprime parking word, got {w}")
-    for u in enumerate_words(w.m, w.n, "parking"):
-        t = tuple_from_area_word(u)
-        if rank_word(t) == w:
-            return Point(to_balanced(t.initial).row_minima)
-    raise InternalInconsistency(f"no tuple has rank word {w}")
-
-
 def _scaled_block_fixed_point(
     q: Word, add: int, cycle_sub: int, budget: int
 ) -> tuple[int, ...]:

@@ -22,8 +22,19 @@ from .errors import (
     NotInSommers,
     require_coprime,
 )
-from .filters import Filter, column_minima, filter_from_column_minima
-from .tuples import FilterTuple, tuple_from_area_word, tuple_to_balanced
+from .filters import (
+    Filter,
+    area_letters,
+    column_minima,
+    filter_from_column_minima,
+    generator_filter,
+)
+from .tuples import (
+    FilterTuple,
+    tuple_from_area_word,
+    tuple_from_rank_word,
+    tuple_to_balanced,
+)
 from .words import Word, enumerate_words
 
 
@@ -86,12 +97,11 @@ def in_sommers(w: AffinePermutation, m: int) -> bool:
 def staircase_window(m: int, n: int) -> AffinePermutation:
     """The window ``l, l+m, ..., l+(n-1)m`` with ``2l = 1+m+n-mn``.
 
-    This is the dominant Sommers element matching the generator filter;
-    its alcove realizes the m-fold dilation of the fundamental one.
+    This is the dominant Sommers element matching the generator filter:
+    the row minima of its n<->m mirror, read as a window.  Its alcove
+    realizes the m-fold dilation of the fundamental one.
     """
-    require_coprime(m, n, "the staircase window")
-    l = (1 + m + n - m * n) // 2
-    return AffinePermutation(tuple(l + k * m for k in range(n)))
+    return AffinePermutation(generator_filter(n, m).row_minima)
 
 
 def dominant_to_filter(w: AffinePermutation, m: int) -> Filter:
@@ -144,9 +154,7 @@ def anderson(w: AffinePermutation, m: int) -> Word:
     """
     if not in_sommers(w, m):
         raise NotInSommers(f"inverse of {w.window} outside the Sommers region")
-    a = (-pow(w.n, -1, m)) % m if m > 1 else 0
-    k = min(w.window)
-    return Word(m, w.n, tuple((a * (v - k)) % m for v in w.window))
+    return Word(m, w.n, area_letters(w.window, m, w.n))
 
 
 def pak_stanley(w: AffinePermutation, m: int) -> Word:
@@ -185,6 +193,4 @@ def anderson_inverse(w: Word) -> AffinePermutation:
 
 def pak_stanley_inverse(w: Word, max_iterations: int | None = None) -> AffinePermutation:
     """The Sommers window whose Pak-Stanley labeling is ``w``."""
-    from .tuples import tuple_from_rank_word
-
     return tuple_to_window(tuple_from_rank_word(w, max_iterations=max_iterations))

@@ -12,19 +12,20 @@ Only coprime (m, n) are supported.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb
 from typing import Iterator, Sequence
 
+from .action import staircase_point
 from .errors import (
     InternalInconsistency,
     LevelNotRemovable,
     NotAParkingWord,
-    NotCoprime,
     NotDyck,
     require_coprime,
 )
-from .words import Word, is_parking_word
+from .words import Word, enumerate_words, is_parking_word
 
 
 def level(i: int, j: int, m: int, n: int) -> int:
@@ -41,8 +42,7 @@ class Filter:
     row_minima: tuple[int, ...]
 
     def __post_init__(self):
-        if gcd(self.m, self.n) != 1:
-            raise NotCoprime(f"filters need coprime (m, n), got ({self.m}, {self.n})")
+        require_coprime(self.m, self.n, "filters")
         minima = tuple(sorted(self.row_minima))
         if len(minima) != self.m:
             raise InternalInconsistency(
@@ -72,22 +72,27 @@ def contains_level(f: Filter, v: int) -> bool:
     return v >= f.minimum_by_residue(v % f.m)
 
 
+def _class_minima(starts: Sequence[int], step: int, modulus: int) -> tuple[int, ...]:
+    """Least level ``v + k*step`` (``k >= 0``) in each class mod ``modulus``, sorted.
+
+    With ``step`` coprime to ``modulus``, the first ``modulus`` levels above
+    each start already meet every class once.
+    """
+    best = [None] * modulus
+    for v in starts:
+        for lvl in range(v, v + modulus * step, step):
+            r = lvl % modulus
+            if best[r] is None or lvl < best[r]:
+                best[r] = lvl
+    return tuple(sorted(best))
+
+
 def column_minima(f: Filter) -> tuple[int, ...]:
     """Least filter level in each residue class mod n, sorted.
 
-    Row r holds the levels ``min_r + k*m``; the least of them in a given
-    class mod n is found by solving ``k*m = c - min_r (mod n)``.
+    Row r holds the levels ``min_r + k*m``.
     """
-    m, n = f.m, f.n
-    m_inv = pow(m, -1, n)
-    best = [None] * n
-    for v in f.row_minima:
-        for c in range(n):
-            k = ((c - v) * m_inv) % n
-            candidate = v + k * m
-            if best[c] is None or candidate < best[c]:
-                best[c] = candidate
-    return tuple(sorted(best))
+    return _class_minima(f.row_minima, f.m, f.n)
 
 
 def to_dyck(f: Filter) -> Filter:
@@ -139,6 +144,17 @@ def removable_levels(f: Filter) -> tuple[int, ...]:
     return tuple(out)
 
 
+def after_removal(minima: Sequence[int], v: int, m: int) -> list[int]:
+    """Sorted row minima once the minimal level ``v`` is removed.
+
+    ``minima`` is sorted and holds ``v``; its row now starts at ``v + m``.
+    """
+    out = list(minima)
+    out.remove(v)
+    insort(out, v + m)
+    return out
+
+
 def remove(f: Filter, v: int) -> Filter:
     """Drop the minimal level ``v``; its row now starts at ``v + m``.
 
@@ -147,8 +163,7 @@ def remove(f: Filter, v: int) -> Filter:
     """
     if v not in removable_levels(f):
         raise LevelNotRemovable(f"level {v} is not removable from {f.row_minima}")
-    minima = tuple(x + f.m if x == v else x for x in f.row_minima)
-    return Filter(f.m, f.n, minima)
+    return Filter(f.m, f.n, after_removal(f.row_minima, v, f.m))
 
 
 def mn_swap(f: Filter) -> Filter:
@@ -160,8 +175,9 @@ def filter_from_column_minima(m: int, n: int, cols: Sequence[int]) -> Filter:
     """Build the filter generated upward by one level per column.
 
     Every filter level sits above its column minimum, so the up-closure of
-    the column minima recovers the whole filter; the row minima are read
-    off by solving ``k*n = r - v (mod m)`` within each column.
+    the column minima recovers the whole filter; column v holds the levels
+    ``v + k*n``, and the row minima are the least of them in each class
+    mod m (the m<->n mirror of :func:`column_minima`).
     """
     require_coprime(m, n, "filters")
     cols = tuple(cols)
@@ -169,15 +185,7 @@ def filter_from_column_minima(m: int, n: int, cols: Sequence[int]) -> Filter:
         raise InternalInconsistency(
             f"expected one column minimum per residue class mod {n}, got {cols}"
         )
-    n_inv = pow(n, -1, m)
-    best = [None] * m
-    for v in cols:
-        for r in range(m):
-            k = ((r - v) * n_inv) % m
-            candidate = v + k * n
-            if best[r] is None or candidate < best[r]:
-                best[r] = candidate
-    f = Filter(m, n, tuple(best))
+    f = Filter(m, n, _class_minima(cols, n, m))
     if column_minima(f) != tuple(sorted(cols)):
         raise InternalInconsistency(
             f"levels {sorted(cols)} are not the column minima of a filter"
@@ -190,21 +198,25 @@ def generator_filter(m: int, n: int) -> Filter:
 
     Its row minima form the balanced staircase ``l, l+n, ..., l+(m-1)n``.
     """
-    l = (1 + m + n - m * n) // 2
-    return Filter(m, n, tuple(l + k * n for k in range(m)))
+    return Filter(m, n, staircase_point(m, n).coords)
+
+
+def area_letters(levels: Sequence[int], m: int, n: int) -> tuple[int, ...]:
+    """Column length ``a*(v - min) mod m`` of each level, ``a*n = -1 (mod m)``.
+
+    Taken relative to the least level, a west endpoint at level q sits
+    ``a*q mod m`` cells below the top of the fundamental rectangle; the
+    letters do not change when every level is translated.
+    """
+    a = -pow(n, -1, m) % m
+    low = min(levels)
+    return tuple(a * (v - low) % m for v in levels)
 
 
 def dyck_word(f: Filter) -> Word:
-    """Sorted column lengths of the filter's boundary path.
-
-    The horizontal step whose west endpoint has level q sits ``a*q mod m``
-    cells below the top of the fundamental rectangle, where ``a*n = -1
-    (mod m)``.
-    """
-    d = to_dyck(f)
-    a = (-pow(d.n, -1, d.m)) % d.m if d.m > 1 else 0
-    letters = sorted((a * q) % d.m for q in column_minima(d))
-    return Word(d.m, d.n, tuple(letters))
+    """Sorted column lengths of the filter's boundary path."""
+    letters = area_letters(column_minima(f), f.m, f.n)
+    return Word(f.m, f.n, tuple(sorted(letters)))
 
 
 def filter_from_dyck_word(w: Word) -> Filter:
@@ -274,7 +286,5 @@ def enumerate_balanced(m: int, n: int) -> Iterator[Filter]:
 
     There are binomial(m+n, n)/(m+n) of them.
     """
-    from .words import enumerate_words
-
     for w in enumerate_words(m, n, "dyck"):
         yield to_balanced(filter_from_dyck_word(w))

@@ -64,10 +64,6 @@ def word_from_json(obj: Any, path: str = "word") -> Word:
     return Word(m, n, tuple(letters))
 
 
-def word_to_text(w: Word) -> str:
-    return str(w)
-
-
 def word_from_text(text: str, m: int, n: int | None = None) -> Word:
     """Parse a compact digit string (m <= 10 only) or comma-joined letters."""
     text = text.strip()

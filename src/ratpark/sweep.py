@@ -23,7 +23,7 @@ from .filters import (
     column_minima,
     dyck_filter_to_path,
     dyck_word,
-    filter_from_column_minima,
+    filter_from_path,
     is_dyck,
     to_dyck,
 )
@@ -64,8 +64,7 @@ def dyck_embedding(d: Filter) -> FilterTuple:
 def sweep(d: Filter) -> Filter:
     """Reorder the boundary steps of ``d`` by their levels.
 
-    The result is again a Dyck filter; its column minima are the west
-    endpoints of the reordered walk.
+    The result is again a Dyck filter, rebuilt from the reordered walk.
     """
     if not is_dyck(d):
         raise NotDyck(f"row minima {d.row_minima} have nonzero minimum")
@@ -74,19 +73,14 @@ def sweep(d: Filter) -> Filter:
     if len({lvl for lvl, _ in pairs}) != len(pairs):
         raise InternalInconsistency(f"step levels collide on {d.row_minima}")
     # increasing level order read from (-n, m); walking from (0, 0) means
-    # taking the steps in decreasing level order
-    x = y = 0
-    cols = []
-    for lvl, step in reversed(pairs):
-        if step == "N":
-            y += 1
-        else:
-            x -= 1
-            cols.append((x * d.m) + (y * d.n))
-    swept = filter_from_column_minima(d.m, d.n, cols)
-    if not is_dyck(swept):
-        raise InternalInconsistency(f"sweep of {d.row_minima} left the Dyck cone")
-    return swept
+    # taking the steps in decreasing level order.  A walk that stays at or
+    # above level 0 must end on a west step at level 0, so it is Dyck.
+    try:
+        return filter_from_path(d.m, d.n, "".join(s for _, s in reversed(pairs)))
+    except NotDyck as exc:
+        raise InternalInconsistency(
+            f"sweep of {d.row_minima} left the Dyck cone"
+        ) from exc
 
 
 def sweep_column_word(d: Filter) -> Word:

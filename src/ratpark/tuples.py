@@ -19,7 +19,6 @@ the fixed point of the word being inverted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator
 
 from . import action
@@ -31,11 +30,13 @@ from .errors import (
 )
 from .filters import (
     Filter,
+    after_removal,
+    area_letters,
     column_minima,
     filter_from_dyck_word,
     is_balanced,
     is_dyck,
-    removable_levels,
+    remove,
     to_balanced,
 )
 from .words import Word, enumerate_words, is_parking_word
@@ -50,20 +51,14 @@ class FilterTuple:
 
     def __post_init__(self):
         object.__setattr__(self, "removals", tuple(self.removals))
-        m, n = self.initial.m, self.initial.n
+        n = self.initial.n
         if len(self.removals) != n:
             raise LevelNotRemovable(
                 f"expected {n} removals, got {len(self.removals)}"
             )
         stage = self.initial
         for v in self.removals:
-            if v not in removable_levels(stage):
-                raise LevelNotRemovable(
-                    f"level {v} not removable at stage {stage.row_minima}"
-                )
-            stage = Filter(
-                m, n, tuple(x + m if x == v else x for x in stage.row_minima)
-            )
+            stage = remove(stage, v)
         expected = tuple(v + n for v in self.initial.row_minima)
         if stage.row_minima != expected:
             raise InternalInconsistency(
@@ -83,11 +78,7 @@ class FilterTuple:
         stage = self.initial
         yield stage
         for v in self.removals:
-            stage = Filter(
-                self.m,
-                self.n,
-                tuple(x + self.m if x == v else x for x in stage.row_minima),
-            )
+            stage = Filter(self.m, self.n, after_removal(stage.row_minima, v, self.m))
             yield stage
 
 
@@ -118,16 +109,9 @@ def is_balanced_tuple(t: FilterTuple) -> bool:
     return is_balanced(t.initial)
 
 
-def _area_multiplier(m: int, n: int) -> int:
-    return (-pow(n, -1, m)) % m if m > 1 else 0
-
-
 def area_word(t: FilterTuple) -> Word:
     """Column lengths of the tuple's path, in removal order."""
-    a = _area_multiplier(t.m, t.n)
-    k = min(t.removals)
-    letters = tuple((a * (v - k)) % t.m for v in t.removals)
-    w = Word(t.m, t.n, letters)
+    w = Word(t.m, t.n, area_letters(t.removals, t.m, t.n))
     if not is_parking_word(w):
         raise InternalInconsistency(f"area word {w} is not parking")
     return w
@@ -146,9 +130,9 @@ def tuple_from_area_word(w: Word) -> FilterTuple:
     m, n = w.m, w.n
     d = filter_from_dyck_word(Word(m, n, tuple(sorted(w.letters))))
     groups: dict[int, list[int]] = {}
-    a = _area_multiplier(m, n)
-    for q in sorted(column_minima(d), reverse=True):
-        groups.setdefault((a * q) % m, []).append(q)
+    cols = sorted(column_minima(d), reverse=True)
+    for q, letter in zip(cols, area_letters(cols, m, n)):
+        groups.setdefault(letter, []).append(q)
     removals = tuple(groups[letter].pop() for letter in w.letters)
     return FilterTuple(d, removals)
 
@@ -156,12 +140,10 @@ def tuple_from_area_word(w: Word) -> FilterTuple:
 def rank_word(t: FilterTuple) -> Word:
     """Rank (0-indexed) of each removed level among the current row minima."""
     letters = []
-    minima = sorted(t.initial.row_minima)
+    minima = t.initial.row_minima
     for v in t.removals:
-        r = minima.index(v)
-        letters.append(r)
-        minima[r] = v + t.m
-        minima.sort()
+        letters.append(minima.index(v))
+        minima = after_removal(minima, v, t.m)
     w = Word(t.m, t.n, tuple(letters))
     if not is_parking_word(w):
         raise InternalInconsistency(f"rank word {w} is not parking")
@@ -178,12 +160,11 @@ def tuple_from_rank_word(
     step.  ``use_oracle`` swaps the orbit solver for the enumeration
     oracle (slow, but an independent route).
     """
-    if gcd(w.m, w.n) != 1:
-        raise NotAParkingWord(f"rank-word inversion needs coprime (m, n): {w}")
+    require_coprime(w.m, w.n, "rank-word inversion")
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
     if use_oracle:
-        point = action.fixed_point_oracle(w)
+        point = fixed_point_oracle(w)
     else:
         report = action.find_fixed_point(w, max_iterations=max_iterations)
         if not isinstance(report.outcome, action.Fixed):
@@ -192,14 +173,29 @@ def tuple_from_rank_word(
             )
         point = report.outcome.point
     initial = Filter(w.m, w.n, point.coords)
-    minima = list(point.coords)
+    minima = initial.row_minima
     removals = []
     for letter in w.letters:
-        v = minima[letter]
-        removals.append(v)
-        minima[letter] = v + w.m
-        minima.sort()
+        removals.append(minima[letter])
+        minima = after_removal(minima, minima[letter], w.m)
     return FilterTuple(initial, tuple(removals))
+
+
+def fixed_point_oracle(w: Word) -> action.Point:
+    """Brute-force fixed point, independent of the orbit solver.
+
+    Enumerates every parking word ``u``, builds its filter tuple on the
+    area side, and returns the balanced row minima of the tuple whose
+    rank word equals ``w``.  Only sensible when ``m**(n-1)`` is small.
+    """
+    require_coprime(w.m, w.n, "the fixed-point oracle")
+    if not is_parking_word(w):
+        raise NotAParkingWord(f"{w} is not a parking word")
+    for u in enumerate_words(w.m, w.n, "parking"):
+        t = tuple_from_area_word(u)
+        if rank_word(t) == w:
+            return action.Point(to_balanced(t.initial).row_minima)
+    raise InternalInconsistency(f"no tuple has rank word {w}")
 
 
 def zeta(w: Word) -> Word:

@@ -44,7 +44,7 @@ from ratpark import (
     zeta_inverse,
 )
 from ratpark import reference as ref
-from ratpark.verify import run_verify
+from ratpark.verify import LIPSCHITZ_TRIALS, run_verify
 
 COPRIME_PAIRS_LE_5 = [
     (m, n) for m in range(2, 6) for n in range(2, 6) if gcd(m, n) == 1
@@ -217,7 +217,9 @@ def test_criterion_9_counts():
 def test_criterion_10_property_suites():
     started = time.perf_counter()
     rng = random.Random(0)
-    for m, n in COPRIME_PAIRS_LE_5 + [(3, 3), (6, 9)]:
+    # the coprime pairs get their 10,000 trials from the lipschitz suites
+    # of run_verify below; verify refuses the gcd > 1 pairs
+    for m, n in [(3, 3), (6, 9)]:
         span = m * n + 5
         for _ in range(10_000):
             x = Point(tuple(sorted(rng.randint(-span, span) for _ in range(m))))
@@ -247,6 +249,9 @@ def test_criterion_10_property_suites():
 
     report = run_verify()
     elapsed = time.perf_counter() - started
+    lipschitz = {s.name for s in report.suites if s.name.startswith("lipschitz")}
+    assert LIPSCHITZ_TRIALS == 10_000
+    assert lipschitz == {f"lipschitz ({m},{n})" for m, n in COPRIME_PAIRS_LE_5}
     ok = report.ok and elapsed < 300.0
     _verdict(
         10,

@@ -16,7 +16,6 @@ from ratpark import (
     tuple_to_balanced,
     tuple_to_parking,
 )
-from ratpark.serialize import word_to_text
 from ratpark.tuples import is_balanced_tuple, is_parking_tuple, translate
 
 
@@ -66,9 +65,9 @@ def test_labeled_path():
 
 
 def test_word_to_text_forms():
-    assert word_to_text(Word(6, 9, (0, 2, 0, 1, 0, 1, 1, 5, 1))) == "020101151"
+    assert str(Word(6, 9, (0, 2, 0, 1, 0, 1, 1, 5, 1))) == "020101151"
     wide = Word(12, 2, (0, 11))
-    assert word_to_text(wide) == "0,11"
+    assert str(wide) == "0,11"
 
 
 def test_default_budget_env(monkeypatch):

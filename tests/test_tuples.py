@@ -5,6 +5,7 @@ from ratpark import (
     FilterTuple,
     LevelNotRemovable,
     NotAParkingWord,
+    NotCoprime,
     Word,
     area,
     area_word,
@@ -87,7 +88,7 @@ def test_rank_word_inverse():
             assert rank_word(t) == word_
     with pytest.raises(NotAParkingWord):
         tuple_from_rank_word(w(4, 3, "022"))
-    with pytest.raises(NotAParkingWord):
+    with pytest.raises(NotCoprime):
         tuple_from_rank_word(w(3, 3, "000"))
 
 
