@@ -13,8 +13,9 @@ Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from typing import Sequence
 
 from .errors import (
@@ -184,21 +185,22 @@ def _apply_traced(
 ) -> tuple[tuple[int, ...], list[int]]:
     """:func:`_apply_raw` that also returns each letter's final slot.
 
-    The slots name the affine piece that ``coords`` lies in.  Only the
-    orbit solver needs them, so the other callers keep the leaner loop.
+    The slots name the affine piece that ``coords`` lies in.  The moved
+    value lands where :func:`_apply_raw`'s loop stops, at the first slot
+    from ``letter`` on whose neighbour is not below it, which is
+    ``bisect_left`` on the list without it.  At the orbit solver's large
+    m this beats the compare-exchange loop; at m <= 5, where ``verify``'s
+    Lipschitz trials apply words, it is no faster, so :func:`_apply_raw`
+    keeps the loop.
     """
     xs = list(coords)
-    last = len(xs) - 1
     slots = []
     for letter in letters:
-        v = xs[letter] + add
-        j = letter
-        while j < last and xs[j + 1] < v:
-            xs[j] = xs[j + 1]
-            j += 1
-        xs[j] = v
+        v = xs.pop(letter) + add
+        j = bisect_left(xs, v, letter)
+        xs.insert(j, v)
         slots.append(j)
-    return tuple(x - total_sub for x in xs), slots
+    return tuple([x - total_sub for x in xs]), slots
 
 
 class _Piece:
@@ -336,7 +338,10 @@ def find_fixed_point(
     ``applications`` those actually computed.
 
     The escape bound ``norm(start) + (m*n)**4`` is an engineering
-    constant, not derived from any sharper estimate.
+    constant, not derived from any sharper estimate.  Each of the
+    ``C(m,2)`` squared differences in the norm is at most the squared
+    spread ``(x[-1] - x[0])**2``, so the exact norm is computed only when
+    ``C(m,2)`` times that square exceeds the bound.
 
     Drift jumps (coprime words).  The letters' final slots during one
     application name an affine piece, on which the word acts as
@@ -369,6 +374,7 @@ def find_fixed_point(
     bound = (_norm(start) + (m * n) ** 4) if escape_bound is None else escape_bound
     letters = w.letters
     coprime = gcd(m, n) == 1
+    pairs = comb(m, 2)
     cur = start
     it = applications = 0
     tortoise, power, lam = start, 1, 0
@@ -380,9 +386,10 @@ def find_fixed_point(
         applications += 1
         if nxt == cur:
             return OrbitReport(Fixed(Point(cur)), it, applications)
-        nrm = _norm(nxt)
-        if nrm > bound:
-            return OrbitReport(Diverged(it, nrm), it, applications)
+        if pairs * (nxt[-1] - nxt[0]) ** 2 > bound:
+            nrm = _norm(nxt)
+            if nrm > bound:
+                return OrbitReport(Diverged(it, nrm), it, applications)
         lam += 1
         if nxt == tortoise:
             first, witness = _first_repeat(start, letters, m, n, lam)

@@ -116,9 +116,14 @@ def _word_arg(args) -> Word:
 
 def _run(args) -> int:
     if args.command == "enumerate":
-        words = list(enumerate_words(args.m, args.n, args.kind))
+        # streamed; the JSON form is byte-identical to json.dumps of the list
+        words = enumerate_words(args.m, args.n, args.kind)
         if args.json:
-            print(json.dumps([serialize.word_to_json(w) for w in words]))
+            sep = "["
+            for w in words:
+                print(sep + json.dumps(serialize.word_to_json(w)), end="")
+                sep = ", "
+            print("[]" if sep == "[" else "]")
         else:
             for w in words:
                 print(w)

@@ -131,17 +131,18 @@ def equivalent(f: Filter, g: Filter) -> bool:
     return (f.m, f.n) == (g.m, g.n) and to_balanced(f) == to_balanced(g)
 
 
+def _removable(f: Filter, v: int) -> bool:
+    """Whether ``v`` is a row minimum and the filter misses ``v - n`` below it."""
+    return v in f.row_minima and v - f.n < f.minimum_by_residue((v - f.n) % f.m)
+
+
 def removable_levels(f: Filter) -> tuple[int, ...]:
     """Row minima that are also column-minimal: the poset-minimal levels.
 
     Removing any other level would leave the point below it stranded, so
     these are exactly the levels whose removal yields another filter.
     """
-    out = []
-    for v in f.row_minima:
-        if v - f.n < f.minimum_by_residue((v - f.n) % f.m):
-            out.append(v)
-    return tuple(out)
+    return tuple(v for v in f.row_minima if _removable(f, v))
 
 
 def after_removal(minima: Sequence[int], v: int, m: int) -> list[int]:
@@ -161,7 +162,7 @@ def remove(f: Filter, v: int) -> Filter:
     The result is not rebalanced; graph traversals compose this with
     :func:`to_balanced`.
     """
-    if v not in removable_levels(f):
+    if not _removable(f, v):
         raise LevelNotRemovable(f"level {v} is not removable from {f.row_minima}")
     return Filter(f.m, f.n, after_removal(f.row_minima, v, f.m))
 

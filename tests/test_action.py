@@ -23,6 +23,7 @@ from ratpark import (
     construct_fixed_point_general,
     contraction_certificate,
     distance,
+    enumerate_words,
     find_fixed_point,
     fixed_point_oracle,
     is_parking_word,
@@ -255,6 +256,43 @@ def test_six_nine_simplex_and_convexity():
             assert _apply_raw(summed, word_.letters, 12, 18) == summed
 
 
+# ------------------------------------------- the solver's kernel against the loop
+
+
+def _bubble_traced(coords, letters, add, total_sub):
+    """The compare-exchange loop of ``_apply_raw``, also recording slots."""
+    xs = list(coords)
+    last = len(xs) - 1
+    slots = []
+    for letter in letters:
+        v = xs[letter] + add
+        j = letter
+        while j < last and xs[j + 1] < v:
+            xs[j] = xs[j + 1]
+            j += 1
+        xs[j] = v
+        slots.append(j)
+    return tuple(x - total_sub for x in xs), slots
+
+
+def test_apply_traced_matches_the_loop():
+    # every point repeats a coordinate, and in a range 3m wide a moved
+    # value often ties with a coordinate it meets
+    rng = random.Random(17)
+    ties = 0
+    for m, n in ((3, 3), (4, 6), (5, 4), (13, 21)):
+        for _ in range(200):
+            values = [rng.randrange(-m, 2 * m) for _ in range(m - 1)]
+            coords = tuple(sorted(values + [rng.choice(values)]))
+            word_ = tuple(rng.randrange(m) for _ in range(n))
+            for letters, sub in [((i,), 1) for i in range(m)] + [(word_, n)]:
+                expected = _bubble_traced(coords, letters, m, sub)
+                assert action._apply_traced(coords, letters, m, sub) == expected
+                assert _apply_raw(coords, letters, m, sub) == expected[0]
+            ties += sum(c + m in coords for c in coords)
+    assert ties > 0
+
+
 # ------------------------------------------ drift jumps against the plain orbit
 
 
@@ -422,6 +460,21 @@ def test_solver_matches_plain_orbit_on_near_misses():
         assert isinstance(escaped, Diverged)
         steps.add(step)
     assert len(steps) > 5 and max(steps) < iterations
+    # escape is strict, and the solver skips the exact norm only where
+    # C(m,2) times the squared spread rules escape out: a bound one below
+    # the escaping norm still escapes there, a bound equal to it does not
+    edge_words = [diverged[0]]
+    for m, n in ((4, 3), (5, 4)):
+        words = enumerate_words(m, n, "all")
+        edge_words.append(
+            next(u for u in words if isinstance(_plain_orbit(u)[0], Diverged))
+        )
+    for word_ in edge_words:
+        outcome, _ = _assert_matches_plain(word_)
+        below = _assert_matches_plain(word_, escape_bound=outcome.norm - 1)
+        assert below[0] == outcome
+        at = _assert_matches_plain(word_, escape_bound=outcome.norm)[0]
+        assert not (isinstance(at, Diverged) and at.step == outcome.step)
 
 
 def test_solver_memory_is_bounded():

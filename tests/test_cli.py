@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ratpark import enumerate_words, serialize
 from ratpark.cli import main
 from ratpark.reference import PARKING_WORDS_4_3
 
@@ -16,6 +17,16 @@ def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "--m", "4", "--n", "3")
     assert code == 0
     assert set(out.split()) == set(PARKING_WORDS_4_3)
+
+
+def test_enumerate_streams_the_listed_output(capsys):
+    for m, n, kind in ((3, 4, "parking"), (2, 3, "all"), (0, 3, "all")):
+        words = list(enumerate_words(m, n, kind))
+        text = "".join(f"{w}\n" for w in words)
+        as_json = json.dumps([serialize.word_to_json(w) for w in words]) + "\n"
+        args = ("enumerate", "--m", str(m), "--n", str(n), "--kind", kind)
+        assert run(capsys, *args) == (0, text, "")
+        assert run(capsys, *args, "--json") == (0, as_json, "")
 
 
 def test_classify(capsys):

@@ -174,8 +174,16 @@ def test_filter_from_path_round_trip():
 
 
 def test_remove_preserves_validity():
-    for b in enumerate_balanced(4, 3):
-        for v in removable_levels(b):
-            g = remove(b, v)
-            assert isinstance(g, Filter)
-            assert sorted(x % 4 for x in g.row_minima) == [0, 1, 2, 3]
+    # a level comes off iff it is row- and column-minimal; the level just
+    # below the filter misses its own ``v - n`` too, yet is no row minimum
+    for m, n in ((3, 4), (4, 3), (4, 5), (5, 3)):
+        for b in enumerate_balanced(m, n):
+            cols = set(column_minima(b))
+            for v in b.row_minima + (b.row_minima[0] - 1,):
+                if v in b.row_minima and v in cols:
+                    g = remove(b, v)
+                    assert isinstance(g, Filter)
+                    assert sorted(x % m for x in g.row_minima) == list(range(m))
+                else:
+                    with pytest.raises(LevelNotRemovable):
+                        remove(b, v)
