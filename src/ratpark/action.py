@@ -92,17 +92,14 @@ def _apply_raw(
     coords: tuple[int, ...], letters: Sequence[int], add: int, total_sub: int
 ) -> tuple[int, ...]:
     # Per-letter uniform subtractions never change coordinate comparisons,
-    # so they are deferred to a single shift at the end.
+    # so they are deferred to a single shift at the end.  The moved value
+    # goes back in before any coordinate equal to it (bisect_left), which
+    # is where a compare-exchange pass from its old slot would stop.
     xs = list(coords)
-    last = len(xs) - 1
     for letter in letters:
-        v = xs[letter] + add
-        j = letter
-        while j < last and xs[j + 1] < v:
-            xs[j] = xs[j + 1]
-            j += 1
-        xs[j] = v
-    return tuple(x - total_sub for x in xs)
+        v = xs.pop(letter) + add
+        xs.insert(bisect_left(xs, v, letter), v)
+    return tuple([x - total_sub for x in xs])
 
 
 def apply_letter(x: Point, i: int) -> Point:
@@ -185,13 +182,7 @@ def _apply_traced(
 ) -> tuple[tuple[int, ...], list[int]]:
     """:func:`_apply_raw` that also returns each letter's final slot.
 
-    The slots name the affine piece that ``coords`` lies in.  The moved
-    value lands where :func:`_apply_raw`'s loop stops, at the first slot
-    from ``letter`` on whose neighbour is not below it, which is
-    ``bisect_left`` on the list without it.  At the orbit solver's large
-    m this beats the compare-exchange loop; at m <= 5, where ``verify``'s
-    Lipschitz trials apply words, it is no faster, so :func:`_apply_raw`
-    keeps the loop.
+    The slots name the affine piece that ``coords`` lies in.
     """
     xs = list(coords)
     slots = []

@@ -132,8 +132,8 @@ def equivalent(f: Filter, g: Filter) -> bool:
 
 
 def _removable(f: Filter, v: int) -> bool:
-    """Whether ``v`` is a row minimum and the filter misses ``v - n`` below it."""
-    return v in f.row_minima and v - f.n < f.minimum_by_residue((v - f.n) % f.m)
+    """Whether the filter misses ``v - n``: row minimum ``v`` is column-minimal."""
+    return v - f.n < f.minimum_by_residue((v - f.n) % f.m)
 
 
 def removable_levels(f: Filter) -> tuple[int, ...]:
@@ -162,7 +162,7 @@ def remove(f: Filter, v: int) -> Filter:
     The result is not rebalanced; graph traversals compose this with
     :func:`to_balanced`.
     """
-    if not _removable(f, v):
+    if v not in f.row_minima or not _removable(f, v):
         raise LevelNotRemovable(f"level {v} is not removable from {f.row_minima}")
     return Filter(f.m, f.n, after_removal(f.row_minima, v, f.m))
 

@@ -149,8 +149,6 @@ def test_fixed_point_oracle_examples():
 
 def test_oracle_matches_solver():
     for m, n in ((3, 4), (4, 3)):
-        from ratpark import enumerate_words
-
         for word_ in enumerate_words(m, n, "parking"):
             report = find_fixed_point(word_)
             assert fixed_point_oracle(word_) == report.outcome.point
@@ -191,8 +189,6 @@ def test_construct_fixed_point_general_coprime_degenerates():
 
 
 def test_construct_fixed_point_general_exhaustive_small_gcd():
-    from ratpark import enumerate_words
-
     # includes blocks that are themselves non-coprime, e.g. the (4,2)
     # block of the (6,3) word 004, where plain iteration orbits the
     # fixed region in a 2-cycle and the centroid restart must kick in
@@ -213,8 +209,6 @@ def test_construct_fixed_point_gap_validation():
 
 
 def test_divergence_of_all_non_parking_words_up_to_five():
-    from ratpark import enumerate_words, is_parking_word
-
     for m in range(1, 6):
         for n in range(1, 6):
             for word_ in enumerate_words(m, n, "all"):
@@ -228,8 +222,6 @@ def test_divergence_of_all_non_parking_words_up_to_five():
 
 
 def test_fixed_point_residue_structure():
-    from ratpark import enumerate_words
-
     # gcd = 1: a complete residue system mod m
     for m, n in ((3, 4), (4, 3), (3, 5)):
         for word_ in enumerate_words(m, n, "parking"):
@@ -256,11 +248,11 @@ def test_six_nine_simplex_and_convexity():
             assert _apply_raw(summed, word_.letters, 12, 18) == summed
 
 
-# ------------------------------------------- the solver's kernel against the loop
+# ------------------------------------------------ both kernels against the loop
 
 
 def _bubble_traced(coords, letters, add, total_sub):
-    """The compare-exchange loop of ``_apply_raw``, also recording slots."""
+    """The action as a compare-exchange loop, also recording slots."""
     xs = list(coords)
     last = len(xs) - 1
     slots = []
@@ -354,8 +346,6 @@ def _outcome_kind(result):
 
 
 def test_solver_matches_plain_orbit_on_small_sizes():
-    from ratpark import enumerate_words
-
     kinds = set()
     for m, n in ((3, 4), (4, 3), (3, 5), (4, 5), (5, 4), (2, 4), (3, 3), (4, 6)):
         for word_ in enumerate_words(m, n, "all"):
