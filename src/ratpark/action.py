@@ -84,7 +84,7 @@ class Diverged:
 @dataclass(frozen=True)
 class OrbitReport:
     outcome: Fixed | Cycle | Diverged
-    iterations: int  # applications of the plain orbit up to the outcome
+    iterations: int  # applications of the plain orbit from its start to the outcome
     applications: int  # applications the solver computed
 
 
@@ -317,22 +317,32 @@ def find_fixed_point(
     w: Word,
     max_iterations: int | None = None,
     escape_bound: int | None = None,
+    start: Point | None = None,
 ) -> OrbitReport:
-    """Iterate ``x <- w(x)`` from the balanced staircase until resolution.
+    """Iterate ``x <- w(x)`` from ``start`` until resolution.
+
+    ``start`` defaults to the balanced staircase; any other start must be
+    a :class:`Point` with ``w.m`` coordinates (else
+    :class:`DimensionMismatch`), and may lie off the balanced slice.  The
+    action preserves coordinate sums, so a start on that slice can only
+    reach the slice's fixed point, close a cycle or exhaust the budget:
+    a start close to the fixed point shortens the orbit, never changes
+    where it ends.
 
     Returns ``Fixed`` when an application leaves the point unchanged,
     ``Diverged`` once the norm exceeds the escape bound (non-parking words
     are guaranteed to escape), and ``Cycle`` on a repeat of period > 1 —
     but a coprime parking word admits a unique fixed point, so a cycle
     there is surfaced as :class:`InternalInconsistency` with the witness.
-    ``iterations`` counts word applications of the plain orbit, and
-    ``applications`` those actually computed.
+    ``iterations`` counts word applications of the plain orbit from
+    ``start``, and ``applications`` those actually computed.
 
-    The escape bound ``norm(start) + (m*n)**4`` is an engineering
-    constant, not derived from any sharper estimate.  Each of the
-    ``C(m,2)`` squared differences in the norm is at most the squared
-    spread ``(x[-1] - x[0])**2``, so the exact norm is computed only when
-    ``C(m,2)`` times that square exceeds the bound.
+    The escape bound ``norm(start) + (m*n)**4``, taken at the start
+    actually used, is an engineering constant, not derived from any
+    sharper estimate.  Each of the ``C(m,2)`` squared differences in the
+    norm is at most the squared spread ``(x[-1] - x[0])**2``, so the
+    exact norm is computed only when ``C(m,2)`` times that square exceeds
+    the bound.
 
     Drift jumps (coprime words).  The letters' final slots during one
     application name an affine piece, on which the word acts as
@@ -361,7 +371,11 @@ def find_fixed_point(
         budget = default_budget(m, n)
     else:
         budget = _positive_budget(max_iterations, "max_iterations")
-    start = staircase_point(m, n).coords
+    if start is None:
+        start = staircase_point(m, n)
+    elif not isinstance(start, Point) or start.m != m:
+        raise DimensionMismatch(f"start {start!r} is not a point with {m} coordinates")
+    start = start.coords
     bound = (_norm(start) + (m * n) ** 4) if escape_bound is None else escape_bound
     letters = w.letters
     coprime = gcd(m, n) == 1

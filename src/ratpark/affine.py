@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     NotDominant,
     NotInSommers,
+    RatparkError,
     require_coprime,
 )
 from .filters import (
@@ -140,7 +141,7 @@ def window_to_tuple(w: AffinePermutation, m: int) -> FilterTuple:
     try:
         initial = filter_from_column_minima(m, w.n, tuple(sorted(w.window)))
         return FilterTuple(initial, w.window)
-    except Exception as exc:
+    except RatparkError as exc:
         raise NotInSommers(
             f"window {w.window} does not replay as a balanced tuple: {exc}"
         ) from exc

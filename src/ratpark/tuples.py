@@ -159,6 +159,16 @@ def tuple_from_rank_word(
     replaying the word then removes the letter-ranked minimum at each
     step.  ``use_oracle`` swaps the orbit solver for the enumeration
     oracle (slow, but an independent route).
+
+    The orbit starts at the balanced Dyck filter of the sorted word (for
+    :func:`ratpark.sweep.sweep_inverse`, whose rank word is sorted, the
+    filter being inverted), which usually lies far closer to the fixed
+    point than the staircase.  The start is only a hint: it is balanced,
+    the action preserves coordinate sums, and a coprime parking word has
+    exactly one fixed point on the balanced slice, so the orbit reaches
+    that point, closes a cycle (:class:`InternalInconsistency`) or
+    exhausts its budget.  It never ends elsewhere, and ``FilterTuple``
+    validates every removal.
     """
     require_coprime(w.m, w.n, "rank-word inversion")
     if not is_parking_word(w):
@@ -166,7 +176,11 @@ def tuple_from_rank_word(
     if use_oracle:
         point = fixed_point_oracle(w)
     else:
-        report = action.find_fixed_point(w, max_iterations=max_iterations)
+        dyck = filter_from_dyck_word(Word(w.m, w.n, tuple(sorted(w.letters))))
+        start = action.Point(to_balanced(dyck).row_minima)
+        report = action.find_fixed_point(
+            w, max_iterations=max_iterations, start=start
+        )
         if not isinstance(report.outcome, action.Fixed):
             raise InternalInconsistency(
                 f"solver did not fix a point for parking word {w}: {report}"

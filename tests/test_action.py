@@ -24,11 +24,13 @@ from ratpark import (
     contraction_certificate,
     distance,
     enumerate_words,
+    filter_from_dyck_word,
     find_fixed_point,
     fixed_point_oracle,
     is_parking_word,
     norm,
     staircase_point,
+    to_balanced,
 )
 from ratpark import action
 from ratpark.action import _apply_raw, _norm
@@ -288,7 +290,7 @@ def test_apply_traced_matches_the_loop():
 # ------------------------------------------ drift jumps against the plain orbit
 
 
-def _plain_orbit(w, max_iterations=None, escape_bound=None):
+def _plain_orbit(w, max_iterations=None, escape_bound=None, start=None):
     """Plain value iteration with every orbit point recorded.
 
     The solver's definition: ``find_fixed_point`` must report the same
@@ -299,7 +301,7 @@ def _plain_orbit(w, max_iterations=None, escape_bound=None):
         budget = action.default_budget(m, n)
     else:
         budget = max_iterations
-    start = action.staircase_point(m, n).coords
+    start = (staircase_point(m, n) if start is None else start).coords
     bound = (_norm(start) + (m * n) ** 4) if escape_bound is None else escape_bound
     seen = {start: 0}
     cur = start
@@ -354,7 +356,7 @@ def test_solver_matches_plain_orbit_on_small_sizes():
     assert kinds == {Fixed, Diverged, IterationBudgetExhausted}
 
 
-def test_solver_matches_plain_orbit_on_cycles(monkeypatch):
+def test_solver_matches_plain_orbit_on_cycles():
     # off the balanced slice integral fixed points may not exist, and the
     # orbit closes into a cycle instead: gcd > 1 words report it, coprime
     # parking words raise
@@ -364,15 +366,34 @@ def test_solver_matches_plain_orbit_on_cycles(monkeypatch):
         for _ in range(150):
             word_ = Word(m, n, tuple(rng.randrange(m) for _ in range(n)))
             coords = tuple(sorted(rng.randrange(-3 * m, 3 * m) for _ in range(m)))
-            monkeypatch.setattr(action, "staircase_point", lambda m, n: Point(coords))
             # the solver looks for a repeat that closed within a tight
             # budget only on gcd > 1 words: from the staircase a coprime
             # orbit never cycles
             budgets = (None,) if gcd(m, n) == 1 else (None, 1, 2, 3, 5, 8)
             for budget in budgets:
-                result = _assert_matches_plain(word_, max_iterations=budget)
+                result = _assert_matches_plain(
+                    word_, max_iterations=budget, start=Point(coords)
+                )
                 kinds.add(_outcome_kind(result))
     assert {Cycle, InternalInconsistency, IterationBudgetExhausted} <= kinds
+
+
+def _warm_start(word_):
+    """The balanced Dyck filter of the sorted word, as rank-word inversion uses."""
+    dyck = Word(word_.m, word_.n, tuple(sorted(word_.letters)))
+    return Point(to_balanced(filter_from_dyck_word(dyck)).row_minima)
+
+
+def test_solver_matches_plain_orbit_from_warm_starts():
+    # a balanced start reaches the staircase orbit's fixed point
+    for m, n in ((3, 4), (4, 3), (3, 5), (4, 5), (5, 4)):
+        for word_ in enumerate_words(m, n, "parking"):
+            outcome, _ = _assert_matches_plain(word_, start=_warm_start(word_))
+            assert outcome == find_fixed_point(word_).outcome
+    word_ = w(3, 5, "10011")
+    for bad in (Point((0, 1)), Point((0, 1, 2, 3)), (-1, 3, 4)):
+        with pytest.raises(DimensionMismatch):
+            find_fixed_point(word_, start=bad)
 
 
 def _random_parking_word(rng, m, n):

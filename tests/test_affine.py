@@ -26,6 +26,7 @@ from ratpark import (
     value_position,
     window_to_tuple,
 )
+from ratpark import affine
 from ratpark.reference import (
     ANDERSON_EXAMPLES,
     DOMINANT_WINDOWS,
@@ -105,13 +106,22 @@ def test_mn_swap_dominant():
         assert mn_swap_dominant(mn_swap_dominant(w, 3), 5) == w
 
 
-def test_window_tuple_round_trip():
+def test_window_tuple_round_trip(monkeypatch):
     w = AffinePermutation((3, -1, 2, 5, 6))
     t = window_to_tuple(w, 3)
     assert t.initial.row_minima == (-1, 3, 4)
     assert tuple_to_window(t) == w
     with pytest.raises(NotInSommers):
         window_to_tuple(AffinePermutation((4, 0, 2)), 4)
+
+    # only library errors mean "not in the Sommers region"; a programming
+    # error surfaces as itself
+    def broken(initial, removals):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(affine, "FilterTuple", broken)
+    with pytest.raises(TypeError):
+        window_to_tuple(w, 3)
 
 
 def test_anderson_examples():

@@ -1,6 +1,7 @@
 """Source layout rules that keep the module graph acyclic and explicit."""
 
 import ast
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import ratpark
@@ -24,3 +25,29 @@ def test_no_imports_inside_functions():
     assert modules
     sites = [site for path in modules for site in _imports_inside_functions(path)]
     assert sites == []
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """Sibling modules named by ``from .x import ...`` or ``from . import x``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    deps = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                deps.update(alias.name for alias in node.names)
+            else:
+                deps.add(node.module.split(".")[0])
+    return deps
+
+
+def test_module_graph_is_acyclic():
+    graph = {
+        path.stem: _relative_imports(path)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    assert set().union(*graph.values()) <= set(graph)
+    # the solver sits below filters and tuples, which build its warm starts
+    assert graph["action"] == {"errors", "words"}
+    # raises CycleError naming the cycle
+    TopologicalSorter(graph).prepare()

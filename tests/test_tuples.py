@@ -12,6 +12,7 @@ from ratpark import (
     column_minima,
     dinv,
     enumerate_words,
+    find_fixed_point,
     qt_table,
     rank_word,
     tuple_from_area_word,
@@ -21,6 +22,7 @@ from ratpark import (
     zeta,
     zeta_inverse,
 )
+from ratpark.filters import after_removal
 from ratpark.reference import (
     QT_4_3_DYCK,
     QT_4_3_PARKING,
@@ -31,6 +33,7 @@ from ratpark.reference import (
     ZETA_4_3,
     ZETA_5_3,
 )
+from test_action import _parking_words_by_slack, _warm_start
 
 
 def w(m, n, text):
@@ -90,6 +93,29 @@ def test_rank_word_inverse():
         tuple_from_rank_word(w(4, 3, "022"))
     with pytest.raises(NotCoprime):
         tuple_from_rank_word(w(3, 3, "000"))
+
+
+def _replayed_from_staircase(word_):
+    """The tuple replayed from the fixed point of the staircase orbit."""
+    initial = Filter(word_.m, word_.n, find_fixed_point(word_).outcome.point.coords)
+    minima, removals = initial.row_minima, []
+    for letter in word_.letters:
+        removals.append(minima[letter])
+        minima = after_removal(minima, minima[letter], word_.m)
+    return FilterTuple(initial, tuple(removals))
+
+
+def test_rank_word_inverse_matches_the_staircase_orbit():
+    # 9,439 words; the (50,77) words are one per smallest slack 1 to 4
+    pairs = ((3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4), (7, 3), (4, 7))
+    for m, n in pairs + ((7, 4), (6, 5), (5, 6)):
+        for word_ in enumerate_words(m, n, "parking"):
+            assert tuple_from_rank_word(word_) == _replayed_from_staircase(word_)
+    found = _parking_words_by_slack(50, 77, seed=11, slacks=(1, 2, 3, 4))
+    for slack, word_ in found.items():
+        assert tuple_from_rank_word(word_) == _replayed_from_staircase(word_)
+        warm = find_fixed_point(word_, start=_warm_start(word_)).iterations
+        assert warm < find_fixed_point(word_).iterations // 2, slack
 
 
 def test_rank_word_inverse_oracle_mode():
