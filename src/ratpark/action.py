@@ -302,6 +302,30 @@ def _first_repeat(
     return index, behind
 
 
+def _repeat_within(
+    start: tuple[int, ...],
+    last: tuple[int, ...],
+    letters: Sequence[int],
+    m: int,
+    n: int,
+    budget: int,
+) -> tuple[int, int, tuple[int, ...]] | None:
+    """``(first, period, point)`` of the orbit's first repeat, if it
+    closed within ``budget`` applications, else None.
+
+    ``last`` is the orbit's point after ``budget`` applications; a repeat
+    that closed by then puts it on the cycle, so the period is found by
+    walking from it.
+    """
+    ahead = last
+    for period in range(1, budget + 1):
+        ahead = _apply_raw(ahead, letters, m, n)
+        if ahead == last:
+            first, witness = _first_repeat(start, letters, m, n, period)
+            return (first, period, witness) if first + period <= budget else None
+    return None
+
+
 def _cycle(
     w: Word, period: int, first: int, witness: tuple[int, ...], applications: int
 ) -> OrbitReport:
@@ -418,19 +442,12 @@ def find_fixed_point(
                 it += k * piece.period
                 tortoise, power, lam = cur, 1, 0
     if not coprime:
-        # a repeat that closed within the budget puts the last point on
-        # its cycle
-        ahead = cur
-        for period in range(1, budget + 1):
-            ahead = _apply_raw(ahead, letters, m, n)
-            applications += 1
-            if ahead == cur:
-                first, witness = _first_repeat(start, letters, m, n, period)
-                if first + period <= budget:
-                    return _cycle(
-                        w, period, first, witness, applications + period + 2 * first
-                    )
-                break
+        found = _repeat_within(start, cur, letters, m, n, budget)
+        if found is not None:
+            first, period, witness = found
+            return _cycle(
+                w, period, first, witness, applications + 2 * period + 2 * first
+            )
     raise IterationBudgetExhausted(
         f"no resolution for {w} within {budget} word applications"
     )
@@ -462,30 +479,35 @@ def _scaled_block_fixed_point(
         start = tuple(c * ratio for c in staircase_point(mu, n_j).coords)
     else:
         start = (0,) * mu
+    letters = q.letters
     tried = set()
     for _ in range(2 * mu + 4):
         tried.add(start)
-        seen = {start: 0}
-        cur = start
-        cycle_start = None
-        for it in range(1, budget + 1):
-            nxt = _apply_raw(cur, q.letters, add, cycle_sub)
+        # Brent's cycle detection, as in find_fixed_point: O(mu) memory
+        cur, tortoise, power, lam = start, start, 1, 0
+        for _ in range(budget):
+            nxt = _apply_raw(cur, letters, add, cycle_sub)
             if nxt == cur:
                 return cur
-            if nxt in seen:
-                cycle_start = seen[nxt]
+            lam += 1
+            if nxt == tortoise:
+                on_cycle, period = nxt, lam
                 break
-            seen[nxt] = it
+            if lam == power:
+                tortoise, power, lam = nxt, 2 * power, 0
             cur = nxt
-        if cycle_start is None:
-            raise IterationBudgetExhausted(
-                f"block word {q} unresolved within {budget}"
-            )
-        cycle_points = [p for p, i in seen.items() if i >= cycle_start]
-        period = len(cycle_points)
-        centroid = tuple(
-            sorted(sum(col) // period for col in zip(*cycle_points))
-        )
+        else:
+            found = _repeat_within(start, cur, letters, add, cycle_sub, budget)
+            if found is None:
+                raise IterationBudgetExhausted(
+                    f"block word {q} unresolved within {budget}"
+                )
+            _, period, on_cycle = found
+        sums = [0] * mu
+        for _ in range(period):
+            sums = [s + c for s, c in zip(sums, on_cycle)]
+            on_cycle = _apply_raw(on_cycle, letters, add, cycle_sub)
+        centroid = tuple(sorted(s // period for s in sums))
         if centroid not in tried:
             start = centroid
         else:

@@ -132,13 +132,48 @@ def enumerate_words(m: int, n: int, kind: str = "all") -> Iterator[Word]:
     """
     if kind not in ("all", "parking", "dyck"):
         raise ValueError(f"unknown enumeration kind {kind!r}")
-    if kind == "dyck":
-        for letters in itertools.combinations_with_replacement(range(m), n):
-            w = Word(m, n, letters)
-            if is_parking_word(w):
-                yield w
+    if kind == "all":
+        letter_tuples = itertools.product(range(m), repeat=n)
+    else:
+        letter_tuples = _parking_letters(m, n, increasing=kind == "dyck")
+    for letters in letter_tuples:
+        yield Word(m, n, letters)
+
+
+def _parking_letters(m: int, n: int, increasing: bool) -> Iterator[tuple[int, ...]]:
+    """Letters of the parking words, lexicographically, by a pruned DFS.
+
+    A prefix extends to a parking word iff it is one when padded with
+    zeros, since a zero counts below every ``i``; so no branch dead-ends.
+    ``slack[i]`` is ``m * #{letters < i} - i*n`` for the padded prefix.
+    Appending letter ``a`` replaces a padding zero, taking ``m`` from
+    ``slack[1..a]``, so the letters that keep the prefix parking are
+    those below the first ``i`` with ``slack[i] < m``.  With
+    ``increasing`` each letter is at least the one before (Dyck words).
+    """
+    slack = [(m - i) * n for i in range(m)]
+    prefix: list[int] = []
+
+    def extend(lo: int) -> Iterator[tuple[int, ...]]:
+        top = 1
+        while top < m and slack[top] >= m:
+            top += 1
+        last = len(prefix) == n - 1
+        spent = 0  # slack[1..spent] pay for the letter at this position
+        for a in range(lo, min(top, m)):
+            while spent < a:
+                spent += 1
+                slack[spent] -= m
+            if last:
+                yield (*prefix, a)
+            else:
+                prefix.append(a)
+                yield from extend(a if increasing else 0)
+                prefix.pop()
+        for i in range(1, spent + 1):
+            slack[i] += m
+
+    if n < 1:
+        yield ()  # no letters to place; Word rejects n < 1
         return
-    for letters in itertools.product(range(m), repeat=n):
-        w = Word(m, n, letters)
-        if kind == "all" or is_parking_word(w):
-            yield w
+    yield from extend(0)

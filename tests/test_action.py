@@ -31,6 +31,7 @@ from ratpark import (
     norm,
     staircase_point,
     to_balanced,
+    touch_decomposition,
 )
 from ratpark import action
 from ratpark.action import _apply_raw, _norm
@@ -208,6 +209,85 @@ def test_construct_fixed_point_gap_validation():
         construct_fixed_point_general(word_, gaps=[200])
     witness = construct_fixed_point_general(word_, gaps=[200, 400])
     assert apply_word(witness, word_) == witness
+
+
+def _seen_block_fixed_point(q, add, cycle_sub, budget, restarts):
+    """The gcd > 1 block builder with a record of every orbit point.
+
+    The reference for the O(m)-memory builder: appends to ``restarts``
+    once per centroid restart.
+    """
+    mu, n_j = q.m, q.n
+    ratio, rem = divmod(add, mu)
+    if rem == 0:
+        start = tuple(c * ratio for c in staircase_point(mu, n_j).coords)
+    else:
+        start = (0,) * mu
+    tried = set()
+    for _ in range(2 * mu + 4):
+        tried.add(start)
+        seen = {start: 0}
+        cur = start
+        cycle_start = None
+        for it in range(1, budget + 1):
+            nxt = _apply_raw(cur, q.letters, add, cycle_sub)
+            if nxt == cur:
+                return cur
+            if nxt in seen:
+                cycle_start = seen[nxt]
+                break
+            seen[nxt] = it
+            cur = nxt
+        if cycle_start is None:
+            raise IterationBudgetExhausted(
+                f"block word {q} unresolved within {budget}"
+            )
+        restarts.append(start)
+        cycle_points = [p for p, i in seen.items() if i >= cycle_start]
+        period = len(cycle_points)
+        centroid = tuple(
+            sorted(sum(col) // period for col in zip(*cycle_points))
+        )
+        if centroid not in tried:
+            start = centroid
+        else:
+            start = tuple(
+                c + 1 if i == mu - 1 else c for i, c in enumerate(start)
+            )
+    raise InternalInconsistency(
+        f"no integral fixed point located for block word {q}"
+    )
+
+
+def test_block_witnesses_match_the_recorded_orbit():
+    rng = random.Random(23)
+    sample = []
+    while len(sample) < 200:
+        u = Word(6, 9, tuple(rng.randrange(6) for _ in range(9)))
+        if is_parking_word(u):
+            sample.append(u)
+    # at (8,4) the witness depends on the exact centroid of some cycles
+    sizes = ((3, 6), (4, 6), (8, 4))
+    words = [u for m, n in sizes for u in enumerate_words(m, n, "parking")]
+
+    def outcome(build, *args):
+        try:
+            return build(*args)
+        except RatparkError as exc:
+            return type(exc), str(exc)
+
+    restarts, exhausted = [], 0
+    for u in words + sample:
+        for _, q in touch_decomposition(u):
+            # the default budget, and budgets that cut some orbits short
+            for budget in (action.default_budget(u.m, u.n), 1, 2, 3, 4, 6):
+                expected = outcome(
+                    _seen_block_fixed_point, q, u.m, u.n, budget, restarts
+                )
+                got = outcome(action._scaled_block_fixed_point, q, u.m, u.n, budget)
+                assert got == expected, (u, q, budget)
+                exhausted += expected[0] is IterationBudgetExhausted
+    assert restarts and exhausted
 
 
 def test_divergence_of_all_non_parking_words_up_to_five():

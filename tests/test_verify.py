@@ -1,0 +1,120 @@
+import random
+
+from ratpark import Point, Word, contraction_certificate
+from ratpark import action, verify
+from ratpark.verify import DEFAULT_PAIRS, LIPSCHITZ_TRIALS, run_verify
+
+# passed assertions of every suite of the default run_verify(), in run
+# order; no suite fails
+REFERENCE_PASSED = (
+    ("reference-words", 8),
+    ("reference-action", 138),
+    ("reference-filters", 19),
+    ("reference-zeta", 133),
+    ("reference-qt", 4),
+    ("reference-sweep", 7),
+    ("reference-affine", 23),
+)
+PAIR_SUITES = (
+    "counts", "solver-vs-parking", "zeta-bijection", "equidistribution",
+    "sweep", "affine-agreement", "tuple-validity", "graph-reachability",
+    "lipschitz", "divergence", "oracle",
+)
+# one count per PAIR_SUITES entry; None where the suite does not run
+PAIR_PASSED = {
+    (2, 3): (8, 16, 11, 3, 8, 18, 12, 1, 1, 4, 5),
+    (3, 2): (7, 15, 9, 3, 8, 15, 9, 1, 1, 6, 4),
+    (2, 5): (20, 64, 35, 3, 11, 57, 48, 1, 1, None, 17),
+    (5, 2): (9, 35, 13, 3, 11, 24, 15, 1, 1, None, 6),
+    (3, 4): (31, 135, 57, 3, 17, 96, 81, 1, 1, 54, 29),
+    (4, 3): (20, 96, 35, 3, 17, 63, 48, 1, 1, 48, 17),
+    (3, 5): (85, 405, 165, 3, 23, 264, 243, 1, 1, None, 87),
+    (5, 3): (29, 175, 53, 3, 23, 96, 75, 1, 1, None, 27),
+    (4, 5): (260, 1536, 515, 3, 44, 810, 768, 1, 1, None, 272),
+    (5, 4): (129, 875, 253, 3, 44, 417, 375, 1, 1, None, 133),
+}
+
+
+def test_default_verify_counts_are_pinned():
+    expected = list(REFERENCE_PASSED)
+    for (m, n), counts in PAIR_PASSED.items():
+        expected += [
+            (f"{suite} ({m},{n})", passed)
+            for suite, passed in zip(PAIR_SUITES, counts)
+            if passed is not None
+        ]
+    report = run_verify()
+    assert [(s.name, s.passed, s.failed) for s in report.suites] == [
+        (name, passed, 0) for name, passed in expected
+    ]
+    assert (report.passed, report.failed) == (9927, 0)
+
+
+def test_lipschitz_draws_match_randint(monkeypatch):
+    # the suite draws each coordinate as randrange(2*span + 1) - span; its
+    # trials must be those that randint(-span, span) gives from the same
+    # seed, drawn in the same interleaved order
+    trials = []
+    monkeypatch.setattr(verify, "LIPSCHITZ_TRIALS", 500)
+    monkeypatch.setattr(
+        verify, "_contracts", lambda *trial: trials.append(trial) or True
+    )
+    for m, n in DEFAULT_PAIRS:
+        span = m * n + 5
+        for seed in range(5):
+            trials.clear()
+            rng = random.Random(seed)
+            verify._suite_lipschitz(verify._Checker(verify.SuiteResult("")), m, n, rng)
+            ref = random.Random(seed)
+            expected = []
+            for _ in range(500):
+                x = sorted(ref.randint(-span, span) for _ in range(m))
+                y = sorted(ref.randint(-span, span) for _ in range(m))
+                letters = [ref.randrange(m) for _ in range(n)]
+                expected.append((x, y, letters, m, n))
+            assert trials == expected, (m, n, seed)
+            assert rng.getstate() == ref.getstate()
+
+
+def _parity_map(coords, letters, add, total_sub):
+    # a monotone map that doubles some points and fixes others, so that
+    # some pairs move apart and some do not
+    if coords[0] % 2:
+        return tuple(2 * c for c in coords)
+    return tuple(coords)
+
+
+def test_raw_lipschitz_verdict_matches_the_certificate(monkeypatch):
+    def verdicts(m, n, seed):
+        rng = random.Random(seed)
+        span = m * n + 5
+        for _ in range(300):
+            x = sorted(rng.randint(-span, span) for _ in range(m))
+            y = sorted(rng.randint(-span, span) for _ in range(m))
+            letters = [rng.randrange(m) for _ in range(n)]
+            raw = verify._contracts(x, y, letters, m, n)
+            word_ = Word(m, n, tuple(letters))
+            yield raw, contraction_certificate(word_, Point(tuple(x)), Point(tuple(y)))
+
+    for m, n in ((3, 4), (5, 2)):
+        assert all(raw and certified for raw, certified in verdicts(m, n, 1))
+    monkeypatch.setattr(verify, "_apply_raw", _parity_map)
+    monkeypatch.setattr(action, "_apply_raw", _parity_map)
+    for m, n in ((3, 4), (5, 2)):
+        pairs = list(verdicts(m, n, 2))
+        assert all(raw == certified for raw, certified in pairs)
+        assert {raw for raw, _ in pairs} == {True, False}
+
+
+def test_lipschitz_suite_fails_on_an_expanding_map(monkeypatch):
+    monkeypatch.setattr(
+        verify,
+        "_apply_raw",
+        lambda coords, letters, add, total_sub: tuple(2 * c for c in coords),
+    )
+    report = run_verify(pairs=((3, 4),))
+    (suite,) = [s for s in report.suites if s.name == "lipschitz (3,4)"]
+    assert suite.failed > 0
+    assert suite.first_failure.startswith("contraction failures (3,4)")
+    assert report.ok is False
+    assert LIPSCHITZ_TRIALS == 10_000

@@ -1,3 +1,6 @@
+import itertools
+from math import gcd
+
 import pytest
 
 from ratpark import (
@@ -103,3 +106,22 @@ def test_dyck_words_are_sorted_parking_words():
             tuple(sorted(x.letters)) for x in enumerate_words(m, n, "parking")
         }
         assert dyck == sorted_parking
+
+
+def test_enumeration_equals_the_filtered_product():
+    # the pruned search yields the product stream's parking (and, for
+    # dyck, weakly increasing parking) words in the same order
+    pairs = [(m, n) for m in range(1, 6) for n in range(1, 6) if gcd(m, n) == 1]
+    for m, n in pairs + [(3, 3), (2, 4), (4, 6)]:
+        every = [Word(m, n, x) for x in itertools.product(range(m), repeat=n)]
+        parking = [x.letters for x in every if is_parking_word(x)]
+        dyck = [letters for letters in parking if list(letters) == sorted(letters)]
+        assert [x.letters for x in enumerate_words(m, n, "all")] == [
+            x.letters for x in every
+        ]
+        assert [x.letters for x in enumerate_words(m, n, "parking")] == parking
+        assert [x.letters for x in enumerate_words(m, n, "dyck")] == dyck
+    for kind in ("all", "parking", "dyck"):
+        assert list(enumerate_words(0, 3, kind)) == []
+        with pytest.raises(LetterOutOfRange):
+            list(enumerate_words(3, 0, kind))
