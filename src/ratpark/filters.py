@@ -35,7 +35,19 @@ def level(i: int, j: int, m: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class Filter:
-    """An (m,n)-invariant order filter, canonically its sorted row minima."""
+    """An (m,n)-invariant order filter, canonically its sorted row minima.
+
+    ``Filter(m, n, minima)`` validates: coprime sizes, one minimum per
+    residue class mod m, up-closed under ``+n``.  Every filter built from
+    outside data goes through it, including :func:`filter_from_column_minima`
+    (which also rechecks the column minima) and the solver's fixed point in
+    :func:`ratpark.tuples.tuple_from_rank_word`.  Filters derived from one
+    already valid use the trusted :meth:`_of`, which skips the check where
+    the theory guarantees a filter: translations (:func:`to_dyck`,
+    :func:`to_balanced`, :func:`ratpark.tuples.translate`) map filters to
+    filters, and dropping a level checked to be removable (:func:`remove`,
+    :meth:`ratpark.tuples.FilterTuple.stages`) leaves the rest up-closed.
+    """
 
     m: int
     n: int
@@ -60,6 +72,15 @@ class Filter:
                     f"row minima {minima} not up-closed: {v}+{self.n} missing"
                 )
         object.__setattr__(self, "row_minima", minima)
+
+    @classmethod
+    def _of(cls, m: int, n: int, sorted_minima: Sequence[int]) -> Filter:
+        """Trusted constructor: ``sorted_minima`` are a filter's sorted row minima."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "m", m)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "row_minima", tuple(sorted_minima))
+        return f
 
     def minimum_by_residue(self, r: int) -> int:
         for v in self.row_minima:
@@ -98,7 +119,7 @@ def column_minima(f: Filter) -> tuple[int, ...]:
 def to_dyck(f: Filter) -> Filter:
     """Translate so the minimum level becomes 0."""
     shift = min(f.row_minima)
-    return Filter(f.m, f.n, tuple(v - shift for v in f.row_minima))
+    return Filter._of(f.m, f.n, [v - shift for v in f.row_minima])
 
 
 def is_dyck(f: Filter) -> bool:
@@ -123,7 +144,7 @@ def to_balanced(f: Filter) -> Filter:
         raise InternalInconsistency(
             f"row-minima sum {total} not congruent to {target} mod {f.m}"
         )
-    return Filter(f.m, f.n, tuple(v + shift for v in f.row_minima))
+    return Filter._of(f.m, f.n, [v + shift for v in f.row_minima])
 
 
 def equivalent(f: Filter, g: Filter) -> bool:
@@ -131,9 +152,21 @@ def equivalent(f: Filter, g: Filter) -> bool:
     return (f.m, f.n) == (g.m, g.n) and to_balanced(f) == to_balanced(g)
 
 
-def _removable(f: Filter, v: int) -> bool:
-    """Whether the filter misses ``v - n``: row minimum ``v`` is column-minimal."""
-    return v - f.n < f.minimum_by_residue((v - f.n) % f.m)
+def _by_residue(f: Filter) -> list[int]:
+    """Row minima indexed by their residue class mod m."""
+    table = [0] * f.m
+    for v in f.row_minima:
+        table[v % f.m] = v
+    return table
+
+
+def _removable(table: Sequence[int], v: int, m: int, n: int) -> bool:
+    """Whether ``v`` is a poset-minimal level of the filter ``table`` describes.
+
+    ``table[r]`` is the row minimum of residue class r mod m.  ``v`` must be
+    a row minimum, and column-minimal: the filter misses ``v - n``.
+    """
+    return table[v % m] == v and v - n < table[(v - n) % m]
 
 
 def removable_levels(f: Filter) -> tuple[int, ...]:
@@ -142,7 +175,8 @@ def removable_levels(f: Filter) -> tuple[int, ...]:
     Removing any other level would leave the point below it stranded, so
     these are exactly the levels whose removal yields another filter.
     """
-    return tuple(v for v in f.row_minima if _removable(f, v))
+    table = _by_residue(f)
+    return tuple(v for v in f.row_minima if _removable(table, v, f.m, f.n))
 
 
 def after_removal(minima: Sequence[int], v: int, m: int) -> list[int]:
@@ -162,9 +196,9 @@ def remove(f: Filter, v: int) -> Filter:
     The result is not rebalanced; graph traversals compose this with
     :func:`to_balanced`.
     """
-    if v not in f.row_minima or not _removable(f, v):
+    if not _removable(_by_residue(f), v, f.m, f.n):
         raise LevelNotRemovable(f"level {v} is not removable from {f.row_minima}")
-    return Filter(f.m, f.n, after_removal(f.row_minima, v, f.m))
+    return Filter._of(f.m, f.n, after_removal(f.row_minima, v, f.m))
 
 
 def mn_swap(f: Filter) -> Filter:

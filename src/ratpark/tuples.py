@@ -30,13 +30,14 @@ from .errors import (
 )
 from .filters import (
     Filter,
+    _by_residue,
+    _removable,
     after_removal,
     area_letters,
     column_minima,
     filter_from_dyck_word,
     is_balanced,
     is_dyck,
-    remove,
     to_balanced,
 )
 from .words import Word, enumerate_words, is_parking_word
@@ -44,25 +45,41 @@ from .words import Word, enumerate_words, is_parking_word
 
 @dataclass(frozen=True)
 class FilterTuple:
-    """An initial filter plus the ordered sequence of n removed levels."""
+    """An initial filter plus the ordered sequence of n removed levels.
+
+    The constructor always validates the removals, in one O(m + n) pass
+    over a table of the current row minimum of each class mod m: each
+    removal must be removable by the rule :func:`ratpark.filters.remove`
+    applies (else :class:`LevelNotRemovable`), its row's minimum then moves
+    up by m, and the last stage must be the initial filter shifted by n
+    (else :class:`InternalInconsistency`).  These are the checks of a chain
+    of ``remove`` calls, without building the n intermediate filters.  The
+    initial filter was validated where it was built.  :meth:`stages` builds
+    each stage by the trusted ``Filter._of``: every removal has been
+    checked, and removing a removable level yields a filter.
+    """
 
     initial: Filter
     removals: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "removals", tuple(self.removals))
-        n = self.initial.n
+        m, n = self.initial.m, self.initial.n
         if len(self.removals) != n:
             raise LevelNotRemovable(
                 f"expected {n} removals, got {len(self.removals)}"
             )
-        stage = self.initial
+        table = _by_residue(self.initial)
         for v in self.removals:
-            stage = remove(stage, v)
-        expected = tuple(v + n for v in self.initial.row_minima)
-        if stage.row_minima != expected:
+            if not _removable(table, v, m, n):
+                raise LevelNotRemovable(
+                    f"level {v} is not removable from {tuple(sorted(table))}"
+                )
+            table[v % m] = v + m
+        final = tuple(sorted(table))
+        if final != tuple(v + n for v in self.initial.row_minima):
             raise InternalInconsistency(
-                f"final stage {stage.row_minima} is not initial + {n}"
+                f"final stage {final} is not initial + {n}"
             )
 
     @property
@@ -78,13 +95,14 @@ class FilterTuple:
         stage = self.initial
         yield stage
         for v in self.removals:
-            stage = Filter(self.m, self.n, after_removal(stage.row_minima, v, self.m))
+            minima = after_removal(stage.row_minima, v, self.m)
+            stage = Filter._of(self.m, self.n, minima)
             yield stage
 
 
 def translate(t: FilterTuple, shift: int) -> FilterTuple:
     return FilterTuple(
-        Filter(t.m, t.n, tuple(v + shift for v in t.initial.row_minima)),
+        Filter._of(t.m, t.n, [v + shift for v in t.initial.row_minima]),
         tuple(v + shift for v in t.removals),
     )
 

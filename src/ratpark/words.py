@@ -128,10 +128,13 @@ def enumerate_words(m: int, n: int, kind: str = "all") -> Iterator[Word]:
 
     ``kind`` is ``"all"``, ``"parking"`` or ``"dyck"``.  Parking yields
     exactly ``m**(n-1)`` words when gcd(m, n) = 1; dyck yields the weakly
-    increasing ones.
+    increasing ones.  Sizes below 1 raise :class:`LetterOutOfRange`, as
+    :class:`Word` does, when the first word is requested.
     """
     if kind not in ("all", "parking", "dyck"):
         raise ValueError(f"unknown enumeration kind {kind!r}")
+    if m < 1 or n < 1:
+        raise LetterOutOfRange(f"need m,n >= 1, got m={m} n={n}")
     if kind == "all":
         letter_tuples = itertools.product(range(m), repeat=n)
     else:
@@ -173,7 +176,4 @@ def _parking_letters(m: int, n: int, increasing: bool) -> Iterator[tuple[int, ..
         for i in range(1, spent + 1):
             slack[i] += m
 
-    if n < 1:
-        yield ()  # no letters to place; Word rejects n < 1
-        return
     yield from extend(0)

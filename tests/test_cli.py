@@ -20,13 +20,23 @@ def test_enumerate(capsys):
 
 
 def test_enumerate_streams_the_listed_output(capsys):
-    for m, n, kind in ((3, 4, "parking"), (2, 3, "all"), (0, 3, "all")):
+    for m, n, kind in ((3, 4, "parking"), (2, 3, "all"), (3, 5, "dyck")):
         words = list(enumerate_words(m, n, kind))
         text = "".join(f"{w}\n" for w in words)
         as_json = json.dumps([serialize.word_to_json(w) for w in words]) + "\n"
         args = ("enumerate", "--m", str(m), "--n", str(n), "--kind", kind)
         assert run(capsys, *args) == (0, text, "")
         assert run(capsys, *args, "--json") == (0, as_json, "")
+
+
+def test_enumerate_refuses_sizes_below_one(capsys):
+    for kind in ("all", "parking", "dyck"):
+        for m, n in (("0", "3"), ("3", "-1")):
+            for extra in ((), ("--json",)):
+                args = ("enumerate", "--m", m, "--n", n, "--kind", kind, *extra)
+                code, out, err = run(capsys, *args)
+                assert (code, out) == (2, ""), args
+                assert err == f"error: need m,n >= 1, got m={m} n={n}\n"
 
 
 def test_classify(capsys):

@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -14,6 +14,7 @@ from ratpark import (
     dyck_filter_to_path,
     dyck_word,
     enumerate_balanced,
+    enumerate_words,
     equivalent,
     filter_from_dyck_word,
     filter_from_path,
@@ -24,6 +25,8 @@ from ratpark import (
     remove,
     to_balanced,
     to_dyck,
+    tuple_from_area_word,
+    tuple_to_balanced,
 )
 from ratpark.reference import BALANCED_MINIMA_3_4, REMOVE_CHAIN_3_5
 
@@ -135,8 +138,6 @@ def test_dyck_word_round_trip():
     f = filter_from_dyck_word(Word(3, 4, (0, 0, 1, 1)))
     assert f.row_minima == (0, 2, 4)
     for m, n in ((3, 4), (4, 3), (4, 7), (5, 4)):
-        from ratpark import enumerate_words
-
         for w in enumerate_words(m, n, "dyck"):
             assert dyck_word(filter_from_dyck_word(w)) == w
     with pytest.raises(NotDyck):
@@ -161,8 +162,6 @@ def test_dyck_filter_to_path():
 
 def test_filter_from_path_round_trip():
     for m, n in ((3, 4), (4, 7)):
-        from ratpark import enumerate_words
-
         for w in enumerate_words(m, n, "dyck"):
             d = filter_from_dyck_word(w)
             steps, _ = dyck_filter_to_path(d)
@@ -187,3 +186,22 @@ def test_remove_preserves_validity():
                 else:
                     with pytest.raises(LevelNotRemovable):
                         remove(b, v)
+
+
+def test_trusted_results_are_filters():
+    # filters the library derives without validation pass the public check
+    def check(f):
+        assert f == Filter(f.m, f.n, f.row_minima)
+
+    pairs = [(m, n) for m in range(1, 6) for n in range(1, 6) if gcd(m, n) == 1]
+    for m, n in pairs + [(4, 7)]:
+        for b in enumerate_balanced(m, n):
+            for f in (b, *(remove(b, v) for v in removable_levels(b))):
+                check(f)
+                check(to_dyck(f))
+                check(to_balanced(f))
+        for u in enumerate_words(m, n, "parking"):
+            t = tuple_from_area_word(u)
+            for stage in t.stages():
+                check(stage)
+            check(tuple_to_balanced(t).initial)

@@ -1,11 +1,16 @@
+import random
+from collections import Counter
+
 import pytest
 
 from ratpark import (
     Filter,
     FilterTuple,
+    InternalInconsistency,
     LevelNotRemovable,
     NotAParkingWord,
     NotCoprime,
+    SchemaViolation,
     Word,
     area,
     area_word,
@@ -15,6 +20,9 @@ from ratpark import (
     find_fixed_point,
     qt_table,
     rank_word,
+    removable_levels,
+    remove,
+    serialize,
     tuple_from_area_word,
     tuple_from_rank_word,
     tuple_to_balanced,
@@ -33,7 +41,7 @@ from ratpark.reference import (
     ZETA_4_3,
     ZETA_5_3,
 )
-from test_action import _parking_words_by_slack, _warm_start
+from test_action import _parking_words_by_slack, _random_parking_word, _warm_start
 
 
 def w(m, n, text):
@@ -207,3 +215,94 @@ def test_removals_are_column_minima_permutation():
             r = v % t.m
             assert seen.get(r, v - 1) < v
             seen[r] = v
+
+
+def _chain_of_removals(initial, removals):
+    """Reference check: a validated filter per stage, as FilterTuple once did."""
+    m, n = initial.m, initial.n
+    if len(removals) != n:
+        raise LevelNotRemovable(f"expected {n} removals, got {len(removals)}")
+    stage = initial
+    for v in removals:
+        below = v - n
+        if v not in stage.row_minima or below >= stage.minimum_by_residue(below % m):
+            raise LevelNotRemovable(f"level {v} is not removable")
+        stage = Filter(m, n, after_removal(stage.row_minima, v, m))
+    if stage.row_minima != tuple(v + n for v in initial.row_minima):
+        raise InternalInconsistency(f"final stage {stage.row_minima}")
+
+
+def _outcome(check, initial, removals):
+    try:
+        check(initial, removals)
+    except (LevelNotRemovable, InternalInconsistency) as exc:
+        return type(exc)
+    return None
+
+
+def _mutations(t, rng):
+    """The tuple's removals, then seeded corruptions of them."""
+    m, n, r = t.m, t.n, list(t.removals)
+    yield tuple(r)
+    yield tuple(r[:-1])
+    i, j = rng.sample(range(n), 2)
+    swapped = r[:]
+    swapped[i], swapped[j] = r[j], r[i]
+    yield tuple(swapped)
+    minima = list(t.stages())[i].row_minima
+    stray = rng.choice(
+        [v for v in range(minima[0] - m, minima[-1] + m) if v not in minima]
+    )
+    yield tuple(r[:i] + [stray] + r[i + 1 :])
+    yield tuple(r[:i] + [r[i] + rng.choice((-m, m))] + r[i + 1 :])
+    # n removable levels in a row need not end at the initial filter + n
+    stage, walk = t.initial, []
+    for _ in range(n):
+        walk.append(rng.choice(removable_levels(stage)))
+        stage = remove(stage, walk[-1])
+    yield tuple(walk)
+
+
+def test_tuple_check_matches_the_removal_chain():
+    rng = random.Random(11)
+    seen = Counter()
+    for m, n in ((3, 4), (4, 5), (5, 3)):
+        for word_ in enumerate_words(m, n, "parking"):
+            t = tuple_from_area_word(word_)
+            for removals in _mutations(t, rng):
+                want = _outcome(_chain_of_removals, t.initial, removals)
+                assert _outcome(FilterTuple, t.initial, removals) == want
+                seen[want] += 1
+                if want is None:
+                    continue
+                obj = serialize.tuple_to_json(t) | {"removals": list(removals)}
+                with pytest.raises(SchemaViolation):
+                    serialize.tuple_from_json(obj)
+    assert set(seen) == {None, LevelNotRemovable, InternalInconsistency}
+
+
+def test_public_filter_validations_per_op_do_not_grow_with_n(monkeypatch):
+    # library-derived filters are trusted; only boundary filters validate
+    validations = 0
+    post_init = Filter.__post_init__
+
+    def counting(self):
+        nonlocal validations
+        validations += 1
+        post_init(self)
+
+    monkeypatch.setattr(Filter, "__post_init__", counting)
+    per_op = {}
+    for m, n in ((3, 5), (13, 21)):
+        word_ = _random_parking_word(random.Random(3), m, n)
+        for op in (zeta, zeta_inverse):
+            validations = 0
+            op(word_)
+            per_op[op.__name__, m, n] = validations
+    # one dyck filter for zeta; that and the solver's fixed point for its inverse
+    assert per_op == {
+        ("zeta", 3, 5): 1,
+        ("zeta", 13, 21): 1,
+        ("zeta_inverse", 3, 5): 2,
+        ("zeta_inverse", 13, 21): 2,
+    }

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from math import gcd
 
@@ -121,7 +122,9 @@ def test_enumeration_equals_the_filtered_product():
         ]
         assert [x.letters for x in enumerate_words(m, n, "parking")] == parking
         assert [x.letters for x in enumerate_words(m, n, "dyck")] == dyck
+    # sizes below 1 are refused on every kind, when the first word is drawn
+    assert inspect.isgeneratorfunction(enumerate_words)
     for kind in ("all", "parking", "dyck"):
-        assert list(enumerate_words(0, 3, kind)) == []
-        with pytest.raises(LetterOutOfRange):
-            list(enumerate_words(3, 0, kind))
+        for m, n in ((0, 3), (-2, 3), (3, 0), (3, -1)):
+            with pytest.raises(LetterOutOfRange):
+                list(enumerate_words(m, n, kind))
