@@ -47,6 +47,13 @@ class Filter:
     :func:`to_balanced`, :func:`ratpark.tuples.translate`) map filters to
     filters, and dropping a level checked to be removable (:func:`remove`,
     :meth:`ratpark.tuples.FilterTuple.stages`) leaves the rest up-closed.
+    Column minima that come from checked input are a filter's too:
+    :func:`filter_from_dyck_word` (a sorted parking word is the column-length
+    word of a Dyck path), :func:`filter_from_path` (a path of m N and n W
+    steps that never dips below level 0 is a Dyck path, whose west steps end
+    at the column minima) and :func:`mn_swap` (a filter's column minima are
+    the row minima of its mirror).  ``tests/test_layout.py`` keeps
+    :meth:`_of` to these sites.
     """
 
     m: int
@@ -96,16 +103,20 @@ def contains_level(f: Filter, v: int) -> bool:
 def _class_minima(starts: Sequence[int], step: int, modulus: int) -> tuple[int, ...]:
     """Least level ``v + k*step`` (``k >= 0``) in each class mod ``modulus``, sorted.
 
-    With ``step`` coprime to ``modulus``, the first ``modulus`` levels above
-    each start already meet every class once.
+    ``starts`` are the minima of a filter's classes mod ``step``, and
+    ``step`` is coprime to ``modulus``.  A level v is a class minimum iff
+    ``v - modulus`` is not in the filter, so start ``a`` contributes
+    ``a, a+step, ...`` strictly below ``b + modulus``, where ``b`` is the
+    start of class ``(a - modulus) mod step``.  Raw starts that are no such
+    minima are cut off once more than ``modulus`` levels turn up.
     """
-    best = [None] * modulus
-    for v in starts:
-        for lvl in range(v, v + modulus * step, step):
-            r = lvl % modulus
-            if best[r] is None or lvl < best[r]:
-                best[r] = lvl
-    return tuple(sorted(best))
+    table = {v % step: v for v in starts}
+    out = []
+    for a in starts:
+        out += range(a, table[(a - modulus) % step] + modulus, step)[: modulus + 1]
+        if len(out) > modulus:
+            raise InternalInconsistency(f"{starts}: over {modulus} class minima")
+    return tuple(sorted(out))
 
 
 def column_minima(f: Filter) -> tuple[int, ...]:
@@ -203,7 +214,7 @@ def remove(f: Filter, v: int) -> Filter:
 
 def mn_swap(f: Filter) -> Filter:
     """The same filter with the roles of rows and columns exchanged."""
-    return Filter(f.n, f.m, column_minima(f))
+    return Filter._of(f.n, f.m, column_minima(f))
 
 
 def filter_from_column_minima(m: int, n: int, cols: Sequence[int]) -> Filter:
@@ -213,6 +224,11 @@ def filter_from_column_minima(m: int, n: int, cols: Sequence[int]) -> Filter:
     the column minima recovers the whole filter; column v holds the levels
     ``v + k*n``, and the row minima are the least of them in each class
     mod m (the m<->n mirror of :func:`column_minima`).
+
+    ``cols`` are raw levels, so the result is validated and its column
+    minima rechecked.  The library's own callers whose levels come from
+    checked input (:func:`filter_from_dyck_word`, :func:`filter_from_path`)
+    skip both and build the trusted ``Filter._of`` (see :class:`Filter`).
     """
     require_coprime(m, n, "filters")
     cols = tuple(cols)
@@ -258,15 +274,14 @@ def filter_from_dyck_word(w: Word) -> Filter:
     """The Dyck filter whose boundary path has the given column lengths."""
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
-    letters = w.letters
-    if any(a > b for a, b in zip(letters, letters[1:])):
+    if any(a > b for a, b in zip(w.letters, w.letters[1:])):
         raise NotDyck(f"{w} is not weakly increasing")
     m, n = w.m, w.n
+    require_coprime(m, n, "filters")
     # walking from (0,0), column lengths decrease; step j goes west to
     # x = -(j+1) at height m - c, giving west-endpoint level below
-    desc = sorted(letters, reverse=True)
-    cols = tuple(-(j + 1) * m + (m - c) * n for j, c in enumerate(desc))
-    return filter_from_column_minima(m, n, cols)
+    cols = [-(j + 1) * m + (m - c) * n for j, c in enumerate(reversed(w.letters))]
+    return Filter._of(m, n, _class_minima(cols, n, m))
 
 
 def dyck_filter_to_path(f: Filter) -> tuple[str, tuple[int, ...]]:
@@ -301,7 +316,7 @@ def dyck_filter_to_path(f: Filter) -> tuple[str, tuple[int, ...]]:
 
 def filter_from_path(m: int, n: int, steps: str) -> Filter:
     """Rebuild a Dyck filter from its boundary-path step string."""
-    if sorted(steps) != sorted("N" * m + "W" * n):
+    if m < 1 or n < 1 or sorted(steps) != sorted("N" * m + "W" * n):
         raise NotDyck(f"path needs {m} N steps and {n} W steps, got {steps!r}")
     x = y = 0
     cols = []
@@ -313,7 +328,8 @@ def filter_from_path(m: int, n: int, steps: str) -> Filter:
             cols.append(level(x, y, m, n))
         if level(x, y, m, n) < 0:
             raise NotDyck(f"path {steps!r} dips below the 0-level line")
-    return filter_from_column_minima(m, n, cols)
+    require_coprime(m, n, "filters")
+    return Filter._of(m, n, _class_minima(cols, n, m))
 
 
 def enumerate_balanced(m: int, n: int) -> Iterator[Filter]:

@@ -227,6 +227,14 @@ def test_non_coprime_input_is_a_usage_error(capsys):
         assert "coprime" in err and "inconsistency" not in err
 
 
+def test_sweep_refuses_sizes_below_one(capsys):
+    for command in ("sweep", "sweep-inv"):
+        for m, n, path in (("0", "1", "W"), ("-1", "1", "W"), ("1", "0", "N")):
+            code, out, err = run(capsys, command, "--m", m, "--n", n, "--path", path)
+            assert (code, out) == (2, ""), (command, m, n)
+            assert err.startswith("error: path needs")
+
+
 def test_verify_refuses_non_coprime_pair(capsys):
     code, out, err = run(capsys, "verify", "--m", "2", "--n", "4")
     assert (code, out) == (2, "")

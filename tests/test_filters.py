@@ -1,3 +1,7 @@
+import random
+import time
+import tracemalloc
+from itertools import combinations
 from math import comb, gcd
 
 import pytest
@@ -8,6 +12,7 @@ from ratpark import (
     LevelNotRemovable,
     NotCoprime,
     NotDyck,
+    NotInSommers,
     Word,
     column_minima,
     contains_level,
@@ -16,6 +21,7 @@ from ratpark import (
     enumerate_balanced,
     enumerate_words,
     equivalent,
+    filter_from_column_minima,
     filter_from_dyck_word,
     filter_from_path,
     generator_filter,
@@ -28,7 +34,10 @@ from ratpark import (
     tuple_from_area_word,
     tuple_to_balanced,
 )
+from ratpark.affine import AffinePermutation, window_to_tuple
+from ratpark.filters import _class_minima
 from ratpark.reference import BALANCED_MINIMA_3_4, REMOVE_CHAIN_3_5
+from test_action import _random_parking_word
 
 
 def test_level():
@@ -170,6 +179,27 @@ def test_filter_from_path_round_trip():
         filter_from_path(3, 4, "WWWWNNN")
     with pytest.raises(NotDyck):
         filter_from_path(3, 4, "NNWW")
+    for m, n, steps in ((0, 1, "W"), (-1, 1, "W"), (1, 0, "N")):
+        with pytest.raises(NotDyck):
+            filter_from_path(m, n, steps)
+    # of all step strings, exactly the Dyck paths are accepted
+    for m, n in ((3, 4), (5, 3)):
+        accepted = {steps for steps, _ in _accepted_paths(m, n)}
+        dyck = {
+            dyck_filter_to_path(filter_from_dyck_word(w))[0]
+            for w in enumerate_words(m, n, "dyck")
+        }
+        assert accepted == dyck
+
+
+def _accepted_paths(m, n):
+    """Each step string of m N and n W steps that ``filter_from_path`` takes."""
+    for north in combinations(range(m + n), m):
+        steps = "".join("N" if i in north else "W" for i in range(m + n))
+        try:
+            yield steps, filter_from_path(m, n, steps)
+        except NotDyck:
+            continue
 
 
 def test_remove_preserves_validity():
@@ -200,8 +230,68 @@ def test_trusted_results_are_filters():
                 check(f)
                 check(to_dyck(f))
                 check(to_balanced(f))
+                check(mn_swap(f))
+        # every word and every step string the checks let through
+        for w in enumerate_words(m, n, "dyck"):
+            check(filter_from_dyck_word(w))
+        for _, d in _accepted_paths(m, n):
+            check(d)
         for u in enumerate_words(m, n, "parking"):
             t = tuple_from_area_word(u)
             for stage in t.stages():
                 check(stage)
             check(tuple_to_balanced(t).initial)
+
+
+def _walking_class_minima(starts, step, modulus):
+    """The O(len(starts) * modulus) walk the counting rule replaced."""
+    best = [None] * modulus
+    for v in starts:
+        for lvl in range(v, v + modulus * step, step):
+            r = lvl % modulus
+            if best[r] is None or lvl < best[r]:
+                best[r] = lvl
+    return tuple(sorted(best))
+
+
+def test_counting_class_minima_matches_the_walk():
+    def check(f):
+        cols = column_minima(f)
+        assert cols == _walking_class_minima(f.row_minima, f.m, f.n)
+        # the m<->n mirror recovers the row minima from the column minima
+        assert _class_minima(cols, f.n, f.m) == f.row_minima
+        assert _walking_class_minima(cols, f.n, f.m) == f.row_minima
+
+    for m, n in ((3, 4), (4, 7), (5, 3), (5, 8), (7, 4)):
+        for b in enumerate_balanced(m, n):
+            check(b)
+    # 200 seeded filters at (50,77): a balanced Dyck filter and a tuple stage
+    rng = random.Random(8)
+    for _ in range(100):
+        w = _random_parking_word(rng, 50, 77)
+        dyck = filter_from_dyck_word(Word(50, 77, tuple(sorted(w.letters))))
+        check(to_balanced(dyck))
+        check(rng.choice(list(tuple_from_area_word(w).stages())))
+
+
+def test_far_off_levels_cost_little():
+    # counting trusts its residue table; one far-off level must not make it
+    # enumerate the spread between the levels
+    far = 4 * 10**12
+    window = AffinePermutation((1 + far, 2 - far, 3, 4))
+    calls = (
+        (InternalInconsistency, filter_from_column_minima, 3, 4, (0, 1, 2, 7 + far)),
+        (NotInSommers, window_to_tuple, window, 3),
+    )
+    with pytest.raises(InternalInconsistency):
+        _class_minima((-far, 1, 2, 3), 4, 3)
+    for error, fn, *args in calls:
+        tracemalloc.start()
+        start = time.perf_counter()
+        with pytest.raises(error):
+            fn(*args)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 64 * 1024

@@ -51,3 +51,42 @@ def test_module_graph_is_acyclic():
     assert graph["action"] == {"errors", "words"}
     # raises CycleError naming the cycle
     TopologicalSorter(graph).prepare()
+
+
+# every site that builds a filter without validation; each one's docstring,
+# or that of ``Filter``, argues why its minima are a filter's
+TRUSTED_FILTER_SITES = {
+    "filters.to_dyck",
+    "filters.to_balanced",
+    "filters.remove",
+    "filters.mn_swap",
+    "filters.filter_from_dyck_word",
+    "filters.filter_from_path",
+    "tuples.FilterTuple.stages",
+    "tuples.translate",
+}
+
+
+def _trusted_constructor_sites(path: Path) -> list[str]:
+    """Qualified names of the scopes that mention ``._of``."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        if isinstance(node, ast.Attribute) and node.attr == "_of":
+            sites.append(".".join([path.stem, *scope]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), [])
+    return sites
+
+
+def test_trusted_filter_constructor_stays_at_its_sites():
+    sites = [
+        site
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in _trusted_constructor_sites(path)
+    ]
+    assert set(sites) == TRUSTED_FILTER_SITES
