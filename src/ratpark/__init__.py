@@ -76,20 +76,14 @@ from .filters import (
     to_balanced,
     to_dyck,
 )
-from .sweep import (
-    LabeledPath,
-    dyck_embedding,
-    labeled_path,
-    sweep,
-    sweep_column_word,
-    sweep_inverse,
-)
+from .sweep import sweep, sweep_column_word, sweep_inverse
 from .tuples import (
     FilterTuple,
     QTTable,
     area,
     area_word,
     dinv,
+    dyck_embedding,
     fixed_point_oracle,
     qt_table,
     rank_word,

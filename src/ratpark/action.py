@@ -54,15 +54,6 @@ class Point:
     def total(self) -> int:
         return sum(self.coords)
 
-    def rebalanced(self, target: int) -> "Point":
-        """Translate by a multiple of (1,...,1) so the sum becomes ``target``."""
-        shift, rem = divmod(target - self.total, self.m)
-        if rem:
-            raise DimensionMismatch(
-                f"sum {self.total} cannot be rebalanced to {target} in steps of {self.m}"
-            )
-        return Point(tuple(c + shift for c in self.coords))
-
 
 @dataclass(frozen=True)
 class Fixed:

@@ -192,6 +192,6 @@ def anderson_inverse(w: Word) -> AffinePermutation:
     return tuple_to_window(tuple_from_area_word(w))
 
 
-def pak_stanley_inverse(w: Word, max_iterations: int | None = None) -> AffinePermutation:
+def pak_stanley_inverse(w: Word) -> AffinePermutation:
     """The Sommers window whose Pak-Stanley labeling is ``w``."""
-    return tuple_to_window(tuple_from_rank_word(w, max_iterations=max_iterations))
+    return tuple_to_window(tuple_from_rank_word(w))

@@ -289,28 +289,29 @@ def dyck_filter_to_path(f: Filter) -> tuple[str, tuple[int, ...]]:
 
     Returns the step string over {N, W} together with one level per step:
     a north step is labeled by its north endpoint, a west step by its
-    west endpoint.
+    west endpoint.  The north endpoints are the row minima plus n, so the
+    walk starts at level 0 and steps north (+n) when that lands on one of
+    them, else west (-m).
     """
     if not is_dyck(f):
         raise NotDyck(f"row minima {f.row_minima} have nonzero minimum")
     m, n = f.m, f.n
-    heights = sorted((m - c for c in dyck_word(f).letters), reverse=False)
-    # traversal wants decreasing column lengths = increasing heights
+    north = {v + n for v in f.row_minima}
     steps = []
     levels = []
-    x = y = 0
-    for h in heights:
-        while y < h:
-            y += 1
+    lvl = 0
+    for _ in range(m + n):
+        if lvl + n in north:
+            lvl += n
             steps.append("N")
-            levels.append(level(x, y, m, n))
-        x -= 1
-        steps.append("W")
-        levels.append(level(x, y, m, n))
-    while y < m:
-        y += 1
-        steps.append("N")
-        levels.append(level(x, y, m, n))
+        else:
+            lvl -= m
+            steps.append("W")
+        levels.append(lvl)
+    if steps.count("N") != m:
+        raise InternalInconsistency(
+            f"walk on {f.row_minima} took {steps.count('N')} of {m} north levels"
+        )
     return "".join(steps), tuple(levels)
 
 
@@ -318,15 +319,15 @@ def filter_from_path(m: int, n: int, steps: str) -> Filter:
     """Rebuild a Dyck filter from its boundary-path step string."""
     if m < 1 or n < 1 or sorted(steps) != sorted("N" * m + "W" * n):
         raise NotDyck(f"path needs {m} N steps and {n} W steps, got {steps!r}")
-    x = y = 0
+    lvl = 0
     cols = []
     for s in steps:
         if s == "N":
-            y += 1
+            lvl += n
         else:
-            x -= 1
-            cols.append(level(x, y, m, n))
-        if level(x, y, m, n) < 0:
+            lvl -= m
+            cols.append(lvl)
+        if lvl < 0:
             raise NotDyck(f"path {steps!r} dips below the 0-level line")
     require_coprime(m, n, "filters")
     return Filter._of(m, n, _class_minima(cols, n, m))

@@ -15,68 +15,40 @@ column-minimum levels and with them the path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalInconsistency, NotDyck
 from .filters import (
     Filter,
     column_minima,
-    dyck_filter_to_path,
     dyck_word,
     filter_from_path,
     is_dyck,
     to_dyck,
 )
-from .tuples import FilterTuple, rank_word, tuple_from_rank_word
+from .tuples import dyck_embedding, rank_word, tuple_from_rank_word
 from .words import Word
-
-
-@dataclass(frozen=True)
-class LabeledPath:
-    """A boundary path with one level per step."""
-
-    m: int
-    n: int
-    steps: str
-    step_levels: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.steps) != len(self.step_levels):
-            raise InternalInconsistency("steps and levels differ in length")
-        if sorted(self.steps) != sorted("N" * self.m + "W" * self.n):
-            raise NotDyck(
-                f"path needs {self.m} N and {self.n} W steps, got {self.steps!r}"
-            )
-
-
-def labeled_path(d: Filter) -> LabeledPath:
-    steps, levels = dyck_filter_to_path(d)
-    return LabeledPath(d.m, d.n, steps, levels)
-
-
-def dyck_embedding(d: Filter) -> FilterTuple:
-    """The canonical tuple of a Dyck filter: remove its column minima in order."""
-    if not is_dyck(d):
-        raise NotDyck(f"row minima {d.row_minima} have nonzero minimum")
-    return FilterTuple(d, tuple(sorted(column_minima(d))))
 
 
 def sweep(d: Filter) -> Filter:
     """Reorder the boundary steps of ``d`` by their levels.
 
+    The north steps end at the row minima plus n and the west steps at the
+    column minima, so the levels are sorted without rendering the path.
     The result is again a Dyck filter, rebuilt from the reordered walk.
     """
     if not is_dyck(d):
         raise NotDyck(f"row minima {d.row_minima} have nonzero minimum")
-    path = labeled_path(d)
-    pairs = sorted(zip(path.step_levels, path.steps))
+    pairs = sorted(
+        [(v + d.n, "N") for v in d.row_minima]
+        + [(c, "W") for c in column_minima(d)],
+        reverse=True,
+    )
     if len({lvl for lvl, _ in pairs}) != len(pairs):
         raise InternalInconsistency(f"step levels collide on {d.row_minima}")
     # increasing level order read from (-n, m); walking from (0, 0) means
     # taking the steps in decreasing level order.  A walk that stays at or
     # above level 0 must end on a west step at level 0, so it is Dyck.
     try:
-        return filter_from_path(d.m, d.n, "".join(s for _, s in reversed(pairs)))
+        return filter_from_path(d.m, d.n, "".join(s for _, s in pairs))
     except NotDyck as exc:
         raise InternalInconsistency(
             f"sweep of {d.row_minima} left the Dyck cone"
@@ -91,7 +63,7 @@ def sweep_column_word(d: Filter) -> Word:
     return w
 
 
-def sweep_inverse(d: Filter, max_iterations: int | None = None) -> Filter:
+def sweep_inverse(d: Filter) -> Filter:
     """The unique Dyck filter mapped to ``d`` by :func:`sweep`.
 
     The column-length word of ``d`` is inverted as a rank word; the
@@ -100,7 +72,7 @@ def sweep_inverse(d: Filter, max_iterations: int | None = None) -> Filter:
     """
     if not is_dyck(d):
         raise NotDyck(f"row minima {d.row_minima} have nonzero minimum")
-    t = tuple_from_rank_word(dyck_word(d), max_iterations=max_iterations)
+    t = tuple_from_rank_word(dyck_word(d))
     preimage = to_dyck(t.initial)
     check = sweep(preimage)
     if check != d:

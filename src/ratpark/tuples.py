@@ -26,6 +26,7 @@ from .errors import (
     InternalInconsistency,
     LevelNotRemovable,
     NotAParkingWord,
+    NotDyck,
     require_coprime,
 )
 from .filters import (
@@ -155,6 +156,13 @@ def tuple_from_area_word(w: Word) -> FilterTuple:
     return FilterTuple(d, removals)
 
 
+def dyck_embedding(d: Filter) -> FilterTuple:
+    """The canonical tuple of a Dyck filter: remove its column minima in order."""
+    if not is_dyck(d):
+        raise NotDyck(f"row minima {d.row_minima} have nonzero minimum")
+    return FilterTuple(d, column_minima(d))
+
+
 def rank_word(t: FilterTuple) -> Word:
     """Rank (0-indexed) of each removed level among the current row minima."""
     letters = []
@@ -168,9 +176,7 @@ def rank_word(t: FilterTuple) -> Word:
     return w
 
 
-def tuple_from_rank_word(
-    w: Word, max_iterations: int | None = None, use_oracle: bool = False
-) -> FilterTuple:
+def tuple_from_rank_word(w: Word, *, use_oracle: bool = False) -> FilterTuple:
     """The balanced tuple whose rank word is ``w``.
 
     The balanced initial row minima are the unique fixed point of ``w``;
@@ -196,9 +202,7 @@ def tuple_from_rank_word(
     else:
         dyck = filter_from_dyck_word(Word(w.m, w.n, tuple(sorted(w.letters))))
         start = action.Point(to_balanced(dyck).row_minima)
-        report = action.find_fixed_point(
-            w, max_iterations=max_iterations, start=start
-        )
+        report = action.find_fixed_point(w, start=start)
         if not isinstance(report.outcome, action.Fixed):
             raise InternalInconsistency(
                 f"solver did not fix a point for parking word {w}: {report}"
@@ -235,13 +239,9 @@ def zeta(w: Word) -> Word:
     return rank_word(tuple_from_area_word(w))
 
 
-def zeta_inverse(
-    w: Word, max_iterations: int | None = None, use_oracle: bool = False
-) -> Word:
+def zeta_inverse(w: Word, *, use_oracle: bool = False) -> Word:
     """Inverse of :func:`zeta`, via the fixed point of ``w``."""
-    return area_word(
-        tuple_from_rank_word(w, max_iterations=max_iterations, use_oracle=use_oracle)
-    )
+    return area_word(tuple_from_rank_word(w, use_oracle=use_oracle))
 
 
 def _statistic_ceiling(m: int, n: int) -> int:
@@ -316,8 +316,7 @@ def qt_table(m: int, n: int, over: str = "parking") -> QTTable:
     counts = [[0] * size for _ in range(size)]
     if over == "dyck":
         for w in enumerate_words(m, n, "dyck"):
-            d = filter_from_dyck_word(w)
-            t = FilterTuple(d, tuple(sorted(column_minima(d))))
+            t = dyck_embedding(filter_from_dyck_word(w))
             counts[area(t)][dinv(t)] += 1
     else:
         for w in enumerate_words(m, n, "parking"):

@@ -57,11 +57,12 @@ from .filters import (
     to_balanced,
     to_dyck,
 )
-from .sweep import dyck_embedding, sweep, sweep_column_word, sweep_inverse
+from .sweep import sweep, sweep_column_word, sweep_inverse
 from .tuples import (
     area,
     area_word,
     dinv,
+    dyck_embedding,
     fixed_point_oracle,
     qt_table,
     rank_word,

@@ -6,12 +6,12 @@ from ratpark import (
     Filter,
     InternalInconsistency,
     Word,
+    dyck_filter_to_path,
     filter_from_column_minima,
     filter_from_dyck_word,
     is_balanced,
     is_dyck,
     is_dyck_word,
-    labeled_path,
     tuple_from_area_word,
     tuple_to_balanced,
     tuple_to_parking,
@@ -56,12 +56,13 @@ def test_tuple_representative_predicates():
 
 
 def test_labeled_path():
-    path = labeled_path(Filter(4, 7, (0, 6, 7, 9)))
-    assert path.steps.count("N") == 4 and path.steps.count("W") == 7
-    west = sorted(
-        l for s, l in zip(path.steps, path.step_levels) if s == "W"
-    )
+    d = Filter(4, 7, (0, 6, 7, 9))
+    steps, levels = dyck_filter_to_path(d)
+    assert steps.count("N") == 4 and steps.count("W") == 7
+    west = sorted(l for s, l in zip(steps, levels) if s == "W")
     assert west == [0, 4, 6, 8, 9, 10, 12]
+    north = sorted(l for s, l in zip(steps, levels) if s == "N")
+    assert north == [v + 7 for v in d.row_minima]
 
 
 def test_word_to_text_forms():

@@ -1,18 +1,28 @@
+import random
+import sys
+from math import gcd
+
 import pytest
 
 from ratpark import (
     Filter,
+    InternalInconsistency,
     NotDyck,
+    Word,
     column_minima,
     dyck_embedding,
+    dyck_filter_to_path,
     dyck_word,
     enumerate_words,
     filter_from_dyck_word,
+    filter_from_path,
+    level,
     sweep,
     sweep_column_word,
     sweep_inverse,
 )
 from ratpark.reference import SWEEP_4_7, ZETA_4_3, ZETA_4_3_DYCK_ROWS
+from test_action import _random_parking_word
 
 
 def dyck_filters(m, n):
@@ -67,10 +77,7 @@ def test_sweep_column_words_published():
 
 def test_sweep_bijective_and_invertible():
     pairs = [
-        (m, n)
-        for m in range(2, 8)
-        for n in range(2, 8)
-        if __import__("math").gcd(m, n) == 1
+        (m, n) for m in range(2, 8) for n in range(2, 8) if gcd(m, n) == 1
     ] + [(4, 7)]
     for m, n in pairs:
         filters = dyck_filters(m, n)
@@ -83,9 +90,72 @@ def test_sweep_bijective_and_invertible():
 
 
 def test_sweep_preserves_step_multiset():
-    from ratpark import dyck_filter_to_path
-
     for d in dyck_filters(4, 7):
         steps, _ = dyck_filter_to_path(d)
         swept_steps, _ = dyck_filter_to_path(sweep(d))
         assert sorted(steps) == sorted(swept_steps)
+
+
+def _heights_path(f):
+    """The boundary walk the level walk replaced: column heights, then steps."""
+    m, n = f.m, f.n
+    heights = sorted(m - c for c in dyck_word(f).letters)
+    steps = []
+    levels = []
+    x = y = 0
+    for h in heights:
+        while y < h:
+            y += 1
+            steps.append("N")
+            levels.append(level(x, y, m, n))
+        x -= 1
+        steps.append("W")
+        levels.append(level(x, y, m, n))
+    while y < m:
+        y += 1
+        steps.append("N")
+        levels.append(level(x, y, m, n))
+    return "".join(steps), tuple(levels)
+
+
+def _path_sorting_sweep(d):
+    """The sweep the level sort replaced: render the path, sort its steps."""
+    steps, levels = _heights_path(d)
+    pairs = sorted(zip(levels, steps))
+    assert len({lvl for lvl, _ in pairs}) == len(pairs)
+    return filter_from_path(d.m, d.n, "".join(s for _, s in reversed(pairs)))
+
+
+def test_level_walks_match_the_rendered_path():
+    small = [
+        d
+        for m in range(1, 9)
+        for n in range(1, 10)
+        if gcd(m, n) == 1
+        for d in dyck_filters(m, n)
+    ]
+    assert len(small) == 4084
+    rng = random.Random(9)
+    large = [
+        filter_from_dyck_word(Word(50, 77, tuple(sorted(w.letters))))
+        for w in (_random_parking_word(rng, 50, 77) for _ in range(300))
+    ]
+    for d in small + large:
+        assert dyck_filter_to_path(d) == _heights_path(d)
+        assert sweep(d) == _path_sorting_sweep(d)
+
+
+def test_broken_level_sets_are_inconsistencies(monkeypatch):
+    d = Filter(3, 4, (0, 2, 4))  # north levels 4, 6, 8; west 0, 2, 3, 5
+    # a row set that is no filter leaves the walk short of north levels
+    with pytest.raises(InternalInconsistency):
+        dyck_filter_to_path(Filter._of(3, 4, (0, 5, 7)))
+    module = sys.modules["ratpark.sweep"]
+    # a west level equal to a north level collides
+    monkeypatch.setattr(module, "column_minima", lambda f: (0, 2, 4, 5))
+    with pytest.raises(InternalInconsistency):
+        sweep(d)
+    # west levels above every north level make the swept walk dip
+    monkeypatch.setattr(module, "column_minima", lambda f: (9, 10, 11, 12))
+    with pytest.raises(InternalInconsistency):
+        sweep(d)

@@ -35,7 +35,7 @@ PAIR_PASSED = {
 }
 
 
-def test_default_verify_counts_are_pinned():
+def test_default_verify_counts_are_pinned(default_verify_report):
     expected = list(REFERENCE_PASSED)
     for (m, n), counts in PAIR_PASSED.items():
         expected += [
@@ -43,7 +43,7 @@ def test_default_verify_counts_are_pinned():
             for suite, passed in zip(PAIR_SUITES, counts)
             if passed is not None
         ]
-    report = run_verify()
+    report = default_verify_report
     assert [(s.name, s.passed, s.failed) for s in report.suites] == [
         (name, passed, 0) for name, passed in expected
     ]
