@@ -200,23 +200,18 @@ class _Piece:
     ``(hi, lo, c, slope)``, meaning ``x[hi] - x[lo] + c >= 0``, where
     ``slope < 0`` is the change of the left side per period of drift; a
     comparison the drift does not work against holds for good.
+
+    Most runs in a piece end before the solver could test a jump, so the
+    piece is built in two steps: construction walks the slots for
+    ``origin`` alone and finds ``period``; ``shift``, ``drift`` and
+    ``walls`` are computed by the first :meth:`periods_to_skip`, the only
+    reader, and kept for the piece's later jump tests.
     """
 
     def __init__(self, slots: Sequence[int], letters: Sequence[int], m: int, n: int):
         origin = list(range(m))
-        bumps = [0] * m
-        walls = []
         for letter, j in zip(letters, slots):
-            o, k = origin[letter], bumps[letter] + 1
-            if j > letter:
-                walls.append((o, origin[j], m * (k - bumps[j]) - 1))
-            if j < m - 1:
-                walls.append((origin[j + 1], o, m * (bumps[j + 1] - k)))
-            origin[letter:j] = origin[letter + 1 : j + 1]
-            bumps[letter:j] = bumps[letter + 1 : j + 1]
-            origin[j], bumps[j] = o, k
-        self.origin = origin
-        self.shift = [m * b - n for b in bumps]
+            origin.insert(j, origin.pop(letter))
         cycles = []
         todo = set(range(m))
         while todo:
@@ -225,9 +220,29 @@ class _Piece:
                 cycle.append(origin[cycle[-1]])
                 todo.discard(cycle[-1])
             cycles.append(cycle)
+        self.origin, self.cycles = origin, cycles
         self.period = lcm(*(len(c) for c in cycles))
+        self.slots, self.letters, self.n = slots, letters, n
+        self.drift = None
+
+    def _affine(self) -> None:
+        """Walk the letters again for ``shift``, ``drift`` and ``walls``."""
+        m, n = len(self.origin), self.n
+        origin = list(range(m))
+        bumps = [0] * m
+        walls = []
+        for letter, j in zip(self.letters, self.slots):
+            o, k = origin[letter], bumps[letter] + 1
+            if j > letter:
+                walls.append((o, origin[j], m * (k - bumps[j]) - 1))
+            if j < m - 1:
+                walls.append((origin[j + 1], o, m * (bumps[j + 1] - k)))
+            origin[letter:j] = origin[letter + 1 : j + 1]
+            bumps[letter:j] = bumps[letter + 1 : j + 1]
+            origin[j], bumps[j] = o, k
+        self.shift = [m * b - n for b in bumps]
         drift = [0] * m
-        for cycle in cycles:
+        for cycle in self.cycles:
             d = self.period // len(cycle) * sum(self.shift[p] for p in cycle)
             for p in cycle:
                 drift[p] = d
@@ -252,6 +267,8 @@ class _Piece:
         is convex in ``s`` and within bound at ``s = 0`` (``r >= 1``) or
         ``s = 1`` (``r = 0``), so it stays within bound in between.
         """
+        if self.drift is None:
+            self._affine()
         drift, m = self.drift, len(cur)
         if not any(drift):
             return 0
@@ -372,6 +389,10 @@ def find_fixed_point(
     holds no fixed point (``x = Px + c`` forces ``D = 0``) and no repeat,
     so no skipped application could have ended the plain orbit: the
     outcome, ``iterations`` and any error are those of plain iteration.
+    A piece is built lazily.  At the second application in it the solver
+    finds only ``P`` and ``L``, to know when the run reaches ``L``; ``c``,
+    ``D`` and the walls of the piece take a second walk of the letters,
+    paid only at that first jump test, which most runs end before.
 
     Cycles are found by Brent's method in O(m) memory: the hare is
     compared with a tortoise moved to the hare at each power of two, which

@@ -24,7 +24,10 @@ class NotCoprime(RatparkError):
 
 
 def require_coprime(m: int, n: int, what: str) -> None:
-    """Raise :class:`NotCoprime` naming ``what`` unless gcd(m, n) = 1."""
+    """Raise :class:`NotCoprime` naming ``what`` unless gcd(m, n) = 1;
+    sizes below 1 (where gcd(0, 1) = 1) raise as ``Word`` does."""
+    if m < 1 or n < 1:
+        raise LetterOutOfRange(f"need m,n >= 1, got m={m} n={n}")
     if gcd(m, n) != 1:
         raise NotCoprime(f"{what}: (m, n) must be coprime, got ({m}, {n})")
 

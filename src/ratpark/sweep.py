@@ -22,9 +22,10 @@ from .filters import (
     dyck_word,
     filter_from_path,
     is_dyck,
+    to_balanced,
     to_dyck,
 )
-from .tuples import dyck_embedding, rank_word, tuple_from_rank_word
+from .tuples import _tuple_from_rank_word, dyck_embedding, rank_word
 from .words import Word
 
 
@@ -68,11 +69,12 @@ def sweep_inverse(d: Filter) -> Filter:
 
     The column-length word of ``d`` is inverted as a rank word; the
     recovered tuple's initial column minima are the west-step levels of
-    the preimage.
+    the preimage.  The rank word is the Dyck word of ``d``, so the orbit
+    starts at ``d`` itself, balanced.
     """
     if not is_dyck(d):
         raise NotDyck(f"row minima {d.row_minima} have nonzero minimum")
-    t = tuple_from_rank_word(dyck_word(d))
+    t = _tuple_from_rank_word(dyck_word(d), to_balanced(d))
     preimage = to_dyck(t.initial)
     check = sweep(preimage)
     if check != d:

@@ -186,23 +186,35 @@ def tuple_from_rank_word(w: Word, *, use_oracle: bool = False) -> FilterTuple:
 
     The orbit starts at the balanced Dyck filter of the sorted word (for
     :func:`ratpark.sweep.sweep_inverse`, whose rank word is sorted, the
-    filter being inverted), which usually lies far closer to the fixed
-    point than the staircase.  The start is only a hint: it is balanced,
-    the action preserves coordinate sums, and a coprime parking word has
-    exactly one fixed point on the balanced slice, so the orbit reaches
-    that point, closes a cycle (:class:`InternalInconsistency`) or
-    exhausts its budget.  It never ends elsewhere, and ``FilterTuple``
-    validates every removal.
+    filter being inverted, handed over directly), which usually lies far
+    closer to the fixed point than the staircase.  The start is only a
+    hint: it is balanced, the action preserves coordinate sums, and a
+    coprime parking word has exactly one fixed point on the balanced
+    slice, so the orbit reaches that point, closes a cycle
+    (:class:`InternalInconsistency`) or exhausts its budget.  It never
+    ends elsewhere, and ``FilterTuple`` validates every removal.
     """
     require_coprime(w.m, w.n, "rank-word inversion")
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
-    if use_oracle:
+    start = None
+    if not use_oracle:
+        dyck = filter_from_dyck_word(Word(w.m, w.n, tuple(sorted(w.letters))))
+        start = to_balanced(dyck)
+    return _tuple_from_rank_word(w, start)
+
+
+def _tuple_from_rank_word(w: Word, start: Filter | None) -> FilterTuple:
+    """:func:`tuple_from_rank_word` for a coprime parking ``w``, solved
+    from the balanced filter ``start``, or by the oracle when it is None.
+
+    :func:`ratpark.sweep.sweep_inverse` hands over the balanced form of the
+    Dyck filter it inverts, the start the public path rebuilds.
+    """
+    if start is None:
         point = fixed_point_oracle(w)
     else:
-        dyck = filter_from_dyck_word(Word(w.m, w.n, tuple(sorted(w.letters))))
-        start = action.Point(to_balanced(dyck).row_minima)
-        report = action.find_fixed_point(w, start=start)
+        report = action.find_fixed_point(w, start=action.Point(start.row_minima))
         if not isinstance(report.outcome, action.Fixed):
             raise InternalInconsistency(
                 f"solver did not fix a point for parking word {w}: {report}"

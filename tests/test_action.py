@@ -504,10 +504,14 @@ def _parking_words_by_slack(m, n, seed, slacks):
 
 def test_solver_matches_plain_orbit_on_large_rank_words():
     found = _parking_words_by_slack(50, 77, seed=11, slacks=(1, 2, 3, 4))
+    # these pin the jump schedule: a jump test moved to another
+    # application changes them, though outcomes and iterations stay exact
+    applications = {1: 776, 2: 520, 3: 852, 4: 538}
     for slack, word_ in sorted(found.items()):
         outcome, iterations = _assert_matches_plain(word_)
         assert isinstance(outcome, Fixed)
         report = find_fixed_point(word_)
+        assert report.applications == applications[slack], (slack, report)
         if slack <= 3:
             assert report.applications < iterations // 4, (slack, report)
     # budgets that run out inside the long drift of the slack-1 orbit
@@ -532,12 +536,15 @@ def test_solver_matches_plain_orbit_on_near_misses():
             if not is_parking_word(Word(m, n, tuple(letters))):
                 near.append(Word(m, n, tuple(letters)))
                 break
-    diverged = []
+    diverged, applications = [], []
     for word_ in near:
         result = _assert_matches_plain(word_)
         if isinstance(result[0], Diverged):
             diverged.append(word_)
-            assert find_fixed_point(word_).applications < result[1] // 4
+            applications.append(find_fixed_point(word_).applications)
+            assert applications[-1] < result[1] // 4
+    # the other three exhaust the budget, as the plain orbit does
+    assert applications == [60, 29, 48]
     # exhaustion and escape inside a jump window
     word_ = diverged[0]
     outcome, iterations = _assert_matches_plain(word_)

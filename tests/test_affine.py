@@ -5,6 +5,7 @@ import pytest
 from ratpark import (
     AffinePermutation,
     DimensionMismatch,
+    LetterOutOfRange,
     NotCoprime,
     NotDominant,
     NotInSommers,
@@ -63,6 +64,10 @@ def test_in_sommers():
     assert not in_sommers(AffinePermutation((4, 0, 2)), 4)
     with pytest.raises(NotCoprime):
         in_sommers(AffinePermutation((1, 2, 3)), 3)
+    # gcd(0, 1) = gcd(-3, 1) = 1, yet sizes below 1 are refused
+    for m in (0, -3):
+        with pytest.raises(LetterOutOfRange, match="need m,n >= 1"):
+            in_sommers(AffinePermutation((1,)), m)
 
 
 def test_is_dominant():

@@ -135,6 +135,22 @@ def test_affine_subcommands(capsys):
     assert code == 0 and out.strip() == "-1,3,4"
 
 
+def test_affine_refuses_sizes_below_one(capsys):
+    # each window is valid at m = 3 (see test_affine_subcommands)
+    for mode, window in (
+        ("--pak-stanley", "3,-1,2,5,6"),
+        ("--anderson", "3,-1,2,5,6"),
+        ("--sommers-check", "3,-1,2,5,6"),
+        ("--swap", "-1,2,3,5,6"),
+    ):
+        for m in ("0", "-3"):
+            for extra in ((), ("--json",)):
+                args = ("affine", f"--window={window}", "--m", m, mode, *extra)
+                code, out, err = run(capsys, *args)
+                assert (code, out) == (2, ""), args
+                assert err == f"error: need m,n >= 1, got m={m} n=5\n"
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "zeta", "--m", "4", "--n", "3", "--word", "022")
     assert code == 2

@@ -85,6 +85,9 @@ def test_sweep_bijective_and_invertible():
         for d in filters:
             swept = sweep(d)
             images.add(swept.row_minima)
+            # sweep_inverse starts its orbit at ``swept`` itself, the
+            # filter tuple_from_rank_word rebuilds from the sorted word
+            assert filter_from_dyck_word(dyck_word(swept)) == swept
             assert sweep_inverse(swept) == d
         assert len(images) == len(filters)
 
