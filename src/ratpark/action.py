@@ -16,6 +16,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb, gcd, isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -111,8 +112,7 @@ def apply_word(x: Point, w: Word) -> Point:
 def _norm(coords: Sequence[int]) -> int:
     # sum over i<j of (x_j - x_i)^2, via m*sum(x^2) - (sum x)^2
     s = sum(coords)
-    sq = sum(c * c for c in coords)
-    return len(coords) * sq - s * s
+    return len(coords) * sum(map(mul, coords, coords)) - s * s
 
 
 def norm(x: Point) -> int:

@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("zeta-inv", "inverse relabeling, via the fixed point")
     p.add_argument("--word", required=True)
-    p.add_argument("--oracle", action="store_true", help="use the enumeration oracle")
+    p.add_argument("--oracle", action="store_true", help="use the brute-force oracle")
     p.add_argument("--json", action="store_true")
 
     p = add("stats", "area and dinv of a parking word")

@@ -36,6 +36,7 @@ from .filters import (
     after_removal,
     area_letters,
     column_minima,
+    enumerate_balanced,
     filter_from_dyck_word,
     is_balanced,
     is_dyck,
@@ -146,14 +147,18 @@ def tuple_from_area_word(w: Word) -> FilterTuple:
     require_coprime(w.m, w.n, "area-word tuples")
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
-    m, n = w.m, w.n
-    d = filter_from_dyck_word(Word(m, n, tuple(sorted(w.letters))))
+    d = filter_from_dyck_word(Word(w.m, w.n, tuple(sorted(w.letters))))
+    groups = {letter: iter(group) for letter, group in _area_groups(d).items()}
+    return FilterTuple(d, tuple(next(groups[letter]) for letter in w.letters))
+
+
+def _area_groups(d: Filter) -> dict[int, list[int]]:
+    """The column minima of the Dyck filter ``d`` by area letter, each increasing."""
+    cols = column_minima(d)
     groups: dict[int, list[int]] = {}
-    cols = sorted(column_minima(d), reverse=True)
-    for q, letter in zip(cols, area_letters(cols, m, n)):
+    for q, letter in zip(cols, area_letters(cols, d.m, d.n)):
         groups.setdefault(letter, []).append(q)
-    removals = tuple(groups[letter].pop() for letter in w.letters)
-    return FilterTuple(d, removals)
+    return groups
 
 
 def dyck_embedding(d: Filter) -> FilterTuple:
@@ -181,8 +186,9 @@ def tuple_from_rank_word(w: Word, *, use_oracle: bool = False) -> FilterTuple:
 
     The balanced initial row minima are the unique fixed point of ``w``;
     replaying the word then removes the letter-ranked minimum at each
-    step.  ``use_oracle`` swaps the orbit solver for the enumeration
-    oracle (slow, but an independent route).
+    step.  ``use_oracle`` swaps the orbit solver for
+    :func:`fixed_point_oracle`, an independent route over the balanced
+    filters.
 
     The orbit starts at the balanced Dyck filter of the sorted word (for
     :func:`ratpark.sweep.sweep_inverse`, whose rank word is sorted, the
@@ -232,18 +238,36 @@ def _tuple_from_rank_word(w: Word, start: Filter | None) -> FilterTuple:
 def fixed_point_oracle(w: Word) -> action.Point:
     """Brute-force fixed point, independent of the orbit solver.
 
-    Enumerates every parking word ``u``, builds its filter tuple on the
-    area side, and returns the balanced row minima of the tuple whose
-    rank word equals ``w``.  Only sensible when ``m**(n-1)`` is small.
+    Replays ``w`` as ranks from every balanced filter ``b``: each removal is
+    the current row minimum of the letter's rank, it must be removable
+    (:func:`ratpark.filters._removable`), its row's minimum then moves up by
+    m, and the last stage must be ``b`` shifted by n.  The rank word is a
+    bijection from balanced tuples to parking words, so exactly one ``b``
+    replays; its row minima are the fixed point.  Every candidate is
+    scanned, and none or two replaying raise :class:`InternalInconsistency`.
+    The cost is O(n·m log m) per class over the ``binomial(m+n, n)/(m+n)``
+    balanced filters; neither the word action nor the solver is used.
     """
     require_coprime(w.m, w.n, "the fixed-point oracle")
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
-    for u in enumerate_words(w.m, w.n, "parking"):
-        t = tuple_from_area_word(u)
-        if rank_word(t) == w:
-            return action.Point(to_balanced(t.initial).row_minima)
-    raise InternalInconsistency(f"no tuple has rank word {w}")
+    m, n = w.m, w.n
+    replayed = []
+    for b in enumerate_balanced(m, n):
+        table = _by_residue(b)
+        for letter in w.letters:
+            v = sorted(table)[letter]
+            if not _removable(table, v, m, n):
+                break
+            table[v % m] = v + m
+        else:
+            if sorted(table) == [v + n for v in b.row_minima]:
+                replayed.append(b)
+    if len(replayed) != 1:
+        raise InternalInconsistency(
+            f"{len(replayed)} balanced tuples have rank word {w}"
+        )
+    return action.Point(replayed[0].row_minima)
 
 
 def zeta(w: Word) -> Word:
@@ -319,19 +343,63 @@ def qt_table(m: int, n: int, over: str = "parking") -> QTTable:
     The Dyck restriction counts the canonical tuples that remove a Dyck
     filter's column minima in increasing order; their area words are
     permutations of the column-length words, not the sorted words
-    themselves.
+    themselves.  It builds one tuple per Dyck filter.
+
+    Over all parking words no tuple is built: the words are grouped by
+    their Dyck filter (:func:`_class_rank_sums`), so the cost is a DP per
+    class of ``prod(k_i + 1)`` states, where the class holds
+    ``n!/prod(k_i!)`` words and ``k_i`` counts the column minima with area
+    letter i.  Sizes with billions of parking words stay in reach.
     """
     if over not in ("parking", "dyck"):
         raise ValueError(f"unknown table domain {over!r}")
     require_coprime(m, n, "qt_table")
-    size = _statistic_ceiling(m, n) + 1
-    counts = [[0] * size for _ in range(size)]
-    if over == "dyck":
-        for w in enumerate_words(m, n, "dyck"):
-            t = dyck_embedding(filter_from_dyck_word(w))
+    ceiling = _statistic_ceiling(m, n)
+    counts = [[0] * (ceiling + 1) for _ in range(ceiling + 1)]
+    for w in enumerate_words(m, n, "dyck"):
+        d = filter_from_dyck_word(w)
+        if over == "dyck":
+            t = dyck_embedding(d)
             counts[area(t)][dinv(t)] += 1
-    else:
-        for w in enumerate_words(m, n, "parking"):
-            t = tuple_from_area_word(w)
-            counts[area(t)][dinv(t)] += 1
+        else:
+            row = counts[ceiling - sum(w.letters)]
+            for rank_sum, k in _class_rank_sums(d).items():
+                row[ceiling - rank_sum] += k
     return QTTable(m, n, over, tuple(tuple(row) for row in counts))
+
+
+def _class_rank_sums(d: Filter) -> dict[int, int]:
+    """Rank-word letter sums of the parking tuples over the Dyck filter ``d``.
+
+    Each such tuple removes the column minima of ``d``; its area word picks,
+    at each step, the group of column minima with that area letter, and a
+    group is used in increasing order (:func:`tuple_from_area_word`).  An
+    area letter fixes the row (``a`` is a unit mod m), and a row's column
+    minima are its lowest levels, from its minimum up in steps of m: a used
+    level ``v`` moves the row's minimum to ``v + m``, which may be the
+    group's next level.  So the count of used levels per group fixes every row minimum,
+    the rank of the next removal is the number of row minima below it, and
+    a layered DP over those counts carries a histogram of rank sums.
+    """
+    m, n = d.m, d.n
+    groups = list(_area_groups(d).values())
+    layer = {(0,) * len(groups): {0: 1}}
+    for _ in range(n):
+        after: dict[tuple[int, ...], dict[int, int]] = {}
+        for used, sums in layer.items():
+            table = _by_residue(d)
+            for group, k in zip(groups, used):
+                table[group[0] % m] += k * m
+            for i, group in enumerate(groups):
+                if used[i] == len(group):
+                    continue
+                v = group[used[i]]
+                if not _removable(table, v, m, n):
+                    raise InternalInconsistency(f"level {v} of {d} is not removable")
+                rank = sum(x < v for x in table)
+                hist = after.setdefault(used[:i] + (used[i] + 1,) + used[i + 1 :], {})
+                for s, k in sums.items():
+                    hist[s + rank] = hist.get(s + rank, 0) + k
+        layer = after
+    (sums,) = layer.values()
+    return sums

@@ -144,14 +144,20 @@ def test_find_fixed_point_gcd_words_fix_or_cycle():
         assert isinstance(report.outcome, (Fixed, Cycle))
 
 
-def test_fixed_point_oracle_examples():
+def test_fixed_point_oracle_examples(monkeypatch):
+    # the oracle is an independent route: neither the solver nor the action
+    def boom(*args, **kwargs):
+        raise AssertionError("the oracle called the action or the solver")
+
+    for name in ("find_fixed_point", "_apply_raw", "_apply_traced"):
+        monkeypatch.setattr(action, name, boom)
     assert fixed_point_oracle(w(3, 5, "10011")).coords == (-1, 3, 4)
     assert fixed_point_oracle(w(3, 4, "0000")).coords == (1, 2, 3)
     assert fixed_point_oracle(w(3, 4, "0012")).coords == (-2, 2, 6)
 
 
 def test_oracle_matches_solver():
-    for m, n in ((3, 4), (4, 3)):
+    for m, n in ((3, 4), (4, 3), (5, 4), (3, 7), (7, 3)):
         for word_ in enumerate_words(m, n, "parking"):
             report = find_fixed_point(word_)
             assert fixed_point_oracle(word_) == report.outcome.point

@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
 
 from ratpark import enumerate_words, serialize
 from ratpark.cli import main
 from ratpark.reference import PARKING_WORDS_4_3
+from test_action import _random_parking_word
 
 
 def run(capsys, *argv):
@@ -76,6 +78,16 @@ def test_zeta_round_trip(capsys):
         capsys, "zeta-inv", "--m", "4", "--n", "3", "--word", "000", "--oracle"
     )
     assert code == 0 and out.strip() == "012"
+
+
+def test_zeta_inverse_oracle_matches_the_solver_at_seven_nine(capsys):
+    rng = random.Random(7)
+    for _ in range(5):
+        word_ = str(_random_parking_word(rng, 7, 9))
+        args = ("zeta-inv", "--m", "7", "--n", "9", "--word", word_)
+        solved = run(capsys, *args)
+        assert solved[0] == 0
+        assert run(capsys, *args, "--oracle") == solved
 
 
 def test_stats(capsys):
@@ -170,6 +182,15 @@ def test_verify_single_pair(capsys):
     code, out, _ = run(capsys, "verify", "--m", "4", "--n", "3")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_at_m_one_lists_no_empty_suite(capsys):
+    code, out, _ = run(capsys, "verify", "--m", "1", "--n", "3", "--json")
+    assert code == 0
+    suites = json.loads(out)["suites"]
+    assert [s["name"] for s in suites if s["passed"] == 0] == []
+    names = {s["name"] for s in suites}
+    assert not names & {"lipschitz (1,3)", "divergence (1,3)"}
 
 
 def test_verify_output_is_byte_stable(capsys):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,7 @@ from ratpark import (
     LevelNotRemovable,
     NotAParkingWord,
     NotCoprime,
+    Point,
     SchemaViolation,
     Word,
     area,
@@ -18,11 +20,13 @@ from ratpark import (
     dinv,
     enumerate_words,
     find_fixed_point,
+    fixed_point_oracle,
     qt_table,
     rank_word,
     removable_levels,
     remove,
     serialize,
+    to_balanced,
     tuple_from_area_word,
     tuple_from_rank_word,
     tuple_to_balanced,
@@ -30,6 +34,7 @@ from ratpark import (
     zeta,
     zeta_inverse,
 )
+from ratpark import tuples
 from ratpark.filters import after_removal
 from ratpark.reference import (
     QT_4_3_DYCK,
@@ -179,6 +184,78 @@ def test_qt_table_totals_and_symmetry():
         table = qt_table(m, n)
         assert table.total == m ** (n - 1)
         assert sorted(table.area_marginal()) == sorted(table.dinv_marginal())
+
+
+def _enumerated_fixed_points(m, n):
+    """Reference oracle: one filter tuple per parking word, on the area side.
+
+    Maps each tuple's rank word to its balanced initial row minima, the
+    fixed point of that word.
+    """
+    points = {}
+    for u in enumerate_words(m, n, "parking"):
+        t = tuple_from_area_word(u)
+        points[rank_word(t).letters] = Point(to_balanced(t.initial).row_minima)
+    return points
+
+
+def _enumerated_qt_counts(m, n):
+    """Reference ``qt_table(m, n, "parking")``: one filter tuple per parking word."""
+    size = (m - 1) * (n - 1) // 2 + 1
+    counts = [[0] * size for _ in range(size)]
+    for u in enumerate_words(m, n, "parking"):
+        t = tuple_from_area_word(u)
+        counts[area(t)][dinv(t)] += 1
+    return tuple(tuple(row) for row in counts)
+
+
+def _coprime_pairs(top, words_at_most):
+    return [
+        (m, n)
+        for m in range(1, top + 1)
+        for n in range(1, top + 1)
+        if gcd(m, n) == 1 and m ** (n - 1) <= words_at_most
+    ]
+
+
+def test_fixed_point_oracle_matches_the_enumeration():
+    for m, n in _coprime_pairs(10, 1_000):
+        points = _enumerated_fixed_points(m, n)
+        assert len(points) == m ** (n - 1)
+        for word_ in enumerate_words(m, n, "parking"):
+            assert fixed_point_oracle(word_) == points[word_.letters], word_
+
+
+def test_fixed_point_oracle_needs_exactly_one_replay(monkeypatch):
+    word_ = w(3, 5, "10011")
+    balanced = list(tuples.enumerate_balanced(3, 5))
+    monkeypatch.setattr(tuples, "enumerate_balanced", lambda m, n: balanced * 2)
+    with pytest.raises(InternalInconsistency, match="2 balanced tuples"):
+        fixed_point_oracle(word_)
+    others = [b for b in balanced if b.row_minima != (-1, 3, 4)]
+    monkeypatch.setattr(tuples, "enumerate_balanced", lambda m, n: others)
+    with pytest.raises(InternalInconsistency, match="0 balanced tuples"):
+        fixed_point_oracle(word_)
+
+
+def test_qt_table_matches_the_enumeration():
+    for m, n in _coprime_pairs(6, 6**6) + [(5, 7)]:
+        assert qt_table(m, n).counts == _enumerated_qt_counts(m, n), (m, n)
+
+
+def test_qt_table_refuses_a_group_out_of_order(monkeypatch):
+    groups = tuples._area_groups
+    monkeypatch.setattr(
+        tuples, "_area_groups", lambda d: {k: g[::-1] for k, g in groups(d).items()}
+    )
+    with pytest.raises(InternalInconsistency, match="not removable"):
+        qt_table(3, 4)
+
+
+def test_qt_table_seven_nine_is_symmetric():
+    table = qt_table(7, 9)
+    assert table.total == 7**8
+    assert table.counts == tuple(zip(*table.counts))
 
 
 def test_qt_table_csv():
