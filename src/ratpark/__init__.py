@@ -41,7 +41,6 @@ from .affine import (
 )
 from .errors import (
     DimensionMismatch,
-    InsufficientGap,
     InternalInconsistency,
     InvalidBudget,
     IterationBudgetExhausted,

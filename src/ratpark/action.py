@@ -21,7 +21,6 @@ from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
-    InsufficientGap,
     InternalInconsistency,
     InvalidBudget,
     IterationBudgetExhausted,
@@ -533,44 +532,26 @@ def _scaled_block_fixed_point(
     )
 
 
-def construct_fixed_point_general(
-    w: Word, gaps: Sequence[int] | None = None
-) -> Point:
+def construct_fixed_point_general(w: Word) -> Point:
     """Explicit fixed point for any parking word, touch points included.
 
     The word is cut at its touch points into blocks with no touch points;
     each block's fixed point is computed for the dynamics rescaled to add
-    ``m`` per letter, offset by the entries of ``gaps``, concatenated, and
-    rebalanced by an integer shift.  ``gaps`` holds one offset per block
-    after the first; consecutive offsets (starting from 0) must increase
-    by more than ``m*n`` so the blocks never interact while the word acts.
+    ``m`` per letter, offset by ``j*(m*n + 1)`` for the j-th block (from
+    0), concatenated, and rebalanced by an integer shift.  Consecutive
+    offsets differ by more than ``m*n``, so the blocks never interact
+    while the word acts.
     """
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
     m, n = w.m, w.n
-    blocks = touch_decomposition(w)
-    k = len(blocks) - 1
-    if gaps is None:
-        gaps = [j * (m * n + 1) for j in range(1, k + 1)]
-    gaps = list(gaps)
-    if len(gaps) != k:
-        raise InsufficientGap(f"expected {k} offsets, got {len(gaps)}")
-    prev = 0
-    for g in gaps:
-        if g - prev <= m * n:
-            raise InsufficientGap(
-                f"offset {g} too close to {prev}; spacing must exceed {m * n}"
-            )
-        prev = g
-    offsets = [0] + gaps
-
     budget = default_budget(m, n)
     coords: list[int] = []
-    for offset, (_, q) in zip(offsets, blocks):
+    for j, (_, q) in enumerate(touch_decomposition(w)):
         # touch-point structure gives q.n * m == q.m * n, so each block
         # sheds exactly n per coordinate over one pass of the full word
         block = _scaled_block_fixed_point(q, m, n, budget)
-        coords.extend(c + offset for c in block)
+        coords.extend(c + j * (m * n + 1) for c in block)
 
     target = m * (m + 1) // 2
     shift = (target - sum(coords)) // m

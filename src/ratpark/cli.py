@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("zeta-inv", "inverse relabeling, via the fixed point")
     p.add_argument("--word", required=True)
-    p.add_argument("--oracle", action="store_true", help="use the brute-force oracle")
     p.add_argument("--json", action="store_true")
 
     p = add("stats", "area and dinv of a parking word")
@@ -158,10 +157,7 @@ def _run(args) -> int:
 
     if args.command in ("zeta", "zeta-inv"):
         w = _word_arg(args)
-        if args.command == "zeta":
-            image = zeta(w)
-        else:
-            image = zeta_inverse(w, use_oracle=getattr(args, "oracle", False))
+        image = zeta(w) if args.command == "zeta" else zeta_inverse(w)
         _emit(serialize.word_to_json(image), args.json, str(image))
         return 0
 

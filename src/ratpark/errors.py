@@ -48,10 +48,6 @@ class LevelNotRemovable(RatparkError):
     pass
 
 
-class InsufficientGap(RatparkError):
-    pass
-
-
 class InvalidBudget(RatparkError):
     """An iteration budget that is not a positive integer."""
 

@@ -9,8 +9,7 @@ gcd(m, n) = 1, so the reordering is unambiguous.
 
 Inversion rides on the rank-word machinery: the column-length word of a
 swept path is the rank word of the original path's canonical tuple, so
-inverting the rank word (a fixed-point computation) recovers the original
-column-minimum levels and with them the path.
+the fixed point of that word is the original filter, balanced.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .filters import (
     to_balanced,
     to_dyck,
 )
-from .tuples import _tuple_from_rank_word, dyck_embedding, rank_word
+from .tuples import _fixed_filter, dyck_embedding, rank_word
 from .words import Word
 
 
@@ -67,15 +66,14 @@ def sweep_column_word(d: Filter) -> Word:
 def sweep_inverse(d: Filter) -> Filter:
     """The unique Dyck filter mapped to ``d`` by :func:`sweep`.
 
-    The column-length word of ``d`` is inverted as a rank word; the
-    recovered tuple's initial column minima are the west-step levels of
-    the preimage.  The rank word is the Dyck word of ``d``, so the orbit
-    starts at ``d`` itself, balanced.
+    The column-length word of ``d`` is the rank word of the preimage's
+    canonical tuple, so its fixed point is the preimage, balanced.  That
+    word is the Dyck word of ``d``, so the orbit starts at ``d`` itself,
+    balanced.
     """
     if not is_dyck(d):
         raise NotDyck(f"row minima {d.row_minima} have nonzero minimum")
-    t = _tuple_from_rank_word(dyck_word(d), to_balanced(d))
-    preimage = to_dyck(t.initial)
+    preimage = to_dyck(_fixed_filter(dyck_word(d), to_balanced(d)))
     check = sweep(preimage)
     if check != d:
         raise InternalInconsistency(

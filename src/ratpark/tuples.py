@@ -181,88 +181,79 @@ def rank_word(t: FilterTuple) -> Word:
     return w
 
 
-def tuple_from_rank_word(w: Word, *, use_oracle: bool = False) -> FilterTuple:
+def tuple_from_rank_word(w: Word) -> FilterTuple:
     """The balanced tuple whose rank word is ``w``.
 
     The balanced initial row minima are the unique fixed point of ``w``;
     replaying the word then removes the letter-ranked minimum at each
-    step.  ``use_oracle`` swaps the orbit solver for
-    :func:`fixed_point_oracle`, an independent route over the balanced
-    filters.
+    step.  :func:`fixed_point_oracle` reaches the same point by an
+    independent route over the balanced filters.
 
-    The orbit starts at the balanced Dyck filter of the sorted word (for
-    :func:`ratpark.sweep.sweep_inverse`, whose rank word is sorted, the
-    filter being inverted, handed over directly), which usually lies far
-    closer to the fixed point than the staircase.  The start is only a
-    hint: it is balanced, the action preserves coordinate sums, and a
-    coprime parking word has exactly one fixed point on the balanced
-    slice, so the orbit reaches that point, closes a cycle
+    The orbit starts at the balanced Dyck filter of the sorted word, which
+    usually lies far closer to the fixed point than the staircase.  The
+    start is only a hint: it is balanced, the action preserves coordinate
+    sums, and a coprime parking word has exactly one fixed point on the
+    balanced slice, so the orbit reaches that point, closes a cycle
     (:class:`InternalInconsistency`) or exhausts its budget.  It never
     ends elsewhere, and ``FilterTuple`` validates every removal.
     """
     require_coprime(w.m, w.n, "rank-word inversion")
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
-    start = None
-    if not use_oracle:
-        dyck = filter_from_dyck_word(Word(w.m, w.n, tuple(sorted(w.letters))))
-        start = to_balanced(dyck)
-    return _tuple_from_rank_word(w, start)
+    dyck = filter_from_dyck_word(Word(w.m, w.n, tuple(sorted(w.letters))))
+    initial = _fixed_filter(w, to_balanced(dyck))
+    return FilterTuple(initial, _rank_removals(initial, w.letters))
 
 
-def _tuple_from_rank_word(w: Word, start: Filter | None) -> FilterTuple:
-    """:func:`tuple_from_rank_word` for a coprime parking ``w``, solved
-    from the balanced filter ``start``, or by the oracle when it is None.
+def _fixed_filter(w: Word, start: Filter) -> Filter:
+    """The balanced filter whose row minima are the fixed point of the
+    coprime parking word ``w``, solved from the balanced filter ``start``.
 
     :func:`ratpark.sweep.sweep_inverse` hands over the balanced form of the
-    Dyck filter it inverts, the start the public path rebuilds.
+    Dyck filter it inverts.  The solver's point is validated as a filter.
     """
-    if start is None:
-        point = fixed_point_oracle(w)
-    else:
-        report = action.find_fixed_point(w, start=action.Point(start.row_minima))
-        if not isinstance(report.outcome, action.Fixed):
-            raise InternalInconsistency(
-                f"solver did not fix a point for parking word {w}: {report}"
-            )
-        point = report.outcome.point
-    initial = Filter(w.m, w.n, point.coords)
+    report = action.find_fixed_point(w, start=action.Point(start.row_minima))
+    if not isinstance(report.outcome, action.Fixed):
+        raise InternalInconsistency(
+            f"solver did not fix a point for parking word {w}: {report}"
+        )
+    return Filter(w.m, w.n, report.outcome.point.coords)
+
+
+def _rank_removals(initial: Filter, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The levels removed by replaying ``letters`` as ranks from ``initial``:
+    each is the current row minimum of the letter's rank.  Unchecked;
+    ``FilterTuple`` validates them."""
     minima = initial.row_minima
     removals = []
-    for letter in w.letters:
+    for letter in letters:
         removals.append(minima[letter])
-        minima = after_removal(minima, minima[letter], w.m)
-    return FilterTuple(initial, tuple(removals))
+        minima = after_removal(minima, minima[letter], initial.m)
+    return tuple(removals)
 
 
 def fixed_point_oracle(w: Word) -> action.Point:
     """Brute-force fixed point, independent of the orbit solver.
 
-    Replays ``w`` as ranks from every balanced filter ``b``: each removal is
-    the current row minimum of the letter's rank, it must be removable
-    (:func:`ratpark.filters._removable`), its row's minimum then moves up by
-    m, and the last stage must be ``b`` shifted by n.  The rank word is a
-    bijection from balanced tuples to parking words, so exactly one ``b``
-    replays; its row minima are the fixed point.  Every candidate is
-    scanned, and none or two replaying raise :class:`InternalInconsistency`.
-    The cost is O(n·m log m) per class over the ``binomial(m+n, n)/(m+n)``
-    balanced filters; neither the word action nor the solver is used.
+    Replays ``w`` as ranks from every balanced filter ``b``
+    (:func:`_rank_removals`) and keeps ``b`` when ``FilterTuple`` accepts
+    the removals.  The rank word is a bijection from balanced tuples to
+    parking words, so exactly one ``b`` replays; its row minima are the
+    fixed point.  Every candidate is scanned, and none or two replaying
+    raise :class:`InternalInconsistency`.  The cost is O(n·m) per class
+    over the ``binomial(m+n, n)/(m+n)`` balanced filters; neither the word
+    action nor the solver is used.
     """
     require_coprime(w.m, w.n, "the fixed-point oracle")
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
-    m, n = w.m, w.n
     replayed = []
-    for b in enumerate_balanced(m, n):
-        table = _by_residue(b)
-        for letter in w.letters:
-            v = sorted(table)[letter]
-            if not _removable(table, v, m, n):
-                break
-            table[v % m] = v + m
-        else:
-            if sorted(table) == [v + n for v in b.row_minima]:
-                replayed.append(b)
+    for b in enumerate_balanced(w.m, w.n):
+        try:
+            FilterTuple(b, _rank_removals(b, w.letters))
+        except (LevelNotRemovable, InternalInconsistency):
+            continue
+        replayed.append(b)
     if len(replayed) != 1:
         raise InternalInconsistency(
             f"{len(replayed)} balanced tuples have rank word {w}"
@@ -275,9 +266,9 @@ def zeta(w: Word) -> Word:
     return rank_word(tuple_from_area_word(w))
 
 
-def zeta_inverse(w: Word, *, use_oracle: bool = False) -> Word:
+def zeta_inverse(w: Word) -> Word:
     """Inverse of :func:`zeta`, via the fixed point of ``w``."""
-    return area_word(tuple_from_rank_word(w, use_oracle=use_oracle))
+    return area_word(tuple_from_rank_word(w))
 
 
 def _statistic_ceiling(m: int, n: int) -> int:

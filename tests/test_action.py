@@ -10,7 +10,6 @@ from ratpark import (
     DimensionMismatch,
     Diverged,
     Fixed,
-    InsufficientGap,
     InternalInconsistency,
     InvalidBudget,
     IterationBudgetExhausted,
@@ -205,16 +204,6 @@ def test_construct_fixed_point_general_exhaustive_small_gcd():
         for word_ in enumerate_words(m, n, "parking"):
             witness = construct_fixed_point_general(word_)
             assert apply_word(witness, word_) == witness, word_
-
-
-def test_construct_fixed_point_gap_validation():
-    word_ = Word(9, 12, GCD_EXAMPLE_9_12["word"])
-    with pytest.raises(InsufficientGap):
-        construct_fixed_point_general(word_, gaps=[10, 500])
-    with pytest.raises(InsufficientGap):
-        construct_fixed_point_general(word_, gaps=[200])
-    witness = construct_fixed_point_general(word_, gaps=[200, 400])
-    assert apply_word(witness, word_) == witness
 
 
 def _seen_block_fixed_point(q, add, cycle_sub, budget, restarts):

@@ -1,12 +1,13 @@
+import argparse
 import json
-import random
+import re
+from pathlib import Path
 
 import pytest
 
 from ratpark import enumerate_words, serialize
-from ratpark.cli import main
+from ratpark.cli import _build_parser, main
 from ratpark.reference import PARKING_WORDS_4_3
-from test_action import _random_parking_word
 
 
 def run(capsys, *argv):
@@ -74,20 +75,27 @@ def test_zeta_round_trip(capsys):
     assert code == 0 and out.strip() == "000"
     code, out, _ = run(capsys, "zeta-inv", "--m", "4", "--n", "3", "--word", "000")
     assert code == 0 and out.strip() == "012"
-    code, out, _ = run(
-        capsys, "zeta-inv", "--m", "4", "--n", "3", "--word", "000", "--oracle"
+
+
+def test_zeta_inverse_has_no_oracle_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta-inv", "--m", "4", "--n", "3", "--word", "000", "--oracle"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --oracle" in capsys.readouterr().err
+
+
+def test_readme_cli_block_names_only_real_flags():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    (sub,) = (
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    assert code == 0 and out.strip() == "012"
-
-
-def test_zeta_inverse_oracle_matches_the_solver_at_seven_nine(capsys):
-    rng = random.Random(7)
-    for _ in range(5):
-        word_ = str(_random_parking_word(rng, 7, 9))
-        args = ("zeta-inv", "--m", "7", "--n", "9", "--word", word_)
-        solved = run(capsys, *args)
-        assert solved[0] == 0
-        assert run(capsys, *args, "--oracle") == solved
+    lines = [line.split() for line in block.splitlines() if line.startswith("ratpark")]
+    assert len(lines) == len(sub.choices)
+    for _, command, *rest in lines:
+        known = sub.choices[command]._option_string_actions
+        for flag in re.findall(r"--[a-z][a-z-]*", " ".join(rest)):
+            assert flag in known, (command, flag)
 
 
 def test_stats(capsys):

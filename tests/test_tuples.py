@@ -19,6 +19,7 @@ from ratpark import (
     column_minima,
     dinv,
     enumerate_words,
+    filter_from_dyck_word,
     find_fixed_point,
     fixed_point_oracle,
     qt_table,
@@ -26,6 +27,8 @@ from ratpark import (
     removable_levels,
     remove,
     serialize,
+    sweep,
+    sweep_inverse,
     to_balanced,
     tuple_from_area_word,
     tuple_from_rank_word,
@@ -132,8 +135,7 @@ def test_rank_word_inverse_matches_the_staircase_orbit():
 
 
 def test_rank_word_inverse_oracle_mode():
-    t = tuple_from_rank_word(w(3, 4, "0012"), use_oracle=True)
-    assert t.initial.row_minima == (-2, 2, 6)
+    assert fixed_point_oracle(w(3, 4, "0012")).coords == (-2, 2, 6)
 
 
 def test_zeta_tables():
@@ -224,6 +226,14 @@ def test_fixed_point_oracle_matches_the_enumeration():
         assert len(points) == m ** (n - 1)
         for word_ in enumerate_words(m, n, "parking"):
             assert fixed_point_oracle(word_) == points[word_.letters], word_
+
+
+def test_fixed_point_oracle_matches_the_solver_at_seven_nine():
+    rng = random.Random(7)
+    for _ in range(5):
+        word_ = _random_parking_word(rng, 7, 9)
+        solved = tuple_from_rank_word(word_).initial.row_minima
+        assert fixed_point_oracle(word_).coords == solved, word_
 
 
 def test_fixed_point_oracle_needs_exactly_one_replay(monkeypatch):
@@ -359,27 +369,35 @@ def test_tuple_check_matches_the_removal_chain():
 
 
 def test_public_filter_validations_per_op_do_not_grow_with_n(monkeypatch):
-    # library-derived filters are trusted; only boundary filters validate
-    validations = 0
-    post_init = Filter.__post_init__
+    # library-derived filters are trusted; only boundary filters validate,
+    # and sweep_inverse, which needs only the fixed filter, builds no tuple
+    counts = Counter()
 
-    def counting(self):
-        nonlocal validations
-        validations += 1
-        post_init(self)
+    def counting(cls):
+        post_init = cls.__post_init__
 
-    monkeypatch.setattr(Filter, "__post_init__", counting)
+        def counted(self):
+            counts[cls.__name__] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+
+    counting(Filter)
+    counting(FilterTuple)
     per_op = {}
     for m, n in ((3, 5), (13, 21)):
         word_ = _random_parking_word(random.Random(3), m, n)
-        for op in (zeta, zeta_inverse):
-            validations = 0
-            op(word_)
-            per_op[op.__name__, m, n] = validations
+        swept = sweep(filter_from_dyck_word(Word(m, n, tuple(sorted(word_.letters)))))
+        for op, arg in ((zeta, word_), (zeta_inverse, word_), (sweep_inverse, swept)):
+            counts.clear()
+            op(arg)
+            per_op[op.__name__, m, n] = (counts["FilterTuple"], counts["Filter"])
     # dyck filters of checked words are trusted; the solver's fixed point is not
     assert per_op == {
-        ("zeta", 3, 5): 0,
-        ("zeta", 13, 21): 0,
-        ("zeta_inverse", 3, 5): 1,
-        ("zeta_inverse", 13, 21): 1,
+        ("zeta", 3, 5): (1, 0),
+        ("zeta", 13, 21): (1, 0),
+        ("zeta_inverse", 3, 5): (1, 1),
+        ("zeta_inverse", 13, 21): (1, 1),
+        ("sweep_inverse", 3, 5): (0, 1),
+        ("sweep_inverse", 13, 21): (0, 1),
     }
