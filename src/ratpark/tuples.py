@@ -235,25 +235,37 @@ def _rank_removals(initial: Filter, letters: tuple[int, ...]) -> tuple[int, ...]
 def fixed_point_oracle(w: Word) -> action.Point:
     """Brute-force fixed point, independent of the orbit solver.
 
-    Replays ``w`` as ranks from every balanced filter ``b``
-    (:func:`_rank_removals`) and keeps ``b`` when ``FilterTuple`` accepts
-    the removals.  The rank word is a bijection from balanced tuples to
-    parking words, so exactly one ``b`` replays; its row minima are the
-    fixed point.  Every candidate is scanned, and none or two replaying
-    raise :class:`InternalInconsistency`.  The cost is O(n·m) per class
-    over the ``binomial(m+n, n)/(m+n)`` balanced filters; neither the word
-    action nor the solver is used.
+    Replays ``w`` as ranks from every balanced filter ``b`` and keeps
+    ``b`` when ``FilterTuple`` accepts the removals.  The rank word is a
+    bijection from balanced tuples to parking words, so exactly one ``b``
+    replays; its row minima are the fixed point.  A candidate is dropped
+    at its first level that :func:`ratpark.filters._removable` refuses,
+    so only candidates that remove all n levels reach ``FilterTuple``,
+    and none or two replaying raise :class:`InternalInconsistency`.  The
+    cost is at most O(n·m) per class over the
+    ``binomial(m+n, n)/(m+n)`` balanced filters; neither the word action
+    nor the solver is used.
     """
     require_coprime(w.m, w.n, "the fixed-point oracle")
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
+    m, n = w.m, w.n
     replayed = []
-    for b in enumerate_balanced(w.m, w.n):
-        try:
-            FilterTuple(b, _rank_removals(b, w.letters))
-        except (LevelNotRemovable, InternalInconsistency):
-            continue
-        replayed.append(b)
+    for b in enumerate_balanced(m, n):
+        table, minima, removals = _by_residue(b), b.row_minima, []
+        for letter in w.letters:
+            v = minima[letter]
+            if not _removable(table, v, m, n):
+                break
+            table[v % m] = v + m
+            removals.append(v)
+            minima = after_removal(minima, v, m)
+        else:
+            try:
+                FilterTuple(b, removals)
+            except InternalInconsistency:
+                continue
+            replayed.append(b)
     if len(replayed) != 1:
         raise InternalInconsistency(
             f"{len(replayed)} balanced tuples have rank word {w}"

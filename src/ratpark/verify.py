@@ -596,20 +596,33 @@ def _contracts(x: list[int], y: list[int], letters: list[int], m: int, n: int) -
 
 
 def _suite_lipschitz(c: _Checker, m: int, n: int, rng: random.Random) -> None:
-    # randint(-span, span) is randrange(-span, span + 1), which CPython
-    # draws as -span + randrange(width), and randrange(k) for an int k > 0
-    # returns _randbelow(k): the same draws, and so the same trials, as
-    # Point(sorted(randint ...)) would give (tests pin the stream).  The
-    # points are sorted and the letters below m by construction, so
-    # _contracts may skip Point and Word.
+    # randint(-span, span) is -span + randrange(width), and CPython's
+    # randrange(k) for an int k > 0 draws getrandbits(k.bit_length()) again
+    # while the result is at least k.  The loops below apply that rule
+    # inline, without a frame per draw: the same draws in the same order
+    # (the m coordinates of x, the m of y, then the n letters), so the
+    # same trials as Point(sorted(randint ...)) would give; tests pin the
+    # stream.  The points are sorted and the letters below m by
+    # construction, so _contracts may skip Point and Word.
     span = m * n + 5
     width = 2 * span + 1
-    draw = rng._randbelow
+    bits = rng.getrandbits
+    kw, km = width.bit_length(), m.bit_length()
     failures = 0
     for _ in range(LIPSCHITZ_TRIALS):
-        x = sorted([draw(width) - span for _ in range(m)])
-        y = sorted([draw(width) - span for _ in range(m)])
-        letters = [draw(m) for _ in range(n)]
+        x, y, letters = [], [], []
+        for point in (x, y):
+            for _ in range(m):
+                r = bits(kw)
+                while r >= width:
+                    r = bits(kw)
+                point.append(r - span)
+            point.sort()
+        for _ in range(n):
+            r = bits(km)
+            while r >= m:
+                r = bits(km)
+            letters.append(r)
         if not _contracts(x, y, letters, m, n):
             failures += 1
     c.equal(failures, 0, f"contraction failures ({m},{n})")

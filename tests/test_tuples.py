@@ -248,6 +248,23 @@ def test_fixed_point_oracle_needs_exactly_one_replay(monkeypatch):
         fixed_point_oracle(word_)
 
 
+def test_fixed_point_oracle_drops_candidates_at_a_refused_level(monkeypatch):
+    # a candidate leaves at its first non-removable level; only the five
+    # of the seven balanced (3,5) filters that replay 10011 to the end
+    # reach FilterTuple, which accepts exactly one of them
+    constructions = []
+    post_init = FilterTuple.__post_init__
+
+    def counted(self):
+        constructions.append(self.initial.row_minima)
+        post_init(self)
+
+    monkeypatch.setattr(FilterTuple, "__post_init__", counted)
+    assert fixed_point_oracle(w(3, 5, "10011")).coords == (-1, 3, 4)
+    assert len(constructions) == 5 < sum(1 for _ in tuples.enumerate_balanced(3, 5))
+    assert (-1, 3, 4) in constructions
+
+
 def test_qt_table_matches_the_enumeration():
     for m, n in _coprime_pairs(6, 6**6) + [(5, 7)]:
         assert qt_table(m, n).counts == _enumerated_qt_counts(m, n), (m, n)

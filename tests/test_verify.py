@@ -76,6 +76,30 @@ def test_lipschitz_draws_match_randint(monkeypatch):
             assert rng.getstate() == ref.getstate()
 
 
+def test_lipschitz_stream_carries_across_pairs(monkeypatch):
+    # run_verify hands one generator from pair to pair, so the second
+    # pair's trials continue the first pair's stream
+    pairs = ((3, 4), (5, 2))
+    trials = []
+    monkeypatch.setattr(verify, "LIPSCHITZ_TRIALS", 300)
+    monkeypatch.setattr(
+        verify, "_contracts", lambda *trial: trials.append(trial) or True
+    )
+    for seed in range(3):
+        trials.clear()
+        run_verify(pairs=pairs, seed=seed)
+        ref = random.Random(seed)
+        expected = []
+        for m, n in pairs:
+            span = m * n + 5
+            for _ in range(300):
+                x = sorted(ref.randint(-span, span) for _ in range(m))
+                y = sorted(ref.randint(-span, span) for _ in range(m))
+                letters = [ref.randrange(m) for _ in range(n)]
+                expected.append((x, y, letters, m, n))
+        assert trials == expected, seed
+
+
 def _parity_map(coords, letters, add, total_sub):
     # a monotone map that doubles some points and fixes others, so that
     # some pairs move apart and some do not
