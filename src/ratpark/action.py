@@ -334,9 +334,15 @@ def _repeat_within(
 
 
 def _cycle(
-    w: Word, period: int, first: int, witness: tuple[int, ...], applications: int
+    w: Word,
+    start: tuple[int, ...],
+    period: int,
+    first: int,
+    witness: tuple[int, ...],
+    applications: int,
 ) -> OrbitReport:
-    if gcd(w.m, w.n) == 1 and is_parking_word(w):
+    m = w.m
+    if gcd(m, w.n) == 1 and is_parking_word(w) and len({c % m for c in start}) == m:
         raise InternalInconsistency(
             f"coprime parking word {w} entered a {period}-cycle",
             witness=Point(witness),
@@ -362,9 +368,14 @@ def find_fixed_point(
 
     Returns ``Fixed`` when an application leaves the point unchanged,
     ``Diverged`` once the norm exceeds the escape bound (non-parking words
-    are guaranteed to escape), and ``Cycle`` on a repeat of period > 1 —
-    but a coprime parking word admits a unique fixed point, so a cycle
-    there is surfaced as :class:`InternalInconsistency` with the witness.
+    are guaranteed to escape), and ``Cycle`` on a repeat of period > 1.
+    A coprime parking word has one fixed point up to translation, the row
+    minima of a filter, whose residues mod m are distinct.  Every letter
+    shifts all residues mod m by -1, so a start whose residues repeat can
+    never reach it, and its cycle is a ``Cycle``.  A start with distinct
+    residues, such as the staircase or a filter's row minima, is expected
+    to reach the fixed point, so a cycle from it is surfaced as
+    :class:`InternalInconsistency` with the witness.
     ``iterations`` counts word applications of the plain orbit from
     ``start``, and ``applications`` those actually computed.
 
@@ -433,7 +444,7 @@ def find_fixed_point(
         lam += 1
         if nxt == tortoise:
             first, witness = _first_repeat(start, letters, m, n, lam)
-            return _cycle(w, lam, first, witness, applications + lam + 2 * first)
+            return _cycle(w, start, lam, first, witness, applications + lam + 2 * first)
         if lam == power:
             tortoise, power, lam = nxt, 2 * power, 0
         cur = nxt
@@ -457,7 +468,7 @@ def find_fixed_point(
         if found is not None:
             first, period, witness = found
             return _cycle(
-                w, period, first, witness, applications + 2 * period + 2 * first
+                w, start, period, first, witness, applications + 2 * period + 2 * first
             )
     raise IterationBudgetExhausted(
         f"no resolution for {w} within {budget} word applications"

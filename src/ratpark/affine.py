@@ -28,10 +28,13 @@ from .filters import (
     area_letters,
     column_minima,
     filter_from_column_minima,
+    filter_from_dyck_word,
     generator_filter,
+    to_balanced,
 )
 from .tuples import (
     FilterTuple,
+    _area_groups,
     tuple_from_area_word,
     tuple_from_rank_word,
     tuple_to_balanced,
@@ -181,10 +184,29 @@ def enumerate_sommers(m: int, n: int) -> Iterator[AffinePermutation]:
     """All windows whose inverses lie in the Sommers region.
 
     Generated through the balanced tuples of the parking words, so the
-    stream has ``m**(n-1)`` entries, in lexicographic area-word order.
+    stream has ``m**(n-1)`` entries, in lexicographic area-word order: the
+    window of ``u`` is ``tuple_to_window(tuple_from_area_word(u))``.  The
+    words are parking by construction, and the balanced filter and area
+    groups of each Dyck class are built once, at its first word.  Each
+    window then costs one ``FilterTuple`` check of its balanced removals
+    (removability does not change under translation, so the parking tuple
+    needs no check of its own) and one ``AffinePermutation`` check.
     """
+    require_coprime(m, n, "area-word tuples")
+    classes: dict[tuple[int, ...], tuple[Filter, dict[int, list[int]]]] = {}
     for u in enumerate_words(m, n, "parking"):
-        yield tuple_to_window(tuple_from_area_word(u))
+        key = tuple(sorted(u.letters))
+        if key not in classes:
+            d = filter_from_dyck_word(Word(m, n, key))
+            b = to_balanced(d)
+            shift = b.row_minima[0] - d.row_minima[0]
+            classes[key] = b, {
+                a: [v + shift for v in g] for a, g in _area_groups(d).items()
+            }
+        b, groups = classes[key]
+        levels = {a: iter(g) for a, g in groups.items()}
+        removals = tuple([next(levels[a]) for a in u.letters])
+        yield AffinePermutation(FilterTuple(b, removals).removals)
 
 
 def anderson_inverse(w: Word) -> AffinePermutation:

@@ -59,8 +59,9 @@ class IterationBudgetExhausted(RatparkError):
 class InternalInconsistency(RatparkError):
     """A guaranteed invariant failed; carries a witness when available.
 
-    Raised, for example, when the orbit of a coprime parking word closes
-    into a cycle of period greater than one, which the theory rules out.
+    Raised, for example, when the orbit of a coprime parking word from the
+    staircase closes into a cycle of period greater than one, which the
+    theory rules out.
     """
 
     def __init__(self, message, witness=None):

@@ -19,6 +19,8 @@ the fixed point of the word being inverted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import lt
 from typing import Iterator
 
 from . import action
@@ -346,10 +348,12 @@ def qt_table(m: int, n: int, over: str = "parking") -> QTTable:
     The Dyck restriction counts the canonical tuples that remove a Dyck
     filter's column minima in increasing order; their area words are
     permutations of the column-length words, not the sorted words
-    themselves.  It builds one tuple per Dyck filter.
+    themselves, so their area is that of the sorted word.  No tuple is
+    built: :func:`_embedding_rank_sum` walks the removals on a residue
+    table.
 
-    Over all parking words no tuple is built: the words are grouped by
-    their Dyck filter (:func:`_class_rank_sums`), so the cost is a DP per
+    Over all parking words no tuple is built either: the words are grouped
+    by their Dyck filter (:func:`_class_rank_sums`), so the cost is a DP per
     class of ``prod(k_i + 1)`` states, where the class holds
     ``n!/prod(k_i!)`` words and ``k_i`` counts the column minima with area
     letter i.  Sizes with billions of parking words stay in reach.
@@ -361,14 +365,31 @@ def qt_table(m: int, n: int, over: str = "parking") -> QTTable:
     counts = [[0] * (ceiling + 1) for _ in range(ceiling + 1)]
     for w in enumerate_words(m, n, "dyck"):
         d = filter_from_dyck_word(w)
+        row = counts[ceiling - sum(w.letters)]
         if over == "dyck":
-            t = dyck_embedding(d)
-            counts[area(t)][dinv(t)] += 1
+            row[ceiling - _embedding_rank_sum(d)] += 1
         else:
-            row = counts[ceiling - sum(w.letters)]
             for rank_sum, k in _class_rank_sums(d).items():
                 row[ceiling - rank_sum] += k
     return QTTable(m, n, over, tuple(tuple(row) for row in counts))
+
+
+def _embedding_rank_sum(d: Filter) -> int:
+    """Rank-word letter sum of :func:`dyck_embedding` of the Dyck filter ``d``.
+
+    The column minima are removed in increasing order on a table of row
+    minima by residue; each must pass :func:`ratpark.filters._removable`,
+    and its rank is the number of row minima below it.
+    """
+    m, n = d.m, d.n
+    table = _by_residue(d)
+    total = 0
+    for v in column_minima(d):
+        if not _removable(table, v, m, n):
+            raise InternalInconsistency(f"level {v} of {d} is not removable")
+        total += sum(x < v for x in table)
+        table[v % m] = v + m
+    return total
 
 
 def _class_rank_sums(d: Filter) -> dict[int, int]:
@@ -380,29 +401,76 @@ def _class_rank_sums(d: Filter) -> dict[int, int]:
     area letter fixes the row (``a`` is a unit mod m), and a row's column
     minima are its lowest levels, from its minimum up in steps of m: a used
     level ``v`` moves the row's minimum to ``v + m``, which may be the
-    group's next level.  So the count of used levels per group fixes every row minimum,
-    the rank of the next removal is the number of row minima below it, and
-    a layered DP over those counts carries a histogram of rank sums.
+    group's next level.  So the counts ``used`` of levels taken from each
+    group fix every row minimum, and a DP over those counts carries the
+    rank sums of the words that reach each state.  Every count vector in
+    the box is a state; they are visited in ``itertools.product`` order,
+    where a step, which adds 1 to one count, always moves forward.
+
+    Everything a step needs is fixed once per (group, count) pair: the
+    level ``v`` it removes, the pieces of its rank and both halves of the
+    :func:`ratpark.filters._removable` guard.  The rank counts the rows
+    without a group whose minimum lies below ``v``, plus the groups j whose
+    count ``used[j]`` is still under the one that lifts row j's minimum
+    past ``v``.  The first half, ``v`` is its row's current minimum, holds
+    when the group rises from that minimum in steps of m, as it must.  The
+    second, ``v - n`` is outside the filter, holds once the group of its
+    row has used some fixed count of levels, or always or never for a row
+    without a group; so the guard is one test ``used[j] >= need``, with
+    ``need`` out of reach when either half can never hold.
+
+    A state's histogram is one packed polynomial: rank sum s has the
+    coefficient at bit ``s * width``, with ``width`` the bit length of
+    ``m**(n-1)``, so a step is one shift and one add.  A coefficient counts
+    words of the class that share a prefix state, and the class holds at
+    most ``m**(n-1)`` words, so no coefficient reaches ``2**width`` and
+    spills into the next.
     """
     m, n = d.m, d.n
     groups = list(_area_groups(d).values())
-    layer = {(0,) * len(groups): {0: 1}}
-    for _ in range(n):
-        after: dict[tuple[int, ...], dict[int, int]] = {}
-        for used, sums in layer.items():
-            table = _by_residue(d)
-            for group, k in zip(groups, used):
-                table[group[0] % m] += k * m
-            for i, group in enumerate(groups):
-                if used[i] == len(group):
-                    continue
-                v = group[used[i]]
-                if not _removable(table, v, m, n):
-                    raise InternalInconsistency(f"level {v} of {d} is not removable")
-                rank = sum(x < v for x in table)
-                hist = after.setdefault(used[:i] + (used[i] + 1,) + used[i + 1 :], {})
-                for s, k in sums.items():
-                    hist[s + rank] = hist.get(s + rank, 0) + k
-        layer = after
-    (sums,) = layer.values()
+    table = _by_residue(d)
+    row_group = {group[0] % m: j for j, group in enumerate(groups)}
+    lows = [table[group[0] % m] for group in groups]
+    free = [x for r, x in enumerate(table) if r not in row_group]
+    never = n + 1  # above every count a group reaches
+    steps = []  # steps[i][k]: removing the k-th level of group i, else None
+    for i, group in enumerate(groups):
+        steps.append([])
+        for k, v in enumerate(group):
+            below = tuple([-((low - v) // m) for low in lows])
+            under, r = v - n, (v - n) % m
+            if lows[i] + k * m != v:
+                guard = (i, never)
+            elif r in row_group:
+                j = row_group[r]
+                guard = (j, (under - lows[j]) // m + 1)
+            else:
+                guard = (i, 0 if under < table[r] else never)
+            fixed = sum(x < v for x in free)
+            steps[i].append((v, fixed, below, *guard))
+        steps[i].append(None)
+    strides, states = [], 1  # state index of a count vector, last count fastest
+    for group in reversed(groups):
+        strides.insert(0, states)
+        states *= len(group) + 1
+    width = (m ** (n - 1)).bit_length()
+    polys = [1] + [0] * (states - 1)
+    counts = product(*(range(len(group) + 1) for group in groups))
+    for state, used in enumerate(counts):
+        poly = polys[state]
+        for i, k in enumerate(used):
+            step = steps[i][k]
+            if step is None:
+                continue
+            v, fixed, below, j, need = step
+            if used[j] < need:
+                raise InternalInconsistency(f"level {v} of {d} is not removable")
+            rank = fixed + sum(map(lt, used, below))
+            polys[state + strides[i]] += poly << rank * width
+    poly, mask = polys[-1], (1 << width) - 1
+    sums = {}
+    for s in range(n * m):
+        if poly & mask:
+            sums[s] = poly & mask
+        poly >>= width
     return sums

@@ -39,6 +39,15 @@ class Word:
                 )
         object.__setattr__(self, "letters", tuple(self.letters))
 
+    @classmethod
+    def _of(cls, m: int, n: int, letters: tuple[int, ...]) -> Word:
+        """Trusted constructor: ``letters`` is a tuple of n letters below m."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "m", m)
+        object.__setattr__(w, "n", n)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __str__(self):
         if self.m <= 10:
             return "".join(str(letter) for letter in self.letters)
@@ -130,6 +139,11 @@ def enumerate_words(m: int, n: int, kind: str = "all") -> Iterator[Word]:
     exactly ``m**(n-1)`` words when gcd(m, n) = 1; dyck yields the weakly
     increasing ones.  Sizes below 1 raise :class:`LetterOutOfRange`, as
     :class:`Word` does, when the first word is requested.
+
+    The words are built by the trusted ``Word._of``: with m, n >= 1
+    checked here, both letter streams yield tuples of n letters in
+    ``range(m)`` by construction, which is all :class:`Word` checks.
+    ``tests/test_layout.py`` keeps ``Word._of`` to this site.
     """
     if kind not in ("all", "parking", "dyck"):
         raise ValueError(f"unknown enumeration kind {kind!r}")
@@ -140,7 +154,7 @@ def enumerate_words(m: int, n: int, kind: str = "all") -> Iterator[Word]:
     else:
         letter_tuples = _parking_letters(m, n, increasing=kind == "dyck")
     for letters in letter_tuples:
-        yield Word(m, n, letters)
+        yield Word._of(m, n, letters)
 
 
 def _parking_letters(m: int, n: int, increasing: bool) -> Iterator[tuple[int, ...]]:

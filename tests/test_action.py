@@ -389,7 +389,8 @@ def _plain_orbit(w, max_iterations=None, escape_bound=None, start=None):
             return Diverged(it, nrm), it
         if nxt in seen:
             period = it - seen[nxt]
-            if gcd(m, n) == 1 and is_parking_word(w):
+            distinct = len({c % m for c in start}) == m
+            if gcd(m, n) == 1 and is_parking_word(w) and distinct:
                 raise InternalInconsistency(
                     f"coprime parking word {w} entered a {period}-cycle",
                     witness=Point(nxt),
@@ -433,10 +434,12 @@ def test_solver_matches_plain_orbit_on_small_sizes():
 
 def test_solver_matches_plain_orbit_on_cycles():
     # off the balanced slice integral fixed points may not exist, and the
-    # orbit closes into a cycle instead: gcd > 1 words report it, coprime
-    # parking words raise
+    # orbit closes into a cycle instead; so does the orbit of a coprime
+    # parking word from a start whose residues mod m repeat, which can
+    # never reach the fixed point, whose residues are distinct
     rng = random.Random(3)
     kinds = set()
+    coprime_parking_cycles = 0
     for m, n in ((4, 2), (4, 6), (6, 4), (3, 4), (5, 4)):
         for _ in range(150):
             word_ = Word(m, n, tuple(rng.randrange(m) for _ in range(n)))
@@ -450,7 +453,31 @@ def test_solver_matches_plain_orbit_on_cycles():
                     word_, max_iterations=budget, start=Point(coords)
                 )
                 kinds.add(_outcome_kind(result))
-    assert {Cycle, InternalInconsistency, IterationBudgetExhausted} <= kinds
+                if gcd(m, n) == 1 and is_parking_word(word_):
+                    coprime_parking_cycles += _outcome_kind(result) is Cycle
+    assert {Cycle, IterationBudgetExhausted} <= kinds
+    # no random start with distinct residues closed a cycle
+    assert InternalInconsistency not in kinds
+    assert coprime_parking_cycles > 0
+
+
+def test_coprime_parking_cycle_from_repeated_residues_is_no_inconsistency():
+    # each letter shifts every residue mod m by -1, so the residues of
+    # (2, 2, 2) stay equal and the orbit cycles with the period m
+    report = find_fixed_point(w(3, 4, "0012"), start=Point((2, 2, 2)))
+    assert report.outcome == Cycle(3, Point((-2, 1, 7)))
+    assert report.iterations == 4
+    rng = random.Random(5)
+    for m, n in ((5, 7), (13, 21)):
+        for _ in range(10):
+            word_ = _random_parking_word(rng, m, n)
+            coords = [rng.randrange(-3 * m, 3 * m) for _ in range(m - 1)]
+            start = Point(tuple(sorted(coords + coords[:1])))
+            outcome = find_fixed_point(word_, start=start).outcome
+            assert isinstance(outcome, Cycle) and outcome.period == m
+    # the same cycle from a start with distinct residues stays a violation
+    with pytest.raises(InternalInconsistency, match="entered a 3-cycle"):
+        action._cycle(w(3, 4, "0012"), (0, 1, 2), 3, 1, (-2, 1, 7), 11)
 
 
 def _warm_start(word_):

@@ -23,6 +23,7 @@ from ratpark import (
     pak_stanley_inverse,
     rank_word,
     staircase_window,
+    tuple_from_area_word,
     tuple_to_window,
     value_position,
     window_to_tuple,
@@ -151,6 +152,25 @@ def test_enumerate_sommers_counts_and_membership():
             assert in_sommers(w, m)
         dominant = [w for w in windows if is_dominant(w)]
         assert len(dominant) == comb(m + n, n) // (m + n)
+
+
+def test_enumerate_sommers_equals_the_public_route():
+    # the per-class memo must yield each parking word's window, in order
+    pairs = [
+        (m, n)
+        for m in range(1, 11)
+        for n in range(1, 11)
+        if gcd(m, n) == 1 and m ** (n - 1) <= 20_000
+    ]
+    for m, n in pairs:
+        expected = [
+            tuple_to_window(tuple_from_area_word(u))
+            for u in enumerate_words(m, n, "parking")
+        ]
+        assert list(enumerate_sommers(m, n)) == expected, (m, n)
+    for m, n, error in ((2, 4, NotCoprime), (0, 3, LetterOutOfRange)):
+        with pytest.raises(error):
+            list(enumerate_sommers(m, n))
 
 
 def test_enumerate_sommers_published_windows():

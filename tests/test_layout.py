@@ -53,8 +53,9 @@ def test_module_graph_is_acyclic():
     TopologicalSorter(graph).prepare()
 
 
-# every site that builds a filter without validation; each one's docstring,
-# or that of ``Filter``, argues why its minima are a filter's
+# every site that builds a filter or a word without validation; each one's
+# docstring, or that of ``Filter``, argues why its minima are a filter's or
+# its letters a word's
 TRUSTED_FILTER_SITES = {
     "filters.to_dyck",
     "filters.to_balanced",
@@ -64,6 +65,7 @@ TRUSTED_FILTER_SITES = {
     "filters.filter_from_path",
     "tuples.FilterTuple.stages",
     "tuples.translate",
+    "words.enumerate_words",
 }
 
 

@@ -18,6 +18,7 @@ from ratpark import (
     area_word,
     column_minima,
     dinv,
+    dyck_embedding,
     enumerate_words,
     filter_from_dyck_word,
     find_fixed_point,
@@ -211,6 +212,16 @@ def _enumerated_qt_counts(m, n):
     return tuple(tuple(row) for row in counts)
 
 
+def _enumerated_dyck_qt_counts(m, n):
+    """Reference ``qt_table(m, n, "dyck")``: one canonical tuple per Dyck filter."""
+    size = (m - 1) * (n - 1) // 2 + 1
+    counts = [[0] * size for _ in range(size)]
+    for u in enumerate_words(m, n, "dyck"):
+        t = dyck_embedding(filter_from_dyck_word(u))
+        counts[area(t)][dinv(t)] += 1
+    return tuple(tuple(row) for row in counts)
+
+
 def _coprime_pairs(top, words_at_most):
     return [
         (m, n)
@@ -268,6 +279,11 @@ def test_fixed_point_oracle_drops_candidates_at_a_refused_level(monkeypatch):
 def test_qt_table_matches_the_enumeration():
     for m, n in _coprime_pairs(6, 6**6) + [(5, 7)]:
         assert qt_table(m, n).counts == _enumerated_qt_counts(m, n), (m, n)
+
+
+def test_dyck_qt_table_matches_the_embeddings():
+    for m, n in _coprime_pairs(8, 8**7):
+        assert qt_table(m, n, "dyck").counts == _enumerated_dyck_qt_counts(m, n)
 
 
 def test_qt_table_refuses_a_group_out_of_order(monkeypatch):

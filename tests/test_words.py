@@ -128,3 +128,15 @@ def test_enumeration_equals_the_filtered_product():
         for m, n in ((0, 3), (-2, 3), (3, 0), (3, -1)):
             with pytest.raises(LetterOutOfRange):
                 list(enumerate_words(m, n, kind))
+
+
+def test_enumerated_words_equal_checked_words():
+    # the enumerator builds its words unchecked; each must equal the word
+    # the validating constructor builds from the same letters
+    for m in range(1, 14):
+        for n in range(1, 14):
+            if m**n > 10**4:
+                continue
+            for kind in ("all", "parking", "dyck"):
+                for x in enumerate_words(m, n, kind):
+                    assert x == Word(m, n, x.letters), (kind, x)
