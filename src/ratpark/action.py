@@ -42,6 +42,8 @@ class Point:
         coords = tuple(self.coords)
         if not coords:
             raise DimensionMismatch("a point needs at least one coordinate")
+        if set(map(type, coords)) != {int}:  # no floats, no bools
+            raise DimensionMismatch(f"coordinates not all integers: {coords}")
         if any(a > b for a, b in zip(coords, coords[1:])):
             raise DimensionMismatch(f"coordinates not weakly increasing: {coords}")
         object.__setattr__(self, "coords", coords)
@@ -207,7 +209,9 @@ class _Piece:
     reader, and kept for the piece's later jump tests.
     """
 
-    def __init__(self, slots: Sequence[int], letters: Sequence[int], m: int, n: int):
+    def __init__(
+        self, slots: Sequence[int], letters: Sequence[int], m: int, add: int, sub: int
+    ):
         origin = list(range(m))
         for letter, j in zip(letters, slots):
             origin.insert(j, origin.pop(letter))
@@ -221,25 +225,25 @@ class _Piece:
             cycles.append(cycle)
         self.origin, self.cycles = origin, cycles
         self.period = lcm(*(len(c) for c in cycles))
-        self.slots, self.letters, self.n = slots, letters, n
+        self.slots, self.letters, self.add, self.sub = slots, letters, add, sub
         self.drift = None
 
     def _affine(self) -> None:
         """Walk the letters again for ``shift``, ``drift`` and ``walls``."""
-        m, n = len(self.origin), self.n
+        m, add = len(self.origin), self.add
         origin = list(range(m))
         bumps = [0] * m
         walls = []
         for letter, j in zip(self.letters, self.slots):
             o, k = origin[letter], bumps[letter] + 1
             if j > letter:
-                walls.append((o, origin[j], m * (k - bumps[j]) - 1))
+                walls.append((o, origin[j], add * (k - bumps[j]) - 1))
             if j < m - 1:
-                walls.append((origin[j + 1], o, m * (bumps[j + 1] - k)))
+                walls.append((origin[j + 1], o, add * (bumps[j + 1] - k)))
             origin[letter:j] = origin[letter + 1 : j + 1]
             bumps[letter:j] = bumps[letter + 1 : j + 1]
             origin[j], bumps[j] = o, k
-        self.shift = [m * b - n for b in bumps]
+        self.shift = [add * b - self.sub for b in bumps]
         drift = [0] * m
         for cycle in self.cycles:
             d = self.period // len(cycle) * sum(self.shift[p] for p in cycle)
@@ -252,7 +256,9 @@ class _Piece:
             if drift[hi] < drift[lo]
         ]
 
-    def periods_to_skip(self, cur: tuple[int, ...], bound: int, limit: int) -> int:
+    def periods_to_skip(
+        self, cur: tuple[int, ...], bound: int | None, limit: int
+    ) -> int:
         """How many whole periods the orbit can skip from ``cur``.
 
         Requires the last ``period`` inputs of the orbit to lie in this
@@ -261,10 +267,11 @@ class _Piece:
         ``y_r + s*drift`` for ``1 <= s <= k`` and yields outputs between
         ``y_r + drift`` and ``y_r + (k+1)*drift``.  Returns the largest
         ``k <= limit`` for which every skipped input stays in the piece
-        (each wall is linear in ``s`` and holds at ``s = 0``) and the norm
-        stays within ``bound`` at ``s = k + 1`` for every ``r``; the norm
-        is convex in ``s`` and within bound at ``s = 0`` (``r >= 1``) or
-        ``s = 1`` (``r = 0``), so it stays within bound in between.
+        (each wall is linear in ``s`` and holds at ``s = 0``) and, unless
+        ``bound`` is None, the norm stays within it at ``s = k + 1`` for
+        every ``r``; the norm is convex in ``s`` and within bound at
+        ``s = 0`` (``r >= 1``) or ``s = 1`` (``r = 0``), so it stays within
+        bound in between.
         """
         if self.drift is None:
             self._affine()
@@ -277,77 +284,126 @@ class _Piece:
         for _ in range(self.period):
             for hi, lo, c, slope in self.walls:
                 k = min(k, (y[hi] - y[lo] + c) // -slope)
-            # norm(y + s*drift) = quad*s^2 + lin*s + _norm(y), as drift sums to 0
-            lin = 2 * m * sum(a * d for a, d in zip(y, drift))
-            rest = _norm(y) - bound
-            s = (isqrt(lin * lin - 4 * quad * rest) - lin) // (2 * quad)
-            while quad * (s + 1) ** 2 + lin * (s + 1) + rest <= 0:
-                s += 1
-            k = min(k, s - 1)
+            if bound is not None:
+                # norm(y + s*drift) = quad*s^2 + lin*s + _norm(y): drift sums to 0
+                lin = 2 * m * sum(a * d for a, d in zip(y, drift))
+                rest = _norm(y) - bound
+                s = (isqrt(lin * lin - 4 * quad * rest) - lin) // (2 * quad)
+                while quad * (s + 1) ** 2 + lin * (s + 1) + rest <= 0:
+                    s += 1
+                k = min(k, s - 1)
             if k <= 0:
                 return 0
             y = tuple(y[o] + a for o, a in zip(self.origin, self.shift))
         return k
 
 
-def _first_repeat(
-    start: tuple[int, ...], letters: Sequence[int], m: int, n: int, period: int
-) -> tuple[int, tuple[int, ...]]:
-    """Index and point of the orbit's first repeat, given the cycle period.
+def _orbit(
+    start: tuple[int, ...],
+    letters: Sequence[int],
+    add: int,
+    sub: int,
+    budget: int,
+    bound: int | None,
+) -> OrbitReport | None:
+    """The orbit of ``x -> _apply_raw(x, letters, add, sub)`` from ``start``.
 
-    The second phase of Brent's cycle detection: a walker ``period`` steps
-    ahead of another meets it first at the start of the cycle.
+    Reports the plain orbit's first fixed point, escape (a norm above
+    ``bound``, if any) or repeat within ``budget`` applications, else
+    returns None.  Each of the ``C(m,2)`` squared differences in the norm
+    is at most the squared spread, so the exact norm is computed only when
+    ``C(m,2)`` times the squared spread exceeds the bound.
+
+    Drift jumps.  The letters' final slots during one application name an
+    affine piece, on which the word acts as ``x -> Px + c`` with ``P`` a
+    permutation.  If the orbit stays in one piece for ``L = ord(P)``
+    applications, then ``x_{k+L} = x_k + D`` with
+    ``D = (1 + P + ... + P^(L-1)) c`` and ``PD = D``, and as long as the
+    inputs stay in the piece the orbit is ``x_{k+tL+r} = x_{k+r} + tD``.
+    The loop then skips as many whole periods as keep every skipped input
+    in the piece, every skipped output within the bound and the count
+    within the budget (:meth:`_Piece.periods_to_skip`).  A piece with
+    ``D != 0`` holds no fixed point (``x = Px + c`` forces ``D = 0``), a
+    jump lands on the plain orbit, and the first repeat is found by
+    re-walking the plain orbit, so outcome and ``iterations`` are those of
+    plain iteration.  A piece finds ``P`` and ``L`` at the second
+    application in it; ``c``, ``D`` and its walls take a second walk of
+    the letters, paid only at the first jump test, which most runs end
+    before.
+
+    Cycles are found by Brent's method in O(m) memory: the hare is
+    compared with a tortoise moved to the hare at each power of two, which
+    yields the period; a second phase re-walks from the start to the first
+    repeat, the ``Cycle`` witness.  The adds keep the residues mod ``add``
+    and each application shifts them all by ``-sub``, so with
+    ``gcd(add, sub) = 1`` a start with distinct residues has those of a
+    coprime word's fixed point, and its orbit reaches it or escapes.  Only
+    elsewhere is an exhausted orbit searched for a repeat that closed
+    within the budget.
     """
+    m = len(start)
+    pairs = comb(m, 2)
+    cur = start
+    it = applications = 0
+    tortoise, power, lam = start, 1, 0
+    run_slots, piece = None, None
+    run = 0  # consecutive inputs in the piece since it was entered or skipped
+    while it < budget:
+        nxt, slots = _apply_traced(cur, letters, add, sub)
+        it += 1
+        applications += 1
+        if nxt == cur:
+            return OrbitReport(Fixed(Point(cur)), it, applications)
+        if bound is not None and pairs * (nxt[-1] - nxt[0]) ** 2 > bound:
+            nrm = _norm(nxt)
+            if nrm > bound:
+                return OrbitReport(Diverged(it, nrm), it, applications)
+        lam += 1
+        if nxt == tortoise:
+            period = lam
+            break
+        if lam == power:
+            tortoise, power, lam = nxt, 2 * power, 0
+        cur = nxt
+        if slots != run_slots:
+            run_slots, piece, run = slots, None, 1
+            continue
+        run += 1
+        if piece is None:
+            piece = _Piece(slots, letters, m, add, sub)
+        if run >= piece.period:
+            run = 0
+            k = piece.periods_to_skip(cur, bound, (budget - it) // piece.period)
+            if k:
+                cur = tuple(c + k * d for c, d in zip(cur, piece.drift))
+                it += k * piece.period
+                tortoise, power, lam = cur, 1, 0
+    else:
+        if gcd(add, sub) == 1 and len({c % add for c in start}) == m:
+            return None
+        # a repeat that closed within the budget puts ``cur`` on its cycle
+        ahead = _apply_raw(cur, letters, add, sub)
+        period = 1
+        while ahead != cur:
+            if period == budget:
+                return None
+            ahead = _apply_raw(ahead, letters, add, sub)
+            period += 1
+        applications += period
+    # Brent's second phase: a walker ``period`` applications ahead of
+    # another meets it first at the first repeat
     ahead = start
     for _ in range(period):
-        ahead = _apply_raw(ahead, letters, m, n)
-    behind, index = start, 0
+        ahead = _apply_raw(ahead, letters, add, sub)
+    behind, first = start, 0
     while behind != ahead:
-        behind = _apply_raw(behind, letters, m, n)
-        ahead = _apply_raw(ahead, letters, m, n)
-        index += 1
-    return index, behind
-
-
-def _repeat_within(
-    start: tuple[int, ...],
-    last: tuple[int, ...],
-    letters: Sequence[int],
-    m: int,
-    n: int,
-    budget: int,
-) -> tuple[int, int, tuple[int, ...]] | None:
-    """``(first, period, point)`` of the orbit's first repeat, if it
-    closed within ``budget`` applications, else None.
-
-    ``last`` is the orbit's point after ``budget`` applications; a repeat
-    that closed by then puts it on the cycle, so the period is found by
-    walking from it.
-    """
-    ahead = last
-    for period in range(1, budget + 1):
-        ahead = _apply_raw(ahead, letters, m, n)
-        if ahead == last:
-            first, witness = _first_repeat(start, letters, m, n, period)
-            return (first, period, witness) if first + period <= budget else None
-    return None
-
-
-def _cycle(
-    w: Word,
-    start: tuple[int, ...],
-    period: int,
-    first: int,
-    witness: tuple[int, ...],
-    applications: int,
-) -> OrbitReport:
-    m = w.m
-    if gcd(m, w.n) == 1 and is_parking_word(w) and len({c % m for c in start}) == m:
-        raise InternalInconsistency(
-            f"coprime parking word {w} entered a {period}-cycle",
-            witness=Point(witness),
-        )
-    return OrbitReport(Cycle(period, Point(witness)), first + period, applications)
+        behind = _apply_raw(behind, letters, add, sub)
+        ahead = _apply_raw(ahead, letters, add, sub)
+        first += 1
+    if first + period > budget:
+        return None
+    applications += period + 2 * first
+    return OrbitReport(Cycle(period, Point(behind)), first + period, applications)
 
 
 def find_fixed_point(
@@ -369,48 +425,22 @@ def find_fixed_point(
     Returns ``Fixed`` when an application leaves the point unchanged,
     ``Diverged`` once the norm exceeds the escape bound (non-parking words
     are guaranteed to escape), and ``Cycle`` on a repeat of period > 1.
-    A coprime parking word has one fixed point up to translation, the row
-    minima of a filter, whose residues mod m are distinct.  Every letter
-    shifts all residues mod m by -1, so a start whose residues repeat can
-    never reach it, and its cycle is a ``Cycle``.  A start with distinct
-    residues, such as the staircase or a filter's row minima, is expected
-    to reach the fixed point, so a cycle from it is surfaced as
-    :class:`InternalInconsistency` with the witness.
     ``iterations`` counts word applications of the plain orbit from
-    ``start``, and ``applications`` those actually computed.
-
+    ``start``, and ``applications`` those actually computed: inside one
+    affine piece the solver skips whole periods of the orbit's drift.
     The escape bound ``norm(start) + (m*n)**4``, taken at the start
     actually used, is an engineering constant, not derived from any
-    sharper estimate.  Each of the ``C(m,2)`` squared differences in the
-    norm is at most the squared spread ``(x[-1] - x[0])**2``, so the
-    exact norm is computed only when ``C(m,2)`` times that square exceeds
-    the bound.
+    sharper estimate.
 
-    Drift jumps (coprime words).  The letters' final slots during one
-    application name an affine piece, on which the word acts as
-    ``x -> Px + c`` with ``P`` a permutation.  If the orbit stays in one
-    piece for ``L = ord(P)`` applications, then ``x_{k+L} = x_k + D`` with
-    ``D = (1 + P + ... + P^(L-1)) c``, and ``PD = D``: from there on, as
-    long as the inputs stay in the piece, the orbit is
-    ``x_{k+tL+r} = x_{k+r} + tD``.  The solver then skips whole periods
-    at once (:meth:`_Piece.periods_to_skip`), as many as keep every
-    skipped input inside the piece, every skipped output within the
-    escape bound and the count within the budget.  A piece with ``D != 0``
-    holds no fixed point (``x = Px + c`` forces ``D = 0``) and no repeat,
-    so no skipped application could have ended the plain orbit: the
-    outcome, ``iterations`` and any error are those of plain iteration.
-    A piece is built lazily.  At the second application in it the solver
-    finds only ``P`` and ``L``, to know when the run reaches ``L``; ``c``,
-    ``D`` and the walls of the piece take a second walk of the letters,
-    paid only at that first jump test, which most runs end before.
-
-    Cycles are found by Brent's method in O(m) memory: the hare is
-    compared with a tortoise moved to the hare at each power of two, which
-    yields the period; a second phase re-walks from the start to find the
-    first repeat, so ``Cycle`` and ``iterations`` name the same repeat as
-    a full record of the orbit would.  Jumps stay off for gcd > 1 words,
-    and on exhausting the budget their orbit is searched for a repeat
-    that closed within it.
+    A coprime parking word has one fixed point up to translation, the row
+    minima of a filter, whose residues mod m are distinct.  Each letter
+    shifts every residue mod m by -1, so a start whose residues repeat
+    can never reach it, and its cycle is a ``Cycle``; a cycle from a start
+    with distinct residues, such as the staircase or a filter's row
+    minima, is surfaced as :class:`InternalInconsistency` with the
+    witness.  So an orbit that exhausts the budget is searched for a
+    repeat that closed within it where a cycle can exist: when
+    gcd(m, n) > 1, or when the start repeats a residue mod m.
     """
     m, n = w.m, w.n
     if max_iterations is None:
@@ -423,56 +453,23 @@ def find_fixed_point(
         raise DimensionMismatch(f"start {start!r} is not a point with {m} coordinates")
     start = start.coords
     bound = (_norm(start) + (m * n) ** 4) if escape_bound is None else escape_bound
-    letters = w.letters
-    coprime = gcd(m, n) == 1
-    pairs = comb(m, 2)
-    cur = start
-    it = applications = 0
-    tortoise, power, lam = start, 1, 0
-    run_slots, piece = None, None
-    run = 0  # consecutive inputs in the piece since it was entered or skipped
-    while it < budget:
-        nxt, slots = _apply_traced(cur, letters, m, n)
-        it += 1
-        applications += 1
-        if nxt == cur:
-            return OrbitReport(Fixed(Point(cur)), it, applications)
-        if pairs * (nxt[-1] - nxt[0]) ** 2 > bound:
-            nrm = _norm(nxt)
-            if nrm > bound:
-                return OrbitReport(Diverged(it, nrm), it, applications)
-        lam += 1
-        if nxt == tortoise:
-            first, witness = _first_repeat(start, letters, m, n, lam)
-            return _cycle(w, start, lam, first, witness, applications + lam + 2 * first)
-        if lam == power:
-            tortoise, power, lam = nxt, 2 * power, 0
-        cur = nxt
-        if not coprime:
-            continue
-        if slots != run_slots:
-            run_slots, piece, run = slots, None, 1
-            continue
-        run += 1
-        if piece is None:
-            piece = _Piece(slots, letters, m, n)
-        if run >= piece.period:
-            run = 0
-            k = piece.periods_to_skip(cur, bound, (budget - it) // piece.period)
-            if k:
-                cur = tuple(c + k * d for c, d in zip(cur, piece.drift))
-                it += k * piece.period
-                tortoise, power, lam = cur, 1, 0
-    if not coprime:
-        found = _repeat_within(start, cur, letters, m, n, budget)
-        if found is not None:
-            first, period, witness = found
-            return _cycle(
-                w, start, period, first, witness, applications + 2 * period + 2 * first
-            )
-    raise IterationBudgetExhausted(
-        f"no resolution for {w} within {budget} word applications"
-    )
+    report = _orbit(start, w.letters, m, n, budget, bound)
+    if report is None:
+        raise IterationBudgetExhausted(
+            f"no resolution for {w} within {budget} word applications"
+        )
+    outcome = report.outcome
+    if (
+        isinstance(outcome, Cycle)
+        and gcd(m, n) == 1
+        and is_parking_word(w)
+        and len({c % m for c in start}) == m
+    ):
+        raise InternalInconsistency(
+            f"coprime parking word {w} entered a {outcome.period}-cycle",
+            witness=outcome.witness,
+        )
+    return report
 
 
 def _scaled_block_fixed_point(
@@ -505,26 +502,12 @@ def _scaled_block_fixed_point(
     tried = set()
     for _ in range(2 * mu + 4):
         tried.add(start)
-        # Brent's cycle detection, as in find_fixed_point: O(mu) memory
-        cur, tortoise, power, lam = start, start, 1, 0
-        for _ in range(budget):
-            nxt = _apply_raw(cur, letters, add, cycle_sub)
-            if nxt == cur:
-                return cur
-            lam += 1
-            if nxt == tortoise:
-                on_cycle, period = nxt, lam
-                break
-            if lam == power:
-                tortoise, power, lam = nxt, 2 * power, 0
-            cur = nxt
-        else:
-            found = _repeat_within(start, cur, letters, add, cycle_sub, budget)
-            if found is None:
-                raise IterationBudgetExhausted(
-                    f"block word {q} unresolved within {budget}"
-                )
-            _, period, on_cycle = found
+        report = _orbit(start, letters, add, cycle_sub, budget, None)
+        if report is None:
+            raise IterationBudgetExhausted(f"block word {q} unresolved within {budget}")
+        if isinstance(report.outcome, Fixed):
+            return report.outcome.point.coords
+        period, on_cycle = report.outcome.period, report.outcome.witness.coords
         sums = [0] * mu
         for _ in range(period):
             sums = [s + c for s, c in zip(sums, on_cycle)]

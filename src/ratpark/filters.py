@@ -41,7 +41,7 @@ class Filter:
     residue class mod m, up-closed under ``+n``.  Every filter built from
     outside data goes through it, including :func:`filter_from_column_minima`
     (which also rechecks the column minima) and the solver's fixed point in
-    :func:`ratpark.tuples.tuple_from_rank_word`.  Filters derived from one
+    :func:`ratpark.tuples._fixed_filter`.  Filters derived from one
     already valid use the trusted :meth:`_of`, which skips the check where
     the theory guarantees a filter: translations (:func:`to_dyck`,
     :func:`to_balanced`, :func:`ratpark.tuples.translate`) map filters to

@@ -57,6 +57,11 @@ def test_point_validation():
     with pytest.raises(DimensionMismatch):
         Point((2, 1))
     assert Point((1, 1, 2)).total == 4
+    # exact integers only: a float or bool coordinate is refused up front,
+    # not deep inside the solver
+    for coords in ((0.5, 1.0, 4.5), (0, 1.0, 2), (False, True, 2), (0, 1, "2")):
+        with pytest.raises(DimensionMismatch):
+            Point(coords)
 
 
 def test_apply_letter_examples():
@@ -444,11 +449,9 @@ def test_solver_matches_plain_orbit_on_cycles():
         for _ in range(150):
             word_ = Word(m, n, tuple(rng.randrange(m) for _ in range(n)))
             coords = tuple(sorted(rng.randrange(-3 * m, 3 * m) for _ in range(m)))
-            # the solver looks for a repeat that closed within a tight
-            # budget only on gcd > 1 words: from the staircase a coprime
-            # orbit never cycles
-            budgets = (None,) if gcd(m, n) == 1 else (None, 1, 2, 3, 5, 8)
-            for budget in budgets:
+            # tight budgets end some orbits right after their first repeat,
+            # before cycle detection has seen it
+            for budget in (None, 1, 2, 3, 5, 8):
                 result = _assert_matches_plain(
                     word_, max_iterations=budget, start=Point(coords)
                 )
@@ -459,9 +462,17 @@ def test_solver_matches_plain_orbit_on_cycles():
     # no random start with distinct residues closed a cycle
     assert InternalInconsistency not in kinds
     assert coprime_parking_cycles > 0
+    # a coprime orbit whose repeat closes on the last application of the
+    # budget, from a start with residues 0, 0, 1 mod 3
+    result = _assert_matches_plain(
+        w(3, 4, "0020"), max_iterations=8, start=Point((-9, 3, 7))
+    )
+    assert result == (Cycle(3, Point((-2, 1, 2))), 8)
 
 
-def test_coprime_parking_cycle_from_repeated_residues_is_no_inconsistency():
+def test_coprime_parking_cycle_from_repeated_residues_is_no_inconsistency(
+    monkeypatch,
+):
     # each letter shifts every residue mod m by -1, so the residues of
     # (2, 2, 2) stay equal and the orbit cycles with the period m
     report = find_fixed_point(w(3, 4, "0012"), start=Point((2, 2, 2)))
@@ -475,9 +486,20 @@ def test_coprime_parking_cycle_from_repeated_residues_is_no_inconsistency():
             start = Point(tuple(sorted(coords + coords[:1])))
             outcome = find_fixed_point(word_, start=start).outcome
             assert isinstance(outcome, Cycle) and outcome.period == m
-    # the same cycle from a start with distinct residues stays a violation
-    with pytest.raises(InternalInconsistency, match="entered a 3-cycle"):
-        action._cycle(w(3, 4, "0012"), (0, 1, 2), 3, 1, (-2, 1, 7), 11)
+    # a cycle from a start with distinct residues stays a violation: a
+    # stand-in kernel that translates by +1 twice and then back by -2
+    # closes a 3-cycle from any start
+    def cycling(coords, *args):
+        return tuple(c + 1 if coords[0] < 2 else c - 2 for c in coords)
+
+    monkeypatch.setattr(action, "_apply_raw", cycling)
+    # slots that differ at every application keep drift jumps out
+    monkeypatch.setattr(action, "_apply_traced", lambda x, *a: (cycling(x), x))
+    with pytest.raises(InternalInconsistency, match="entered a 3-cycle") as info:
+        find_fixed_point(w(3, 4, "0012"), start=Point((0, 1, 2)))
+    assert info.value.witness == Point((0, 1, 2))
+    report = find_fixed_point(w(3, 4, "0012"), start=Point((0, 3, 6)))
+    assert report.outcome == Cycle(3, Point((0, 3, 6)))
 
 
 def _warm_start(word_):

@@ -69,26 +69,32 @@ TRUSTED_FILTER_SITES = {
 }
 
 
-def _trusted_constructor_sites(path: Path) -> list[str]:
-    """Qualified names of the scopes that mention ``._of``."""
+def _sites(name: str) -> list[str]:
+    """Qualified names of the package scopes that mention ``name``, bare or
+    as an attribute."""
     sites = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = [*scope, node.name]
-        if isinstance(node, ast.Attribute) and node.attr == "_of":
-            sites.append(".".join([path.stem, *scope]))
+        if (isinstance(node, ast.Attribute) and node.attr == name) or (
+            isinstance(node, ast.Name) and node.id == name
+        ):
+            sites.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
-    visit(ast.parse(path.read_text(), filename=str(path)), [])
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), [path.stem])
     return sites
 
 
 def test_trusted_filter_constructor_stays_at_its_sites():
-    sites = [
-        site
-        for path in sorted(PACKAGE.glob("*.py"))
-        for site in _trusted_constructor_sites(path)
-    ]
-    assert set(sites) == TRUSTED_FILTER_SITES
+    assert set(_sites("_of")) == TRUSTED_FILTER_SITES
+
+
+def test_one_orbit_loop():
+    # the solver and the gcd > 1 block builder share one orbit loop: only
+    # it applies words with their slots traced and builds affine pieces
+    for name in ("_apply_traced", "_Piece"):
+        assert _sites(name) == ["action._orbit"], name
