@@ -25,10 +25,10 @@ from .errors import (
 )
 from .filters import (
     Filter,
+    _dyck_classes,
     area_letters,
     column_minima,
     filter_from_column_minima,
-    filter_from_dyck_word,
     generator_filter,
     to_balanced,
 )
@@ -186,24 +186,22 @@ def enumerate_sommers(m: int, n: int) -> Iterator[AffinePermutation]:
     Generated through the balanced tuples of the parking words, so the
     stream has ``m**(n-1)`` entries, in lexicographic area-word order: the
     window of ``u`` is ``tuple_to_window(tuple_from_area_word(u))``.  The
-    words are parking by construction, and the balanced filter and area
-    groups of each Dyck class are built once, at its first word.  Each
-    window then costs one ``FilterTuple`` check of its balanced removals
+    balanced filter and shifted area groups of each Dyck class are built
+    once, from :func:`ratpark.filters._dyck_classes`, into a dict keyed by
+    the class's sorted letters; the parking words then look up their class.
+    Each window costs one ``FilterTuple`` check of its balanced removals
     (removability does not change under translation, so the parking tuple
     needs no check of its own) and one ``AffinePermutation`` check.
     """
-    require_coprime(m, n, "area-word tuples")
     classes: dict[tuple[int, ...], tuple[Filter, dict[int, list[int]]]] = {}
+    for letters, d in _dyck_classes(m, n):
+        b = to_balanced(d)
+        shift = b.row_minima[0] - d.row_minima[0]
+        classes[letters] = b, {
+            a: [v + shift for v in g] for a, g in _area_groups(d).items()
+        }
     for u in enumerate_words(m, n, "parking"):
-        key = tuple(sorted(u.letters))
-        if key not in classes:
-            d = filter_from_dyck_word(Word(m, n, key))
-            b = to_balanced(d)
-            shift = b.row_minima[0] - d.row_minima[0]
-            classes[key] = b, {
-                a: [v + shift for v in g] for a, g in _area_groups(d).items()
-            }
-        b, groups = classes[key]
+        b, groups = classes[tuple(sorted(u.letters))]
         levels = {a: iter(g) for a, g in groups.items()}
         removals = tuple([next(levels[a]) for a in u.letters])
         yield AffinePermutation(FilterTuple(b, removals).removals)

@@ -48,8 +48,8 @@ class Filter:
     filters, and dropping a level checked to be removable (:func:`remove`,
     :meth:`ratpark.tuples.FilterTuple.stages`) leaves the rest up-closed.
     Column minima that come from checked input are a filter's too:
-    :func:`filter_from_dyck_word` (a sorted parking word is the column-length
-    word of a Dyck path), :func:`filter_from_path` (a path of m N and n W
+    :func:`_dyck_filter` (a sorted parking word is the column-length word of
+    a Dyck path), :func:`filter_from_path` (a path of m N and n W
     steps that never dips below level 0 is a Dyck path, whose west steps end
     at the column minima) and :func:`mn_swap` (a filter's column minima are
     the row minima of its mirror).  ``tests/test_layout.py`` keeps
@@ -227,7 +227,7 @@ def filter_from_column_minima(m: int, n: int, cols: Sequence[int]) -> Filter:
 
     ``cols`` are raw levels, so the result is validated and its column
     minima rechecked.  The library's own callers whose levels come from
-    checked input (:func:`filter_from_dyck_word`, :func:`filter_from_path`)
+    checked input (:func:`_dyck_filter`, :func:`filter_from_path`)
     skip both and build the trusted ``Filter._of`` (see :class:`Filter`).
     """
     require_coprime(m, n, "filters")
@@ -270,18 +270,24 @@ def dyck_word(f: Filter) -> Word:
     return Word(f.m, f.n, tuple(sorted(letters)))
 
 
+def _dyck_filter(letters: Sequence[int], m: int, n: int) -> Filter:
+    """The Dyck filter whose boundary path has the sorted column lengths
+    ``letters``, unchecked: they must be a sorted parking word of coprime
+    sizes, as every caller has checked or enumerated."""
+    # walking from (0,0), column lengths decrease; step j goes west to
+    # x = -(j+1) at height m - c, giving west-endpoint level below
+    cols = [-(j + 1) * m + (m - c) * n for j, c in enumerate(reversed(letters))]
+    return Filter._of(m, n, _class_minima(cols, n, m))
+
+
 def filter_from_dyck_word(w: Word) -> Filter:
     """The Dyck filter whose boundary path has the given column lengths."""
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
     if any(a > b for a, b in zip(w.letters, w.letters[1:])):
         raise NotDyck(f"{w} is not weakly increasing")
-    m, n = w.m, w.n
-    require_coprime(m, n, "filters")
-    # walking from (0,0), column lengths decrease; step j goes west to
-    # x = -(j+1) at height m - c, giving west-endpoint level below
-    cols = [-(j + 1) * m + (m - c) * n for j, c in enumerate(reversed(w.letters))]
-    return Filter._of(m, n, _class_minima(cols, n, m))
+    require_coprime(w.m, w.n, "filters")
+    return _dyck_filter(w.letters, w.m, w.n)
 
 
 def dyck_filter_to_path(f: Filter) -> tuple[str, tuple[int, ...]]:
@@ -333,10 +339,21 @@ def filter_from_path(m: int, n: int, steps: str) -> Filter:
     return Filter._of(m, n, _class_minima(cols, n, m))
 
 
-def enumerate_balanced(m: int, n: int) -> Iterator[Filter]:
-    """All balanced filters, one per equivalence class, in Dyck-word order.
+def _dyck_classes(m: int, n: int) -> Iterator[tuple[tuple[int, ...], Filter]]:
+    """Each Dyck class's sorted letters and Dyck filter, in Dyck-word order.
 
-    There are binomial(m+n, n)/(m+n) of them.
+    The one builder of the binomial(m+n, n)/(m+n) classes behind every
+    whole-space path.  Coprimality is checked once; the words of
+    ``enumerate_words(m, n, "dyck")`` are sorted parking words, all that
+    :func:`filter_from_dyck_word` checks, so each goes to the trusted core.
     """
+    require_coprime(m, n, "filters")
     for w in enumerate_words(m, n, "dyck"):
-        yield to_balanced(filter_from_dyck_word(w))
+        yield w.letters, _dyck_filter(w.letters, m, n)
+
+
+def enumerate_balanced(m: int, n: int) -> Iterator[Filter]:
+    """All balanced filters, one per equivalence class, in Dyck-word order:
+    the balanced forms of :func:`_dyck_classes`."""
+    for _, d in _dyck_classes(m, n):
+        yield to_balanced(d)

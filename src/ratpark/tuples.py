@@ -34,17 +34,18 @@ from .errors import (
 from .filters import (
     Filter,
     _by_residue,
+    _dyck_classes,
+    _dyck_filter,
     _removable,
     after_removal,
     area_letters,
     column_minima,
     enumerate_balanced,
-    filter_from_dyck_word,
     is_balanced,
     is_dyck,
     to_balanced,
 )
-from .words import Word, enumerate_words, is_parking_word
+from .words import Word, is_parking_word
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def tuple_from_area_word(w: Word) -> FilterTuple:
     require_coprime(w.m, w.n, "area-word tuples")
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
-    d = filter_from_dyck_word(Word(w.m, w.n, tuple(sorted(w.letters))))
+    d = _dyck_filter(sorted(w.letters), w.m, w.n)
     groups = {letter: iter(group) for letter, group in _area_groups(d).items()}
     return FilterTuple(d, tuple(next(groups[letter]) for letter in w.letters))
 
@@ -202,7 +203,7 @@ def tuple_from_rank_word(w: Word) -> FilterTuple:
     require_coprime(w.m, w.n, "rank-word inversion")
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
-    dyck = filter_from_dyck_word(Word(w.m, w.n, tuple(sorted(w.letters))))
+    dyck = _dyck_filter(sorted(w.letters), w.m, w.n)
     initial = _fixed_filter(w, to_balanced(dyck))
     return FilterTuple(initial, _rank_removals(initial, w.letters))
 
@@ -345,15 +346,14 @@ class QTTable:
 def qt_table(m: int, n: int, over: str = "parking") -> QTTable:
     """Tabulate (area, dinv) over all tuples, or only the Dyck-embedded ones.
 
-    The Dyck restriction counts the canonical tuples that remove a Dyck
-    filter's column minima in increasing order; their area words are
-    permutations of the column-length words, not the sorted words
-    themselves, so their area is that of the sorted word.  No tuple is
-    built: :func:`_embedding_rank_sum` walks the removals on a residue
-    table.
+    Both domains walk :func:`ratpark.filters._dyck_classes` once.  The Dyck
+    restriction counts the canonical tuples that remove a Dyck filter's
+    column minima in increasing order (:func:`dyck_embedding`, one tuple per
+    class); their area words are permutations of the column-length words,
+    so their area is that of the sorted word.
 
-    Over all parking words no tuple is built either: the words are grouped
-    by their Dyck filter (:func:`_class_rank_sums`), so the cost is a DP per
+    Over all parking words no tuple is built: the words are grouped by
+    their Dyck filter (:func:`_class_rank_sums`), so the cost is a DP per
     class of ``prod(k_i + 1)`` states, where the class holds
     ``n!/prod(k_i!)`` words and ``k_i`` counts the column minima with area
     letter i.  Sizes with billions of parking words stay in reach.
@@ -363,33 +363,14 @@ def qt_table(m: int, n: int, over: str = "parking") -> QTTable:
     require_coprime(m, n, "qt_table")
     ceiling = _statistic_ceiling(m, n)
     counts = [[0] * (ceiling + 1) for _ in range(ceiling + 1)]
-    for w in enumerate_words(m, n, "dyck"):
-        d = filter_from_dyck_word(w)
-        row = counts[ceiling - sum(w.letters)]
+    for letters, d in _dyck_classes(m, n):
+        row = counts[ceiling - sum(letters)]
         if over == "dyck":
-            row[ceiling - _embedding_rank_sum(d)] += 1
+            row[ceiling - sum(rank_word(dyck_embedding(d)).letters)] += 1
         else:
             for rank_sum, k in _class_rank_sums(d).items():
                 row[ceiling - rank_sum] += k
     return QTTable(m, n, over, tuple(tuple(row) for row in counts))
-
-
-def _embedding_rank_sum(d: Filter) -> int:
-    """Rank-word letter sum of :func:`dyck_embedding` of the Dyck filter ``d``.
-
-    The column minima are removed in increasing order on a table of row
-    minima by residue; each must pass :func:`ratpark.filters._removable`,
-    and its rank is the number of row minima below it.
-    """
-    m, n = d.m, d.n
-    table = _by_residue(d)
-    total = 0
-    for v in column_minima(d):
-        if not _removable(table, v, m, n):
-            raise InternalInconsistency(f"level {v} of {d} is not removable")
-        total += sum(x < v for x in table)
-        table[v % m] = v + m
-    return total
 
 
 def _class_rank_sums(d: Filter) -> dict[int, int]:

@@ -47,6 +47,7 @@ from .affine import (
 )
 from .filters import (
     Filter,
+    _dyck_classes,
     column_minima,
     dyck_word,
     enumerate_balanced,
@@ -371,7 +372,7 @@ def _suite_reference_sweep(c: _Checker) -> None:
         table = ref.ZETA_4_3_DYCK_ROWS if (m, n) == (4, 3) else ref.ZETA_5_3_DYCK_ROWS
         zeta_map = ref.ZETA_4_3 if (m, n) == (4, 3) else ref.ZETA_5_3
         got = set()
-        for d in (filter_from_dyck_word(w) for w in enumerate_words(m, n, "dyck")):
+        for _, d in _dyck_classes(m, n):
             got.add(str(sweep_column_word(d)))
         c.equal(
             got, {zeta_map[row] for row in table}, f"sweep column words ({m},{n})"
@@ -421,11 +422,11 @@ def _suite_counts(c: _Checker, m: int, n: int) -> None:
     c.equal(parking, m ** (n - 1), f"|parking({m},{n})| = m^(n-1)")
     balanced = sum(1 for _ in enumerate_balanced(m, n))
     c.equal(balanced, comb(m + n, n) // (m + n), f"|balanced({m},{n})|")
-    dominant = sum(
-        1 for w in enumerate_sommers(m, n) if is_dominant(w)
-    )
+    windows, dominant = set(), 0
+    for w in enumerate_sommers(m, n):
+        windows.add(w.window)
+        dominant += is_dominant(w)
     c.equal(dominant, balanced, f"dominant count ({m},{n})")
-    windows = {w.window for w in enumerate_sommers(m, n)}
     c.equal(len(windows), m ** (n - 1), f"sommers alcove count ({m},{n})")
     for w in windows:
         c.check(
@@ -514,7 +515,7 @@ def _suite_equidistribution(c: _Checker, m: int, n: int) -> None:
 
 
 def _suite_sweep_properties(c: _Checker, m: int, n: int) -> None:
-    filters = [filter_from_dyck_word(w) for w in enumerate_words(m, n, "dyck")]
+    filters = [d for _, d in _dyck_classes(m, n)]
     images = set()
     for d in filters:
         swept = sweep(d)

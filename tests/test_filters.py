@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 import tracemalloc
 from itertools import combinations
@@ -14,8 +15,11 @@ from ratpark import (
     NotDyck,
     NotInSommers,
     Word,
+    anderson,
+    anderson_inverse,
     column_minima,
     contains_level,
+    dinv,
     dyck_filter_to_path,
     dyck_word,
     enumerate_balanced,
@@ -27,15 +31,21 @@ from ratpark import (
     generator_filter,
     level,
     mn_swap,
+    pak_stanley,
+    pak_stanley_inverse,
     removable_levels,
     remove,
+    sweep,
+    sweep_inverse,
     to_balanced,
     to_dyck,
     tuple_from_area_word,
     tuple_to_balanced,
+    zeta,
+    zeta_inverse,
 )
 from ratpark.affine import AffinePermutation, window_to_tuple
-from ratpark.filters import _class_minima
+from ratpark.filters import _class_minima, _dyck_classes
 from ratpark.reference import BALANCED_MINIMA_3_4, REMOVE_CHAIN_3_5
 from test_action import _random_parking_word
 
@@ -232,8 +242,15 @@ def test_trusted_results_are_filters():
                 check(to_balanced(f))
                 check(mn_swap(f))
         # every word and every step string the checks let through
-        for w in enumerate_words(m, n, "dyck"):
+        dyck = list(enumerate_words(m, n, "dyck"))
+        for w in dyck:
             check(filter_from_dyck_word(w))
+        # the whole-space builder yields the same filters, in the same order
+        classes = list(_dyck_classes(m, n))
+        assert [letters for letters, _ in classes] == [w.letters for w in dyck]
+        for (_, d), w in zip(classes, dyck):
+            check(d)
+            assert d == filter_from_dyck_word(w)
         for _, d in _accepted_paths(m, n):
             check(d)
         for u in enumerate_words(m, n, "parking"):
@@ -241,6 +258,26 @@ def test_trusted_results_are_filters():
             for stage in t.stages():
                 check(stage)
             check(tuple_to_balanced(t).initial)
+
+
+def test_per_word_routes_never_enumerate_classes(monkeypatch):
+    # at (50,77) an enumeration of the Dyck classes would never finish, so
+    # no per-word route may reach the whole-space builder
+    def refuse(m, n):
+        raise AssertionError(f"the Dyck classes of ({m},{n}) were enumerated")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ratpark") and hasattr(module, "_dyck_classes"):
+            monkeypatch.setattr(module, "_dyck_classes", refuse)
+    rng = random.Random(16)
+    for _ in range(10):
+        w = _random_parking_word(rng, 13, 21)
+        assert zeta_inverse(zeta(w)) == w
+        assert dinv(w) == 12 * 20 // 2 - sum(zeta(w).letters)
+        assert anderson(anderson_inverse(w), 13) == w
+        assert pak_stanley(pak_stanley_inverse(w), 13) == w
+        d = filter_from_dyck_word(Word(13, 21, tuple(sorted(w.letters))))
+        assert sweep_inverse(sweep(d)) == d
 
 
 def _walking_class_minima(starts, step, modulus):

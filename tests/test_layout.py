@@ -61,7 +61,7 @@ TRUSTED_FILTER_SITES = {
     "filters.to_balanced",
     "filters.remove",
     "filters.mn_swap",
-    "filters.filter_from_dyck_word",
+    "filters._dyck_filter",
     "filters.filter_from_path",
     "tuples.FilterTuple.stages",
     "tuples.translate",
@@ -69,17 +69,14 @@ TRUSTED_FILTER_SITES = {
 }
 
 
-def _sites(name: str) -> list[str]:
-    """Qualified names of the package scopes that mention ``name``, bare or
-    as an attribute."""
+def _scopes(match) -> list[str]:
+    """Qualified names of the package scopes holding a node ``match`` accepts."""
     sites = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = [*scope, node.name]
-        if (isinstance(node, ast.Attribute) and node.attr == name) or (
-            isinstance(node, ast.Name) and node.id == name
-        ):
+        if match(node):
             sites.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -87,6 +84,18 @@ def _sites(name: str) -> list[str]:
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), [path.stem])
     return sites
+
+
+def _named(node, name: str) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == name) or (
+        isinstance(node, ast.Name) and node.id == name
+    )
+
+
+def _sites(name: str) -> list[str]:
+    """Qualified names of the package scopes that mention ``name``, bare or
+    as an attribute."""
+    return _scopes(lambda node: _named(node, name))
 
 
 def test_trusted_filter_constructor_stays_at_its_sites():
@@ -98,3 +107,16 @@ def test_one_orbit_loop():
     # it applies words with their slots traced and builds affine pieces
     for name in ("_apply_traced", "_Piece"):
         assert _sites(name) == ["action._orbit"], name
+
+
+def _enumerates_dyck_words(node) -> bool:
+    """Whether ``node`` is a call ``enumerate_words(..., "dyck")``."""
+    if not (isinstance(node, ast.Call) and _named(node.func, "enumerate_words")):
+        return False
+    kinds = [*node.args[2:], *(k.value for k in node.keywords if k.arg == "kind")]
+    return any(isinstance(k, ast.Constant) and k.value == "dyck" for k in kinds)
+
+
+def test_one_dyck_class_builder():
+    # every whole-space path reads the Dyck classes from one builder
+    assert _scopes(_enumerates_dyck_words) == ["filters._dyck_classes"]
