@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb, gcd, isqrt, lcm
-from operator import mul
-from typing import Sequence
+from operator import gt, mul
 
 from .errors import (
     DimensionMismatch,
@@ -44,7 +44,7 @@ class Point:
             raise DimensionMismatch("a point needs at least one coordinate")
         if set(map(type, coords)) != {int}:  # no floats, no bools
             raise DimensionMismatch(f"coordinates not all integers: {coords}")
-        if any(a > b for a, b in zip(coords, coords[1:])):
+        if any(map(gt, coords, coords[1:])):
             raise DimensionMismatch(f"coordinates not weakly increasing: {coords}")
         object.__setattr__(self, "coords", coords)
 
@@ -144,11 +144,15 @@ def staircase_point(m: int, n: int) -> Point:
     the identity staircase ``(1,...,m)`` is used instead; it has the same
     sum.
     """
+    return Point(_staircase(m, n))
+
+
+def _staircase(m: int, n: int) -> tuple[int, ...]:
     two_l = 1 + m + n - m * n
     if two_l % 2 == 0:
         l = two_l // 2
-        return Point(tuple(l + k * n for k in range(m)))
-    return Point(tuple(range(1, m + 1)))
+        return tuple(l + k * n for k in range(m))
+    return tuple(range(1, m + 1))
 
 
 def _positive_budget(value, source: str) -> int:
@@ -305,14 +309,20 @@ def _orbit(
     sub: int,
     budget: int,
     bound: int | None,
-) -> OrbitReport | None:
+) -> tuple[tuple[int, ...], int, int | None, int] | None:
     """The orbit of ``x -> _apply_raw(x, letters, add, sub)`` from ``start``.
 
-    Reports the plain orbit's first fixed point, escape (a norm above
+    Finds the plain orbit's first fixed point, escape (a norm above
     ``bound``, if any) or repeat within ``budget`` applications, else
-    returns None.  Each of the ``C(m,2)`` squared differences in the norm
-    is at most the squared spread, so the exact norm is computed only when
-    ``C(m,2)`` times the squared spread exceeds the bound.
+    returns None.  Returns ``(x, period, it, applications)``: ``x`` is
+    the first point beyond the bound when ``period`` is 0, the fixed
+    point when ``period`` is 1, and else a point on a cycle of that
+    period, all the gcd > 1 block builder needs; ``it`` counts the plain
+    orbit's applications to the outcome, and is None when a cycle's
+    first repeat is left to :func:`_first_repeat`.  Each of the
+    ``C(m,2)`` squared differences in the norm is at most the squared
+    spread, so the exact norm is computed only when ``C(m,2)`` times the
+    squared spread exceeds the bound.
 
     Drift jumps.  The letters' final slots during one application name an
     affine piece, on which the word acts as ``x -> Px + c`` with ``P`` a
@@ -333,13 +343,12 @@ def _orbit(
 
     Cycles are found by Brent's method in O(m) memory: the hare is
     compared with a tortoise moved to the hare at each power of two, which
-    yields the period; a second phase re-walks from the start to the first
-    repeat, the ``Cycle`` witness.  The adds keep the residues mod ``add``
-    and each application shifts them all by ``-sub``, so with
-    ``gcd(add, sub) = 1`` a start with distinct residues has those of a
-    coprime word's fixed point, and its orbit reaches it or escapes.  Only
-    elsewhere is an exhausted orbit searched for a repeat that closed
-    within the budget.
+    yields the period and a point on the cycle.  The adds keep the
+    residues mod ``add`` and each application shifts them all by
+    ``-sub``, so with ``gcd(add, sub) = 1`` a start with distinct residues
+    has those of a coprime word's fixed point, and its orbit reaches it or
+    escapes.  Only elsewhere is an exhausted orbit searched for a repeat
+    that closed within the budget; whether it did takes the first repeat.
     """
     m = len(start)
     pairs = comb(m, 2)
@@ -353,15 +362,13 @@ def _orbit(
         it += 1
         applications += 1
         if nxt == cur:
-            return OrbitReport(Fixed(Point(cur)), it, applications)
+            return cur, 1, it, applications
         if bound is not None and pairs * (nxt[-1] - nxt[0]) ** 2 > bound:
-            nrm = _norm(nxt)
-            if nrm > bound:
-                return OrbitReport(Diverged(it, nrm), it, applications)
+            if _norm(nxt) > bound:
+                return nxt, 0, it, applications
         lam += 1
         if nxt == tortoise:
-            period = lam
-            break
+            return nxt, lam, None, applications
         if lam == power:
             tortoise, power, lam = nxt, 2 * power, 0
         cur = nxt
@@ -378,20 +385,31 @@ def _orbit(
                 cur = tuple(c + k * d for c, d in zip(cur, piece.drift))
                 it += k * piece.period
                 tortoise, power, lam = cur, 1, 0
-    else:
-        if gcd(add, sub) == 1 and len({c % add for c in start}) == m:
+    if gcd(add, sub) == 1 and len({c % add for c in start}) == m:
+        return None
+    # a repeat that closed within the budget puts ``cur`` on its cycle
+    ahead = _apply_raw(cur, letters, add, sub)
+    period = 1
+    while ahead != cur:
+        if period == budget:
             return None
-        # a repeat that closed within the budget puts ``cur`` on its cycle
-        ahead = _apply_raw(cur, letters, add, sub)
-        period = 1
-        while ahead != cur:
-            if period == budget:
-                return None
-            ahead = _apply_raw(ahead, letters, add, sub)
-            period += 1
-        applications += period
-    # Brent's second phase: a walker ``period`` applications ahead of
-    # another meets it first at the first repeat
+        ahead = _apply_raw(ahead, letters, add, sub)
+        period += 1
+    first, x = _first_repeat(start, letters, add, sub, period)
+    if first + period > budget:
+        return None
+    return x, period, first + period, applications + 2 * (period + first)
+
+
+def _first_repeat(
+    start: tuple[int, ...], letters: Sequence[int], add: int, sub: int, period: int
+) -> tuple[int, tuple[int, ...]]:
+    """Brent's second phase: the applications before the orbit's first
+    repeat, and that point.
+
+    A walker ``period`` applications ahead of another meets it first
+    there, after ``period + 2*first`` applications in all.
+    """
     ahead = start
     for _ in range(period):
         ahead = _apply_raw(ahead, letters, add, sub)
@@ -400,10 +418,7 @@ def _orbit(
         behind = _apply_raw(behind, letters, add, sub)
         ahead = _apply_raw(ahead, letters, add, sub)
         first += 1
-    if first + period > budget:
-        return None
-    applications += period + 2 * first
-    return OrbitReport(Cycle(period, Point(behind)), first + period, applications)
+    return first, behind
 
 
 def find_fixed_point(
@@ -451,25 +466,29 @@ def find_fixed_point(
         start = staircase_point(m, n)
     elif not isinstance(start, Point) or start.m != m:
         raise DimensionMismatch(f"start {start!r} is not a point with {m} coordinates")
-    start = start.coords
+    start, letters = start.coords, w.letters
     bound = (_norm(start) + (m * n) ** 4) if escape_bound is None else escape_bound
-    report = _orbit(start, w.letters, m, n, budget, bound)
-    if report is None:
+    orbit = _orbit(start, letters, m, n, budget, bound)
+    if orbit is None:
         raise IterationBudgetExhausted(
             f"no resolution for {w} within {budget} word applications"
         )
-    outcome = report.outcome
-    if (
-        isinstance(outcome, Cycle)
-        and gcd(m, n) == 1
-        and is_parking_word(w)
-        and len({c % m for c in start}) == m
-    ):
+    x, period, it, applications = orbit
+    if it is None:
+        # the cycle's witness is its first repeat; Brent's detection
+        # found the cycle at or after it, so within the budget
+        first, x = _first_repeat(start, letters, m, n, period)
+        it, applications = first + period, applications + period + 2 * first
+    if period == 0:
+        return OrbitReport(Diverged(it, _norm(x)), it, applications)
+    if period == 1:
+        return OrbitReport(Fixed(Point(x)), it, applications)
+    witness = Point(x)
+    if gcd(m, n) == 1 and is_parking_word(w) and len({c % m for c in start}) == m:
         raise InternalInconsistency(
-            f"coprime parking word {w} entered a {outcome.period}-cycle",
-            witness=outcome.witness,
+            f"coprime parking word {w} entered a {period}-cycle", witness=witness
         )
-    return report
+    return OrbitReport(Cycle(period, witness), it, applications)
 
 
 def _scaled_block_fixed_point(
@@ -495,19 +514,20 @@ def _scaled_block_fixed_point(
         raise InternalInconsistency("block dynamics does not preserve sums")
     ratio, rem = divmod(add, mu)
     if rem == 0:
-        start = tuple(c * ratio for c in staircase_point(mu, n_j).coords)
+        start = tuple(c * ratio for c in _staircase(mu, n_j))
     else:
         start = (0,) * mu
     letters = q.letters
     tried = set()
     for _ in range(2 * mu + 4):
         tried.add(start)
-        report = _orbit(start, letters, add, cycle_sub, budget, None)
-        if report is None:
+        orbit = _orbit(start, letters, add, cycle_sub, budget, None)
+        if orbit is None:
             raise IterationBudgetExhausted(f"block word {q} unresolved within {budget}")
-        if isinstance(report.outcome, Fixed):
-            return report.outcome.point.coords
-        period, on_cycle = report.outcome.period, report.outcome.witness.coords
+        on_cycle, period = orbit[:2]
+        if period == 1:
+            return on_cycle
+        # the centroid is the same from every point of the cycle
         sums = [0] * mu
         for _ in range(period):
             sums = [s + c for s, c in zip(sums, on_cycle)]
@@ -550,7 +570,7 @@ def construct_fixed_point_general(w: Word) -> Point:
     target = m * (m + 1) // 2
     shift = (target - sum(coords)) // m
     point = Point(tuple(c + shift for c in coords))
-    if apply_word(point, w).coords != point.coords:
+    if _apply_raw(point.coords, w.letters, m, n) != point.coords:
         raise InternalInconsistency(
             f"assembled point is not fixed by {w}", witness=point
         )

@@ -13,8 +13,8 @@ Pak-Stanley parking words.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import (
     DimensionMismatch,

@@ -23,7 +23,6 @@ from .errors import InternalInconsistency, RatparkError
 from .filters import dyck_filter_to_path, filter_from_path
 from .sweep import sweep, sweep_inverse
 from .tuples import area, dinv, qt_table, zeta, zeta_inverse
-from .verify import DEFAULT_PAIRS, format_report, run_verify
 from .words import Word, classify, enumerate_words
 
 
@@ -210,6 +209,10 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
+        # the one function-level import: only this command loads the
+        # suites and the reference tables
+        from .verify import DEFAULT_PAIRS, format_report, run_verify
+
         if (args.m is None) != (args.n is None):
             print("verify needs both --m and --n, or neither", file=sys.stderr)
             return 2

@@ -13,9 +13,9 @@ Only coprime (m, n) are supported.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
 
 from .action import staircase_point
 from .errors import (

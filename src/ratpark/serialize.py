@@ -15,8 +15,6 @@ or comma-separated letters otherwise.  Malformed input raises
 
 from __future__ import annotations
 
-from typing import Any
-
 from .action import Point
 from .affine import AffinePermutation
 from .errors import RatparkError, SchemaViolation
@@ -25,19 +23,19 @@ from .tuples import FilterTuple, QTTable
 from .words import Word
 
 
-def _require_int(obj: Any, path: str) -> int:
+def _require_int(obj: object, path: str) -> int:
     if not isinstance(obj, int) or isinstance(obj, bool):
         raise SchemaViolation(path, f"expected an integer, got {obj!r}")
     return obj
 
 
-def _require_int_list(obj: Any, path: str) -> list[int]:
+def _require_int_list(obj: object, path: str) -> list[int]:
     if not isinstance(obj, list):
         raise SchemaViolation(path, f"expected a list, got {obj!r}")
     return [_require_int(v, f"{path}[{i}]") for i, v in enumerate(obj)]
 
 
-def _require_keys(obj: Any, path: str, keys: tuple[str, ...]) -> None:
+def _require_keys(obj: object, path: str, keys: tuple[str, ...]) -> None:
     if not isinstance(obj, dict):
         raise SchemaViolation(path, f"expected an object, got {obj!r}")
     for key in keys:
@@ -49,7 +47,7 @@ def word_to_json(w: Word) -> dict:
     return {"m": w.m, "n": w.n, "letters": list(w.letters)}
 
 
-def word_from_json(obj: Any, path: str = "word") -> Word:
+def word_from_json(obj: object, path: str = "word") -> Word:
     _require_keys(obj, path, ("m", "n", "letters"))
     m = _require_int(obj["m"], f"{path}.m")
     n = _require_int(obj["n"], f"{path}.n")
@@ -90,7 +88,7 @@ def point_to_json(p: Point) -> dict:
     return {"m": p.m, "coords": list(p.coords)}
 
 
-def point_from_json(obj: Any, path: str = "point") -> Point:
+def point_from_json(obj: object, path: str = "point") -> Point:
     _require_keys(obj, path, ("m", "coords"))
     m = _require_int(obj["m"], f"{path}.m")
     coords = _require_int_list(obj["coords"], f"{path}.coords")
@@ -106,7 +104,7 @@ def filter_to_json(f: Filter) -> dict:
     return {"m": f.m, "n": f.n, "row_minima": list(f.row_minima)}
 
 
-def filter_from_json(obj: Any, path: str = "filter") -> Filter:
+def filter_from_json(obj: object, path: str = "filter") -> Filter:
     _require_keys(obj, path, ("m", "n", "row_minima"))
     m = _require_int(obj["m"], f"{path}.m")
     n = _require_int(obj["n"], f"{path}.n")
@@ -126,7 +124,7 @@ def tuple_to_json(t: FilterTuple) -> dict:
     }
 
 
-def tuple_from_json(obj: Any, path: str = "tuple") -> FilterTuple:
+def tuple_from_json(obj: object, path: str = "tuple") -> FilterTuple:
     _require_keys(obj, path, ("m", "n", "row_minima", "removals"))
     initial = filter_from_json(
         {"m": obj["m"], "n": obj["n"], "row_minima": obj["row_minima"]}, path
@@ -142,7 +140,7 @@ def window_to_json(w: AffinePermutation) -> dict:
     return {"n": w.n, "window": list(w.window)}
 
 
-def window_from_json(obj: Any, path: str = "affine") -> AffinePermutation:
+def window_from_json(obj: object, path: str = "affine") -> AffinePermutation:
     _require_keys(obj, path, ("n", "window"))
     n = _require_int(obj["n"], f"{path}.n")
     window = _require_int_list(obj["window"], f"{path}.window")
@@ -173,7 +171,7 @@ def qt_table_to_json(t: QTTable) -> dict:
     }
 
 
-def qt_table_from_json(obj: Any, path: str = "qt_table") -> QTTable:
+def qt_table_from_json(obj: object, path: str = "qt_table") -> QTTable:
     _require_keys(obj, path, ("m", "n", "over", "counts"))
     m = _require_int(obj["m"], f"{path}.m")
     n = _require_int(obj["n"], f"{path}.n")

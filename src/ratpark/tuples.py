@@ -18,10 +18,10 @@ the fixed point of the word being inverted.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 from operator import lt
-from typing import Iterator
 
 from . import action
 from .errors import (

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence
 
 from .errors import LetterOutOfRange, NotAParkingWord
 

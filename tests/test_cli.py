@@ -1,13 +1,18 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ratpark
 from ratpark import enumerate_words, serialize
 from ratpark.cli import _build_parser, main
 from ratpark.reference import PARKING_WORDS_4_3
+from ratpark.verify import format_report, run_verify
 
 
 def run(capsys, *argv):
@@ -184,6 +189,35 @@ def test_verify_reference_only(capsys):
     assert code == 0
     assert "OK" in out
     assert all(line.startswith(("PASS", "OK")) for line in out.strip().split("\n"))
+
+
+def _fresh_python(*argv):
+    """Run the interpreter on ``argv`` with this ratpark first on its path.
+
+    In-process tests cannot see what a cold start loads: other tests have
+    imported ``verify`` already.
+    """
+    src = Path(ratpark.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True
+    )
+
+
+def test_cli_import_loads_no_verify_suites():
+    probe = (
+        "import sys, ratpark.cli; "
+        "print(sorted({'ratpark.verify', 'ratpark.reference'} & set(sys.modules)))"
+    )
+    proc = _fresh_python("-c", probe)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_verify_paper_from_a_cold_start():
+    proc = _fresh_python("-m", "ratpark.cli", "verify", "--paper")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == format_report(run_verify(reference_only=True)) + "\n"
 
 
 def test_verify_single_pair(capsys):

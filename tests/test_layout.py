@@ -9,22 +9,34 @@ import ratpark
 PACKAGE = Path(ratpark.__file__).parent
 
 
-def _imports_inside_functions(path: Path) -> list[str]:
+def _imports_inside_functions(path: Path) -> list[tuple[str, str, str]]:
+    """``(module, function, imported module)`` for each function-level import."""
     tree = ast.parse(path.read_text(), filename=str(path))
     sites = []
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(fn):
-                if isinstance(node, (ast.Import, ast.ImportFrom)):
-                    sites.append(f"{path.name}:{node.lineno} in {fn.name}")
+                if isinstance(node, ast.ImportFrom):
+                    names = ["." * node.level + (node.module or "")]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                sites.extend((path.stem, fn.name, name) for name in names)
     return sites
+
+
+# the one exception to module-top imports: only ``ratpark verify`` loads
+# the suites and their reference tables, so no other command's cold start
+# compiles them
+IMPORTS_INSIDE_FUNCTIONS = [("cli", "_run", ".verify")]
 
 
 def test_no_imports_inside_functions():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     sites = [site for path in modules for site in _imports_inside_functions(path)]
-    assert sites == []
+    assert sites == IMPORTS_INSIDE_FUNCTIONS
 
 
 def _relative_imports(path: Path) -> set[str]:
