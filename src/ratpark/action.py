@@ -25,7 +25,6 @@ from .errors import (
     InvalidBudget,
     IterationBudgetExhausted,
     LetterOutOfRange,
-    NotAParkingWord,
 )
 from .words import Word, is_parking_word, touch_decomposition
 
@@ -554,10 +553,9 @@ def construct_fixed_point_general(w: Word) -> Point:
     ``m`` per letter, offset by ``j*(m*n + 1)`` for the j-th block (from
     0), concatenated, and rebalanced by an integer shift.  Consecutive
     offsets differ by more than ``m*n``, so the blocks never interact
-    while the word acts.
+    while the word acts.  :func:`ratpark.words.touch_decomposition` raises
+    :class:`NotAParkingWord` for a word that is not parking.
     """
-    if not is_parking_word(w):
-        raise NotAParkingWord(f"{w} is not a parking word")
     m, n = w.m, w.n
     budget = default_budget(m, n)
     coords: list[int] = []

@@ -13,12 +13,14 @@ Only coprime (m, n) are supported.
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .action import staircase_point
 from .errors import (
+    DimensionMismatch,
     InternalInconsistency,
     LevelNotRemovable,
     NotAParkingWord,
@@ -31,6 +33,14 @@ from .words import Word, enumerate_words, is_parking_word
 def level(i: int, j: int, m: int, n: int) -> int:
     """Level of the lattice point ``(i, j)``: the dot product with (m, n)."""
     return i * m + j * n
+
+
+def _residue_table(levels: Iterable[int], modulus: int) -> tuple[int | None, ...]:
+    """``levels`` by residue mod ``modulus``; a class none reaches holds None."""
+    table = [None] * modulus
+    for v in levels:
+        table[v % modulus] = v
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -62,23 +72,26 @@ class Filter:
 
     def __post_init__(self):
         require_coprime(self.m, self.n, "filters")
-        minima = tuple(sorted(self.row_minima))
+        minima = tuple(self.row_minima)
         if len(minima) != self.m:
             raise InternalInconsistency(
                 f"expected {self.m} row minima, got {len(minima)}"
             )
-        if len({v % self.m for v in minima}) != self.m:
+        if set(map(type, minima)) != {int}:  # no floats, no bools
+            raise DimensionMismatch(f"row minima not all integers: {minima}")
+        minima = tuple(sorted(minima))
+        object.__setattr__(self, "row_minima", minima)
+        table = self.by_residue
+        if None in table:
             raise InternalInconsistency(
                 f"row minima {minima} do not cover all residues mod {self.m}"
             )
-        by_residue = {v % self.m: v for v in minima}
         for v in minima:
             up = v + self.n
-            if up < by_residue[up % self.m]:
+            if up < table[up % self.m]:
                 raise InternalInconsistency(
                     f"row minima {minima} not up-closed: {v}+{self.n} missing"
                 )
-        object.__setattr__(self, "row_minima", minima)
 
     @classmethod
     def _of(cls, m: int, n: int, sorted_minima: Sequence[int]) -> Filter:
@@ -89,33 +102,35 @@ class Filter:
         object.__setattr__(f, "row_minima", tuple(sorted_minima))
         return f
 
+    @cached_property
+    def by_residue(self) -> tuple[int, ...]:
+        """The row minimum of each class mod m, by residue; every residue lookup
+        reads it.  It is no field, so equality, hash and ``repr`` never see it."""
+        return _residue_table(self.row_minima, self.m)
+
     def minimum_by_residue(self, r: int) -> int:
-        for v in self.row_minima:
-            if v % self.m == r % self.m:
-                return v
-        raise InternalInconsistency(f"no row minimum in residue class {r}")
+        return self.by_residue[r % self.m]
 
 
 def contains_level(f: Filter, v: int) -> bool:
     return v >= f.minimum_by_residue(v % f.m)
 
 
-def _class_minima(starts: Sequence[int], step: int, modulus: int) -> tuple[int, ...]:
+def _class_minima(table: Sequence[int], step: int, modulus: int) -> tuple[int, ...]:
     """Least level ``v + k*step`` (``k >= 0``) in each class mod ``modulus``, sorted.
 
-    ``starts`` are the minima of a filter's classes mod ``step``, and
-    ``step`` is coprime to ``modulus``.  A level v is a class minimum iff
+    ``table`` holds the minima of a filter's classes mod ``step`` by residue,
+    and ``step`` is coprime to ``modulus``.  A level v is a class minimum iff
     ``v - modulus`` is not in the filter, so start ``a`` contributes
     ``a, a+step, ...`` strictly below ``b + modulus``, where ``b`` is the
     start of class ``(a - modulus) mod step``.  Raw starts that are no such
     minima are cut off once more than ``modulus`` levels turn up.
     """
-    table = {v % step: v for v in starts}
     out = []
-    for a in starts:
+    for a in table:
         out += range(a, table[(a - modulus) % step] + modulus, step)[: modulus + 1]
         if len(out) > modulus:
-            raise InternalInconsistency(f"{starts}: over {modulus} class minima")
+            raise InternalInconsistency(f"{table}: over {modulus} class minima")
     return tuple(sorted(out))
 
 
@@ -124,7 +139,7 @@ def column_minima(f: Filter) -> tuple[int, ...]:
 
     Row r holds the levels ``min_r + k*m``.
     """
-    return _class_minima(f.row_minima, f.m, f.n)
+    return _class_minima(f.by_residue, f.m, f.n)
 
 
 def to_dyck(f: Filter) -> Filter:
@@ -163,14 +178,6 @@ def equivalent(f: Filter, g: Filter) -> bool:
     return (f.m, f.n) == (g.m, g.n) and to_balanced(f) == to_balanced(g)
 
 
-def _by_residue(f: Filter) -> list[int]:
-    """Row minima indexed by their residue class mod m."""
-    table = [0] * f.m
-    for v in f.row_minima:
-        table[v % f.m] = v
-    return table
-
-
 def _removable(table: Sequence[int], v: int, m: int, n: int) -> bool:
     """Whether ``v`` is a poset-minimal level of the filter ``table`` describes.
 
@@ -186,7 +193,7 @@ def removable_levels(f: Filter) -> tuple[int, ...]:
     Removing any other level would leave the point below it stranded, so
     these are exactly the levels whose removal yields another filter.
     """
-    table = _by_residue(f)
+    table = f.by_residue
     return tuple(v for v in f.row_minima if _removable(table, v, f.m, f.n))
 
 
@@ -207,7 +214,7 @@ def remove(f: Filter, v: int) -> Filter:
     The result is not rebalanced; graph traversals compose this with
     :func:`to_balanced`.
     """
-    if not _removable(_by_residue(f), v, f.m, f.n):
+    if not _removable(f.by_residue, v, f.m, f.n):
         raise LevelNotRemovable(f"level {v} is not removable from {f.row_minima}")
     return Filter._of(f.m, f.n, after_removal(f.row_minima, v, f.m))
 
@@ -232,11 +239,12 @@ def filter_from_column_minima(m: int, n: int, cols: Sequence[int]) -> Filter:
     """
     require_coprime(m, n, "filters")
     cols = tuple(cols)
-    if len(cols) != n or len({v % n for v in cols}) != n:
+    table = _residue_table(cols, n)
+    if len(cols) != n or None in table:
         raise InternalInconsistency(
             f"expected one column minimum per residue class mod {n}, got {cols}"
         )
-    f = Filter(m, n, _class_minima(cols, n, m))
+    f = Filter(m, n, _class_minima(table, n, m))
     if column_minima(f) != tuple(sorted(cols)):
         raise InternalInconsistency(
             f"levels {sorted(cols)} are not the column minima of a filter"
@@ -277,7 +285,7 @@ def _dyck_filter(letters: Sequence[int], m: int, n: int) -> Filter:
     # walking from (0,0), column lengths decrease; step j goes west to
     # x = -(j+1) at height m - c, giving west-endpoint level below
     cols = [-(j + 1) * m + (m - c) * n for j, c in enumerate(reversed(letters))]
-    return Filter._of(m, n, _class_minima(cols, n, m))
+    return Filter._of(m, n, _class_minima(_residue_table(cols, n), n, m))
 
 
 def filter_from_dyck_word(w: Word) -> Filter:
@@ -296,18 +304,17 @@ def dyck_filter_to_path(f: Filter) -> tuple[str, tuple[int, ...]]:
     Returns the step string over {N, W} together with one level per step:
     a north step is labeled by its north endpoint, a west step by its
     west endpoint.  The north endpoints are the row minima plus n, so the
-    walk starts at level 0 and steps north (+n) when that lands on one of
-    them, else west (-m).
+    walk starts at level 0 and steps north (+n) from a row minimum, else
+    west (-m).
     """
     if not is_dyck(f):
         raise NotDyck(f"row minima {f.row_minima} have nonzero minimum")
-    m, n = f.m, f.n
-    north = {v + n for v in f.row_minima}
+    m, n, table = f.m, f.n, f.by_residue
     steps = []
     levels = []
     lvl = 0
     for _ in range(m + n):
-        if lvl + n in north:
+        if table[lvl % m] == lvl:
             lvl += n
             steps.append("N")
         else:
@@ -336,7 +343,7 @@ def filter_from_path(m: int, n: int, steps: str) -> Filter:
         if lvl < 0:
             raise NotDyck(f"path {steps!r} dips below the 0-level line")
     require_coprime(m, n, "filters")
-    return Filter._of(m, n, _class_minima(cols, n, m))
+    return Filter._of(m, n, _class_minima(_residue_table(cols, n), n, m))
 
 
 def _dyck_classes(m: int, n: int) -> Iterator[tuple[tuple[int, ...], Filter]]:

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .filters import (
     Filter,
-    _by_residue,
     _dyck_classes,
     _dyck_filter,
     _removable,
@@ -53,7 +52,7 @@ class FilterTuple:
     """An initial filter plus the ordered sequence of n removed levels.
 
     The constructor always validates the removals, in one O(m + n) pass
-    over a table of the current row minimum of each class mod m: each
+    over a copy of the initial filter's residue table: each
     removal must be removable by the rule :func:`ratpark.filters.remove`
     applies (else :class:`LevelNotRemovable`), its row's minimum then moves
     up by m, and the last stage must be the initial filter shifted by n
@@ -74,7 +73,7 @@ class FilterTuple:
             raise LevelNotRemovable(
                 f"expected {n} removals, got {len(self.removals)}"
             )
-        table = _by_residue(self.initial)
+        table = list(self.initial.by_residue)
         for v in self.removals:
             if not _removable(table, v, m, n):
                 raise LevelNotRemovable(
@@ -225,26 +224,30 @@ def _fixed_filter(w: Word, start: Filter) -> Filter:
 
 def _rank_removals(initial: Filter, letters: tuple[int, ...]) -> tuple[int, ...]:
     """The levels removed by replaying ``letters`` as ranks from ``initial``:
-    each is the current row minimum of the letter's rank.  Unchecked;
-    ``FilterTuple`` validates them."""
-    minima = initial.row_minima
-    removals = []
+    each is the current row minimum of the letter's rank.  The replay stops
+    before the first level :func:`ratpark.filters._removable` refuses."""
+    m, n = initial.m, initial.n
+    table, minima, removals = list(initial.by_residue), initial.row_minima, []
     for letter in letters:
-        removals.append(minima[letter])
-        minima = after_removal(minima, minima[letter], initial.m)
+        v = minima[letter]
+        if not _removable(table, v, m, n):
+            break
+        table[v % m] = v + m
+        removals.append(v)
+        minima = after_removal(minima, v, m)
     return tuple(removals)
 
 
 def fixed_point_oracle(w: Word) -> action.Point:
     """Brute-force fixed point, independent of the orbit solver.
 
-    Replays ``w`` as ranks from every balanced filter ``b`` and keeps
-    ``b`` when ``FilterTuple`` accepts the removals.  The rank word is a
-    bijection from balanced tuples to parking words, so exactly one ``b``
-    replays; its row minima are the fixed point.  A candidate is dropped
-    at its first level that :func:`ratpark.filters._removable` refuses,
-    so only candidates that remove all n levels reach ``FilterTuple``,
-    and none or two replaying raise :class:`InternalInconsistency`.  The
+    Replays ``w`` as ranks from every balanced filter ``b``
+    (:func:`_rank_removals`, the replay of :func:`tuple_from_rank_word`)
+    and keeps ``b`` when ``FilterTuple`` accepts the removals.  The rank
+    word is a bijection from balanced tuples to parking words, so exactly
+    one ``b`` replays; its row minima are the fixed point.  Only
+    candidates that remove all n levels reach ``FilterTuple``, and none or
+    two replaying raise :class:`InternalInconsistency`.  The
     cost is at most O(n·m) per class over the
     ``binomial(m+n, n)/(m+n)`` balanced filters; neither the word action
     nor the solver is used.
@@ -252,23 +255,16 @@ def fixed_point_oracle(w: Word) -> action.Point:
     require_coprime(w.m, w.n, "the fixed-point oracle")
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
-    m, n = w.m, w.n
     replayed = []
-    for b in enumerate_balanced(m, n):
-        table, minima, removals = _by_residue(b), b.row_minima, []
-        for letter in w.letters:
-            v = minima[letter]
-            if not _removable(table, v, m, n):
-                break
-            table[v % m] = v + m
-            removals.append(v)
-            minima = after_removal(minima, v, m)
-        else:
-            try:
-                FilterTuple(b, removals)
-            except InternalInconsistency:
-                continue
-            replayed.append(b)
+    for b in enumerate_balanced(w.m, w.n):
+        removals = _rank_removals(b, w.letters)
+        if len(removals) < w.n:
+            continue
+        try:
+            FilterTuple(b, removals)
+        except InternalInconsistency:
+            continue
+        replayed.append(b)
     if len(replayed) != 1:
         raise InternalInconsistency(
             f"{len(replayed)} balanced tuples have rank word {w}"
@@ -409,7 +405,7 @@ def _class_rank_sums(d: Filter) -> dict[int, int]:
     """
     m, n = d.m, d.n
     groups = list(_area_groups(d).values())
-    table = _by_residue(d)
+    table = d.by_residue
     row_group = {group[0] % m: j for j, group in enumerate(groups)}
     lows = [table[group[0] % m] for group in groups]
     free = [x for r, x in enumerate(table) if r not in row_group]

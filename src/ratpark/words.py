@@ -26,18 +26,22 @@ class Word:
     letters: tuple[int, ...]
 
     def __post_init__(self):
+        letters = tuple(self.letters)
+        if set(map(type, (self.m, self.n, *letters))) != {int}:  # no floats, no bools
+            raise LetterOutOfRange(
+                f"sizes and letters not all integers: m={self.m!r} n={self.n!r} "
+                f"letters={letters}"
+            )
         if self.m < 1 or self.n < 1:
             raise LetterOutOfRange(f"need m,n >= 1, got m={self.m} n={self.n}")
-        if len(self.letters) != self.n:
-            raise LetterOutOfRange(
-                f"expected {self.n} letters, got {len(self.letters)}"
-            )
-        for j, letter in enumerate(self.letters):
+        if len(letters) != self.n:
+            raise LetterOutOfRange(f"expected {self.n} letters, got {len(letters)}")
+        for j, letter in enumerate(letters):
             if not 0 <= letter < self.m:
                 raise LetterOutOfRange(
                     f"letter {letter} at position {j} outside [0, {self.m})"
                 )
-        object.__setattr__(self, "letters", tuple(self.letters))
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def _of(cls, m: int, n: int, letters: tuple[int, ...]) -> Word:

@@ -14,6 +14,7 @@ from ratpark import (
     InvalidBudget,
     IterationBudgetExhausted,
     LetterOutOfRange,
+    NotAParkingWord,
     Point,
     RatparkError,
     Word,
@@ -199,6 +200,12 @@ def test_construct_fixed_point_general_nine_twelve():
 def test_construct_fixed_point_general_coprime_degenerates():
     word_ = w(3, 5, "10011")
     assert construct_fixed_point_general(word_).coords == (-1, 3, 4)
+
+
+def test_construct_fixed_point_general_refuses_non_parking_words():
+    for m, n, text in ((3, 5, "22222"), (3, 3, "022"), (6, 9, "000000555")):
+        with pytest.raises(NotAParkingWord):
+            construct_fixed_point_general(w(m, n, text))
 
 
 def test_construct_fixed_point_general_exhaustive_small_gcd():

@@ -2,12 +2,14 @@ import random
 import sys
 import time
 import tracemalloc
+from dataclasses import fields
 from itertools import combinations
 from math import comb, gcd
 
 import pytest
 
 from ratpark import (
+    DimensionMismatch,
     Filter,
     InternalInconsistency,
     LevelNotRemovable,
@@ -20,6 +22,7 @@ from ratpark import (
     column_minima,
     contains_level,
     dinv,
+    dyck_embedding,
     dyck_filter_to_path,
     dyck_word,
     enumerate_balanced,
@@ -45,8 +48,9 @@ from ratpark import (
     zeta_inverse,
 )
 from ratpark.affine import AffinePermutation, window_to_tuple
-from ratpark.filters import _class_minima, _dyck_classes
+from ratpark.filters import _class_minima, _dyck_classes, _residue_table
 from ratpark.reference import BALANCED_MINIMA_3_4, REMOVE_CHAIN_3_5
+from ratpark.serialize import filter_to_json
 from test_action import _random_parking_word
 
 
@@ -64,6 +68,46 @@ def test_filter_validation():
         Filter(3, 4, (0, 3, 5))  # residues 0, 0, 2
     with pytest.raises(InternalInconsistency):
         Filter(3, 4, (0, 2, 10))  # 2 + 4 = 6 missing from row 0's closure
+    # (0, 2, 4) is a (3,4) filter; a float or bool stand-in is no level
+    for minima in ((0.0, 2, 4), (0, 2, 4.0), (False, 2, 4)):
+        with pytest.raises(DimensionMismatch):
+            Filter(3, 4, minima)
+
+
+def _each_built_filter(m, n):
+    """Every filter the public builders yield at (m, n), each fresh."""
+    for b in enumerate_balanced(m, n):
+        yield b
+        yield Filter(m, n, b.row_minima)
+        yield to_dyck(b)
+        yield mn_swap(b)
+        yield filter_from_column_minima(m, n, column_minima(b))
+        for v in removable_levels(b):
+            yield remove(b, v)
+        yield from dyck_embedding(to_dyck(b)).stages()
+
+
+def _scanned_minimum(f, r):
+    """The linear scan that the residue table replaced."""
+    return next(v for v in f.row_minima if v % f.m == r % f.m)
+
+
+def test_residue_table_matches_the_row_minima():
+    assert [field.name for field in fields(Filter)] == ["m", "n", "row_minima"]
+    for m, n in ((3, 5), (4, 7), (5, 8)):
+        for f in _each_built_filter(m, n):
+            # the table is no field: reading it changes no comparison or output
+            twin = Filter(f.m, f.n, f.row_minima)
+            seen = (hash(f), repr(f), filter_to_json(f))
+            assert f == twin
+            table = f.by_residue
+            assert (hash(f), repr(f), filter_to_json(f)) == seen
+            assert f == twin and hash(f) == hash(twin)
+            assert len(table) == f.m
+            for v in f.row_minima:
+                assert table[v % f.m] == v
+            for r in range(-2 * f.m, 2 * f.m):
+                assert f.minimum_by_residue(r) == _scanned_minimum(f, r)
 
 
 def test_contains_level():
@@ -296,7 +340,7 @@ def test_counting_class_minima_matches_the_walk():
         cols = column_minima(f)
         assert cols == _walking_class_minima(f.row_minima, f.m, f.n)
         # the m<->n mirror recovers the row minima from the column minima
-        assert _class_minima(cols, f.n, f.m) == f.row_minima
+        assert _class_minima(_residue_table(cols, f.n), f.n, f.m) == f.row_minima
         assert _walking_class_minima(cols, f.n, f.m) == f.row_minima
 
     for m, n in ((3, 4), (4, 7), (5, 3), (5, 8), (7, 4)):

@@ -121,6 +121,19 @@ def test_one_orbit_loop():
         assert _sites(name) == ["action._orbit"], name
 
 
+def test_one_residue_table():
+    # a filter's row minima by residue are built by one helper, for the
+    # filter's own table and for the column tables of the m<->n mirror
+    # builders; no per-call rebuild is left
+    assert sorted(_sites("_residue_table")) == [
+        "filters.Filter.by_residue",
+        "filters._dyck_filter",
+        "filters.filter_from_column_minima",
+        "filters.filter_from_path",
+    ]
+    assert not hasattr(ratpark.filters, "_by_residue")
+
+
 def _enumerates_dyck_words(node) -> bool:
     """Whether ``node`` is a call ``enumerate_words(..., "dyck")``."""
     if not (isinstance(node, ast.Call) and _named(node.func, "enumerate_words")):

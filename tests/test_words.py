@@ -30,6 +30,17 @@ def test_word_validation():
         Word(3, 2, (0,))
     with pytest.raises(LetterOutOfRange):
         Word(0, 1, (0,))
+    # floats and bools are refused as letters and as sizes, as Point does
+    for m, n, letters in (
+        (3, 2, (1.0, 0)),
+        (3, 2, (True, 0)),
+        (3.0, 2, (1, 0)),
+        (3, 2.0, (1, 0)),
+        (True, 1, (0,)),
+        (3, True, (0,)),
+    ):
+        with pytest.raises(LetterOutOfRange):
+            Word(m, n, letters)
 
 
 def test_is_parking_word_examples():
