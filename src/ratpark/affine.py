@@ -25,6 +25,7 @@ from .errors import (
 )
 from .filters import (
     Filter,
+    _balancing_shift,
     _dyck_classes,
     area_letters,
     column_minima,
@@ -32,13 +33,7 @@ from .filters import (
     generator_filter,
     to_balanced,
 )
-from .tuples import (
-    FilterTuple,
-    _area_groups,
-    tuple_from_area_word,
-    tuple_from_rank_word,
-    tuple_to_balanced,
-)
+from .tuples import FilterTuple, tuple_from_area_word, tuple_from_rank_word
 from .words import Word, enumerate_words
 
 
@@ -133,9 +128,10 @@ def mn_swap_dominant(w: AffinePermutation, m: int) -> AffinePermutation:
 
 
 def tuple_to_window(t: FilterTuple) -> AffinePermutation:
-    """Removal levels of a balanced tuple, read as a window."""
-    balanced = tuple_to_balanced(t)
-    return AffinePermutation(balanced.removals)
+    """Removal levels of the tuple's balanced translate, read as a window:
+    the tuple's checked removals, shifted once."""
+    shift = _balancing_shift(t.initial)
+    return AffinePermutation(tuple([v + shift for v in t.removals]))
 
 
 def window_to_tuple(w: AffinePermutation, m: int) -> FilterTuple:
@@ -194,12 +190,9 @@ def enumerate_sommers(m: int, n: int) -> Iterator[AffinePermutation]:
     needs no check of its own) and one ``AffinePermutation`` check.
     """
     classes: dict[tuple[int, ...], tuple[Filter, dict[int, list[int]]]] = {}
-    for letters, d in _dyck_classes(m, n):
-        b = to_balanced(d)
-        shift = b.row_minima[0] - d.row_minima[0]
-        classes[letters] = b, {
-            a: [v + shift for v in g] for a, g in _area_groups(d).items()
-        }
+    for letters, d, groups in _dyck_classes(m, n):
+        b, shift = to_balanced(d), _balancing_shift(d)
+        classes[letters] = b, {a: [v + shift for v in g] for a, g in groups.items()}
     for u in enumerate_words(m, n, "parking"):
         b, groups = classes[tuple(sorted(u.letters))]
         levels = {a: iter(g) for a, g in groups.items()}

@@ -15,7 +15,6 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 from .action import staircase_point
@@ -63,7 +62,9 @@ class Filter:
     steps that never dips below level 0 is a Dyck path, whose west steps end
     at the column minima) and :func:`mn_swap` (a filter's column minima are
     the row minima of its mirror).  ``tests/test_layout.py`` keeps
-    :meth:`_of` to these sites.
+    :meth:`_of` to these sites.  Both constructors store ``by_residue``, the
+    row minima by residue mod m, for every residue lookup; it is no field, so
+    equality, hash and ``repr`` never see it.
     """
 
     m: int
@@ -81,7 +82,8 @@ class Filter:
             raise DimensionMismatch(f"row minima not all integers: {minima}")
         minima = tuple(sorted(minima))
         object.__setattr__(self, "row_minima", minima)
-        table = self.by_residue
+        table = _residue_table(minima, self.m)
+        object.__setattr__(self, "by_residue", table)
         if None in table:
             raise InternalInconsistency(
                 f"row minima {minima} do not cover all residues mod {self.m}"
@@ -100,13 +102,8 @@ class Filter:
         object.__setattr__(f, "m", m)
         object.__setattr__(f, "n", n)
         object.__setattr__(f, "row_minima", tuple(sorted_minima))
+        object.__setattr__(f, "by_residue", _residue_table(f.row_minima, m))
         return f
-
-    @cached_property
-    def by_residue(self) -> tuple[int, ...]:
-        """The row minimum of each class mod m, by residue; every residue lookup
-        reads it.  It is no field, so equality, hash and ``repr`` never see it."""
-        return _residue_table(self.row_minima, self.m)
 
     def minimum_by_residue(self, r: int) -> int:
         return self.by_residue[r % self.m]
@@ -153,11 +150,11 @@ def is_dyck(f: Filter) -> bool:
 
 
 def is_balanced(f: Filter) -> bool:
-    return sum(f.row_minima) == comb(f.m + 1, 2)
+    return _balancing_shift(f) == 0
 
 
-def to_balanced(f: Filter) -> Filter:
-    """Translate so the row minima sum to ``m(m+1)/2``.
+def _balancing_shift(f: Filter) -> int:
+    """The level shift that makes the row minima sum to ``m(m+1)/2``.
 
     Translation moves the sum in steps of m, and the residue of the sum
     mod m is a class invariant, so the shift is always integral for a
@@ -170,6 +167,12 @@ def to_balanced(f: Filter) -> Filter:
         raise InternalInconsistency(
             f"row-minima sum {total} not congruent to {target} mod {f.m}"
         )
+    return shift
+
+
+def to_balanced(f: Filter) -> Filter:
+    """Translate by :func:`_balancing_shift`."""
+    shift = _balancing_shift(f)
     return Filter._of(f.m, f.n, [v + shift for v in f.row_minima])
 
 
@@ -278,14 +281,22 @@ def dyck_word(f: Filter) -> Word:
     return Word(f.m, f.n, tuple(sorted(letters)))
 
 
-def _dyck_filter(letters: Sequence[int], m: int, n: int) -> Filter:
+def _dyck_filter(
+    letters: Sequence[int], m: int, n: int
+) -> tuple[Filter, dict[int, list[int]]]:
     """The Dyck filter whose boundary path has the sorted column lengths
-    ``letters``, unchecked: they must be a sorted parking word of coprime
-    sizes, as every caller has checked or enumerated."""
-    # walking from (0,0), column lengths decrease; step j goes west to
-    # x = -(j+1) at height m - c, giving west-endpoint level below
-    cols = [-(j + 1) * m + (m - c) * n for j, c in enumerate(reversed(letters))]
-    return Filter._of(m, n, _class_minima(_residue_table(cols, n), n, m))
+    ``letters``, with its column minima grouped by column length (the area
+    letter), each group increasing.  Unchecked: ``letters`` must be a sorted
+    parking word of coprime sizes, as every caller has checked or enumerated."""
+    # from (0,0) the west steps come in falling column length, so sorted
+    # letter k ends its west step at x = k - n, height m - c: the level below.
+    # Its area letter is c, as the least of these levels is 0 (k = 0)
+    cols = [(k - n) * m + (m - c) * n for k, c in enumerate(letters)]
+    groups: dict[int, list[int]] = {}
+    for c, v in zip(letters, cols):
+        groups.setdefault(c, []).append(v)
+    d = Filter._of(m, n, _class_minima(_residue_table(cols, n), n, m))
+    return d, groups
 
 
 def filter_from_dyck_word(w: Word) -> Filter:
@@ -295,7 +306,7 @@ def filter_from_dyck_word(w: Word) -> Filter:
     if any(a > b for a, b in zip(w.letters, w.letters[1:])):
         raise NotDyck(f"{w} is not weakly increasing")
     require_coprime(w.m, w.n, "filters")
-    return _dyck_filter(w.letters, w.m, w.n)
+    return _dyck_filter(w.letters, w.m, w.n)[0]
 
 
 def dyck_filter_to_path(f: Filter) -> tuple[str, tuple[int, ...]]:
@@ -346,8 +357,11 @@ def filter_from_path(m: int, n: int, steps: str) -> Filter:
     return Filter._of(m, n, _class_minima(_residue_table(cols, n), n, m))
 
 
-def _dyck_classes(m: int, n: int) -> Iterator[tuple[tuple[int, ...], Filter]]:
-    """Each Dyck class's sorted letters and Dyck filter, in Dyck-word order.
+def _dyck_classes(
+    m: int, n: int
+) -> Iterator[tuple[tuple[int, ...], Filter, dict[int, list[int]]]]:
+    """Each Dyck class's sorted letters, Dyck filter and column minima by
+    area letter (see :func:`_dyck_filter`), in Dyck-word order.
 
     The one builder of the binomial(m+n, n)/(m+n) classes behind every
     whole-space path.  Coprimality is checked once; the words of
@@ -356,11 +370,11 @@ def _dyck_classes(m: int, n: int) -> Iterator[tuple[tuple[int, ...], Filter]]:
     """
     require_coprime(m, n, "filters")
     for w in enumerate_words(m, n, "dyck"):
-        yield w.letters, _dyck_filter(w.letters, m, n)
+        yield w.letters, *_dyck_filter(w.letters, m, n)
 
 
 def enumerate_balanced(m: int, n: int) -> Iterator[Filter]:
     """All balanced filters, one per equivalence class, in Dyck-word order:
     the balanced forms of :func:`_dyck_classes`."""
-    for _, d in _dyck_classes(m, n):
+    for _, d, _ in _dyck_classes(m, n):
         yield to_balanced(d)

@@ -34,6 +34,7 @@ from .errors import (
 from .filters import (
     Filter,
     _dyck_classes,
+    _balancing_shift,
     _dyck_filter,
     _removable,
     after_removal,
@@ -118,9 +119,7 @@ def tuple_to_parking(t: FilterTuple) -> FilterTuple:
 
 def tuple_to_balanced(t: FilterTuple) -> FilterTuple:
     """Translate so the initial filter is balanced."""
-    return translate(
-        t, to_balanced(t.initial).row_minima[0] - t.initial.row_minima[0]
-    )
+    return translate(t, _balancing_shift(t.initial))
 
 
 def is_parking_tuple(t: FilterTuple) -> bool:
@@ -149,18 +148,9 @@ def tuple_from_area_word(w: Word) -> FilterTuple:
     require_coprime(w.m, w.n, "area-word tuples")
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
-    d = _dyck_filter(sorted(w.letters), w.m, w.n)
-    groups = {letter: iter(group) for letter, group in _area_groups(d).items()}
-    return FilterTuple(d, tuple(next(groups[letter]) for letter in w.letters))
-
-
-def _area_groups(d: Filter) -> dict[int, list[int]]:
-    """The column minima of the Dyck filter ``d`` by area letter, each increasing."""
-    cols = column_minima(d)
-    groups: dict[int, list[int]] = {}
-    for q, letter in zip(cols, area_letters(cols, d.m, d.n)):
-        groups.setdefault(letter, []).append(q)
-    return groups
+    d, groups = _dyck_filter(sorted(w.letters), w.m, w.n)
+    levels = {letter: iter(group) for letter, group in groups.items()}
+    return FilterTuple(d, tuple(next(levels[letter]) for letter in w.letters))
 
 
 def dyck_embedding(d: Filter) -> FilterTuple:
@@ -202,7 +192,7 @@ def tuple_from_rank_word(w: Word) -> FilterTuple:
     require_coprime(w.m, w.n, "rank-word inversion")
     if not is_parking_word(w):
         raise NotAParkingWord(f"{w} is not a parking word")
-    dyck = _dyck_filter(sorted(w.letters), w.m, w.n)
+    dyck, _ = _dyck_filter(sorted(w.letters), w.m, w.n)
     initial = _fixed_filter(w, to_balanced(dyck))
     return FilterTuple(initial, _rank_removals(initial, w.letters))
 
@@ -359,22 +349,24 @@ def qt_table(m: int, n: int, over: str = "parking") -> QTTable:
     require_coprime(m, n, "qt_table")
     ceiling = _statistic_ceiling(m, n)
     counts = [[0] * (ceiling + 1) for _ in range(ceiling + 1)]
-    for letters, d in _dyck_classes(m, n):
+    for letters, d, groups in _dyck_classes(m, n):
         row = counts[ceiling - sum(letters)]
         if over == "dyck":
             row[ceiling - sum(rank_word(dyck_embedding(d)).letters)] += 1
         else:
-            for rank_sum, k in _class_rank_sums(d).items():
+            for rank_sum, k in _class_rank_sums(d, groups).items():
                 row[ceiling - rank_sum] += k
     return QTTable(m, n, over, tuple(tuple(row) for row in counts))
 
 
-def _class_rank_sums(d: Filter) -> dict[int, int]:
+def _class_rank_sums(d: Filter, by_letter: dict[int, list[int]]) -> dict[int, int]:
     """Rank-word letter sums of the parking tuples over the Dyck filter ``d``.
 
     Each such tuple removes the column minima of ``d``; its area word picks,
     at each step, the group of column minima with that area letter, and a
-    group is used in increasing order (:func:`tuple_from_area_word`).  An
+    group is used in increasing order (:func:`tuple_from_area_word`).
+    ``by_letter`` holds those groups, as :func:`ratpark.filters._dyck_filter`
+    builds them.  An
     area letter fixes the row (``a`` is a unit mod m), and a row's column
     minima are its lowest levels, from its minimum up in steps of m: a used
     level ``v`` moves the row's minimum to ``v + m``, which may be the
@@ -404,7 +396,7 @@ def _class_rank_sums(d: Filter) -> dict[int, int]:
     spills into the next.
     """
     m, n = d.m, d.n
-    groups = list(_area_groups(d).values())
+    groups = list(by_letter.values())
     table = d.by_residue
     row_group = {group[0] % m: j for j, group in enumerate(groups)}
     lows = [table[group[0] % m] for group in groups]

@@ -372,7 +372,7 @@ def _suite_reference_sweep(c: _Checker) -> None:
         table = ref.ZETA_4_3_DYCK_ROWS if (m, n) == (4, 3) else ref.ZETA_5_3_DYCK_ROWS
         zeta_map = ref.ZETA_4_3 if (m, n) == (4, 3) else ref.ZETA_5_3
         got = set()
-        for _, d in _dyck_classes(m, n):
+        for _, d, _ in _dyck_classes(m, n):
             got.add(str(sweep_column_word(d)))
         c.equal(
             got, {zeta_map[row] for row in table}, f"sweep column words ({m},{n})"
@@ -515,7 +515,7 @@ def _suite_equidistribution(c: _Checker, m: int, n: int) -> None:
 
 
 def _suite_sweep_properties(c: _Checker, m: int, n: int) -> None:
-    filters = [d for _, d in _dyck_classes(m, n)]
+    filters = [d for _, d, _ in _dyck_classes(m, n)]
     images = set()
     for d in filters:
         swept = sweep(d)

@@ -99,14 +99,14 @@ def touch_points(w: Word) -> tuple[int, ...]:
 
     Defined only for parking words; always empty when gcd(m, n) = 1.
     """
-    if not is_parking_word(w):
-        raise NotAParkingWord(f"touch points undefined for non-parking word {w}")
     counts = letter_histogram(w)
     below = 0
     touches = []
-    for i in range(1, w.m):
+    for i in range(1, w.m + 1):
         below += counts[i - 1]
-        if w.m * below == i * w.n:
+        if w.m * below < i * w.n:
+            raise NotAParkingWord(f"touch points undefined for non-parking word {w}")
+        if w.m * below == i * w.n and i < w.m:
             touches.append(i)
     return tuple(touches)
 

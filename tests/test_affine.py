@@ -24,6 +24,7 @@ from ratpark import (
     rank_word,
     staircase_window,
     tuple_from_area_word,
+    tuple_to_balanced,
     tuple_to_window,
     value_position,
     window_to_tuple,
@@ -38,6 +39,7 @@ from ratpark.reference import (
     STAIRCASE_WINDOWS,
     SWAP_PAIRS,
 )
+from ratpark.tuples import translate
 
 
 def test_window_validation():
@@ -119,6 +121,13 @@ def test_window_tuple_round_trip(monkeypatch):
     assert tuple_to_window(t) == w
     with pytest.raises(NotInSommers):
         window_to_tuple(AffinePermutation((4, 0, 2)), 4)
+    # the window is the balanced translate's removals, from any translate
+    for m, n in ((3, 5), (4, 5), (5, 4)):
+        for u in enumerate_words(m, n, "parking"):
+            parking = tuple_from_area_word(u)
+            balanced = tuple_to_balanced(parking)
+            for x in (parking, balanced, translate(parking, 7)):
+                assert tuple_to_window(x) == AffinePermutation(balanced.removals)
 
     # only library errors mean "not in the Sommers region"; a programming
     # error surfaces as itself

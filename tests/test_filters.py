@@ -291,8 +291,8 @@ def test_trusted_results_are_filters():
             check(filter_from_dyck_word(w))
         # the whole-space builder yields the same filters, in the same order
         classes = list(_dyck_classes(m, n))
-        assert [letters for letters, _ in classes] == [w.letters for w in dyck]
-        for (_, d), w in zip(classes, dyck):
+        assert [letters for letters, _, _ in classes] == [w.letters for w in dyck]
+        for (_, d, _), w in zip(classes, dyck):
             check(d)
             assert d == filter_from_dyck_word(w)
         for _, d in _accepted_paths(m, n):

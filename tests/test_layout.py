@@ -1,6 +1,7 @@
 """Source layout rules that keep the module graph acyclic and explicit."""
 
 import ast
+from dataclasses import fields
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -123,15 +124,65 @@ def test_one_orbit_loop():
 
 def test_one_residue_table():
     # a filter's row minima by residue are built by one helper, for the
-    # filter's own table and for the column tables of the m<->n mirror
-    # builders; no per-call rebuild is left
+    # filter's own table, which both constructors store outside the fields,
+    # and for the column tables of the m<->n mirror builders; no per-call
+    # rebuild is left
     assert sorted(_sites("_residue_table")) == [
-        "filters.Filter.by_residue",
+        "filters.Filter.__post_init__",
+        "filters.Filter._of",
         "filters._dyck_filter",
         "filters.filter_from_column_minima",
         "filters.filter_from_path",
     ]
     assert not hasattr(ratpark.filters, "_by_residue")
+    assert [f.name for f in fields(ratpark.Filter)] == ["m", "n", "row_minima"]
+
+
+def _calls(name: str):
+    return lambda node: isinstance(node, ast.Call) and _named(node.func, name)
+
+
+def test_column_minima_only_where_the_columns_are_unknown():
+    # a Dyck class's builder hands over the column minima it starts from,
+    # so column minima are derived only from filters known by their rows
+    assert not hasattr(ratpark.tuples, "_area_groups")
+    sites = [s for s in _scopes(_calls("column_minima")) if not s.startswith("verify.")]
+    assert sorted(sites) == [
+        "affine.filter_to_dominant",
+        "filters.dyck_word",
+        "filters.filter_from_column_minima",
+        "filters.mn_swap",
+        "sweep.sweep",
+        "tuples.dyck_embedding",
+    ]
+
+
+def _balanced_sum(node) -> bool:
+    """Whether ``node`` is a call ``comb(... + 1, 2)``, the balanced row-minima sum."""
+    if not _calls("comb")(node):
+        return False
+    total, k = node.args
+    return (
+        isinstance(total, ast.BinOp)
+        and isinstance(total.op, ast.Add)
+        and ast.dump(total.right) == ast.dump(ast.Constant(1))
+        and ast.dump(k) == ast.dump(ast.Constant(2))
+    )
+
+
+def test_one_balancing_shift():
+    # only one helper balances by m; a tuple's window is its removals
+    # shifted by it, with no balanced tuple built
+    assert _scopes(_balanced_sum) == ["filters._balancing_shift"]
+    assert sorted(_sites("_balancing_shift")) == [
+        "affine.enumerate_sommers",
+        "affine.tuple_to_window",
+        "filters.is_balanced",
+        "filters.to_balanced",
+        "tuples.tuple_to_balanced",
+    ]
+    for name in ("Filter", "_of", "FilterTuple", "translate", "tuple_to_balanced"):
+        assert "affine.tuple_to_window" not in _scopes(_calls(name)), name
 
 
 def _enumerates_dyck_words(node) -> bool:

@@ -14,15 +14,18 @@ from ratpark import (
     Point,
     SchemaViolation,
     Word,
+    anderson_inverse,
     area,
     area_word,
     column_minima,
     dinv,
     dyck_embedding,
+    enumerate_sommers,
     enumerate_words,
     filter_from_dyck_word,
     find_fixed_point,
     fixed_point_oracle,
+    pak_stanley_inverse,
     qt_table,
     rank_word,
     removable_levels,
@@ -38,8 +41,8 @@ from ratpark import (
     zeta,
     zeta_inverse,
 )
-from ratpark import tuples
-from ratpark.filters import after_removal
+from ratpark import filters, tuples
+from ratpark.filters import _dyck_classes, after_removal, area_letters
 from ratpark.reference import (
     QT_4_3_DYCK,
     QT_4_3_PARKING,
@@ -287,10 +290,13 @@ def test_dyck_qt_table_matches_the_embeddings():
 
 
 def test_qt_table_refuses_a_group_out_of_order(monkeypatch):
-    groups = tuples._area_groups
-    monkeypatch.setattr(
-        tuples, "_area_groups", lambda d: {k: g[::-1] for k, g in groups(d).items()}
-    )
+    classes = tuples._dyck_classes
+
+    def reversed_groups(m, n):
+        for letters, d, groups in classes(m, n):
+            yield letters, d, {k: g[::-1] for k, g in groups.items()}
+
+    monkeypatch.setattr(tuples, "_dyck_classes", reversed_groups)
     with pytest.raises(InternalInconsistency, match="not removable"):
         qt_table(3, 4)
 
@@ -421,11 +427,19 @@ def test_public_filter_validations_per_op_do_not_grow_with_n(monkeypatch):
     for m, n in ((3, 5), (13, 21)):
         word_ = _random_parking_word(random.Random(3), m, n)
         swept = sweep(filter_from_dyck_word(Word(m, n, tuple(sorted(word_.letters)))))
-        for op, arg in ((zeta, word_), (zeta_inverse, word_), (sweep_inverse, swept)):
+        ops = (
+            (zeta, word_),
+            (zeta_inverse, word_),
+            (sweep_inverse, swept),
+            (anderson_inverse, word_),
+            (pak_stanley_inverse, word_),
+        )
+        for op, arg in ops:
             counts.clear()
             op(arg)
             per_op[op.__name__, m, n] = (counts["FilterTuple"], counts["Filter"])
-    # dyck filters of checked words are trusted; the solver's fixed point is not
+    # dyck filters of checked words are trusted; the solver's fixed point is
+    # not; a window is read off the checked removals, with no second tuple
     assert per_op == {
         ("zeta", 3, 5): (1, 0),
         ("zeta", 13, 21): (1, 0),
@@ -433,4 +447,64 @@ def test_public_filter_validations_per_op_do_not_grow_with_n(monkeypatch):
         ("zeta_inverse", 13, 21): (1, 1),
         ("sweep_inverse", 3, 5): (0, 1),
         ("sweep_inverse", 13, 21): (0, 1),
+        ("anderson_inverse", 3, 5): (1, 0),
+        ("anderson_inverse", 13, 21): (1, 0),
+        ("pak_stanley_inverse", 3, 5): (1, 1),
+        ("pak_stanley_inverse", 13, 21): (1, 1),
     }
+
+
+def test_class_minima_per_op(monkeypatch):
+    # a Dyck class's column minima come with its filter, so no route derives
+    # them again from its row minima
+    calls = []
+    class_minima = filters._class_minima
+
+    def counted(*args):
+        calls.append(args)
+        return class_minima(*args)
+
+    monkeypatch.setattr(filters, "_class_minima", counted)
+    word_ = _random_parking_word(random.Random(3), 13, 21)
+    per_op = {}
+    for name, op in (
+        ("zeta", lambda: zeta(word_)),
+        ("dinv", lambda: dinv(word_)),
+        ("anderson_inverse", lambda: anderson_inverse(word_)),
+        ("enumerate_sommers", lambda: list(enumerate_sommers(5, 4))),
+        ("qt_table", lambda: qt_table(5, 4)),
+    ):
+        calls.clear()
+        op()
+        per_op[name] = len(calls)
+    # one per word; one per Dyck class, of which (5,4) has 14
+    assert per_op == {
+        "zeta": 1,
+        "dinv": 1,
+        "anderson_inverse": 1,
+        "enumerate_sommers": 14,
+        "qt_table": 14,
+    }
+
+
+def _reference_area_groups(d):
+    """The column minima of the Dyck filter ``d`` by area letter, each
+    increasing, derived from its row minima."""
+    cols = column_minima(d)
+    groups = {}
+    for q, letter in zip(cols, area_letters(cols, d.m, d.n)):
+        groups.setdefault(letter, []).append(q)
+    return groups
+
+
+def test_dyck_class_groups_match_the_row_minima():
+    seen = 0
+    for m in range(1, 9):
+        for n in range(1, 10):
+            if gcd(m, n) != 1 or m ** (n - 1) > 20_000:
+                continue
+            for _, d, groups in _dyck_classes(m, n):
+                assert groups == _reference_area_groups(d)
+                assert all(g == sorted(g) for g in groups.values())
+                seen += 1
+    assert seen == 652
