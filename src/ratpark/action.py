@@ -25,6 +25,7 @@ from .errors import (
     InvalidBudget,
     IterationBudgetExhausted,
     LetterOutOfRange,
+    _require_ints,
 )
 from .words import Word, is_parking_word, touch_decomposition
 
@@ -41,8 +42,7 @@ class Point:
         coords = tuple(self.coords)
         if not coords:
             raise DimensionMismatch("a point needs at least one coordinate")
-        if set(map(type, coords)) != {int}:  # no floats, no bools
-            raise DimensionMismatch(f"coordinates not all integers: {coords}")
+        _require_ints(coords, DimensionMismatch, "coordinates")
         if any(map(gt, coords, coords[1:])):
             raise DimensionMismatch(f"coordinates not weakly increasing: {coords}")
         object.__setattr__(self, "coords", coords)

@@ -21,6 +21,7 @@ from .errors import (
     NotDominant,
     NotInSommers,
     RatparkError,
+    _require_ints,
     require_coprime,
 )
 from .filters import (
@@ -34,7 +35,7 @@ from .filters import (
     to_balanced,
 )
 from .tuples import FilterTuple, tuple_from_area_word, tuple_from_rank_word
-from .words import Word, enumerate_words
+from .words import Word, _derived_word, enumerate_words
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,7 @@ class AffinePermutation:
         n = len(window)
         if n < 1:
             raise DimensionMismatch("empty window")
+        _require_ints(window, DimensionMismatch, "window")
         if len({v % n for v in window}) != n:
             raise DimensionMismatch(f"window {window} repeats a residue mod {n}")
         if sum(window) != n * (n + 1) // 2:
@@ -154,7 +156,7 @@ def anderson(w: AffinePermutation, m: int) -> Word:
     """
     if not in_sommers(w, m):
         raise NotInSommers(f"inverse of {w.window} outside the Sommers region")
-    return Word(m, w.n, area_letters(w.window, m, w.n))
+    return _derived_word(m, w.n, area_letters(w.window, m, w.n), "Anderson word")
 
 
 def pak_stanley(w: AffinePermutation, m: int) -> Word:
@@ -173,7 +175,7 @@ def pak_stanley(w: AffinePermutation, m: int) -> Word:
         letters.append(
             sum(1 for v in range(wi - m + 1, wi) if value_position(w, v) > i)
         )
-    return Word(m, w.n, tuple(letters))
+    return _derived_word(m, w.n, tuple(letters), "Pak-Stanley word")
 
 
 def enumerate_sommers(m: int, n: int) -> Iterator[AffinePermutation]:

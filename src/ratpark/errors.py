@@ -32,6 +32,12 @@ def require_coprime(m: int, n: int, what: str) -> None:
         raise NotCoprime(f"{what}: (m, n) must be coprime, got ({m}, {n})")
 
 
+def _require_ints(values: tuple, error: type[RatparkError], what: str) -> None:
+    """The integer rule of every value type: no floats, no bools, else ``error``."""
+    if set(map(type, values)) != {int}:
+        raise error(f"{what} not all integers: {values}")
+
+
 class NotDyck(RatparkError):
     pass
 

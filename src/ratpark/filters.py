@@ -22,11 +22,11 @@ from .errors import (
     DimensionMismatch,
     InternalInconsistency,
     LevelNotRemovable,
-    NotAParkingWord,
     NotDyck,
+    _require_ints,
     require_coprime,
 )
-from .words import Word, enumerate_words, is_parking_word
+from .words import Word, _derived_word, _require_parking, enumerate_words
 
 
 def level(i: int, j: int, m: int, n: int) -> int:
@@ -46,25 +46,18 @@ def _residue_table(levels: Iterable[int], modulus: int) -> tuple[int | None, ...
 class Filter:
     """An (m,n)-invariant order filter, canonically its sorted row minima.
 
-    ``Filter(m, n, minima)`` validates: coprime sizes, one minimum per
-    residue class mod m, up-closed under ``+n``.  Every filter built from
-    outside data goes through it, including :func:`filter_from_column_minima`
-    (which also rechecks the column minima) and the solver's fixed point in
-    :func:`ratpark.tuples._fixed_filter`.  Filters derived from one
-    already valid use the trusted :meth:`_of`, which skips the check where
-    the theory guarantees a filter: translations (:func:`to_dyck`,
-    :func:`to_balanced`, :func:`ratpark.tuples.translate`) map filters to
-    filters, and dropping a level checked to be removable (:func:`remove`,
-    :meth:`ratpark.tuples.FilterTuple.stages`) leaves the rest up-closed.
-    Column minima that come from checked input are a filter's too:
-    :func:`_dyck_filter` (a sorted parking word is the column-length word of
-    a Dyck path), :func:`filter_from_path` (a path of m N and n W
-    steps that never dips below level 0 is a Dyck path, whose west steps end
-    at the column minima) and :func:`mn_swap` (a filter's column minima are
-    the row minima of its mirror).  ``tests/test_layout.py`` keeps
-    :meth:`_of` to these sites.  Both constructors store ``by_residue``, the
-    row minima by residue mod m, for every residue lookup; it is no field, so
-    equality, hash and ``repr`` never see it.
+    ``Filter(m, n, minima)`` validates: coprime sizes, one integer minimum
+    per residue class mod m, up-closed under ``+n``.  Every filter built
+    from outside data goes through it, the solver's fixed point included
+    (:func:`ratpark.tuples._fixed_filter`).  The trusted :meth:`_of` builds
+    what the theory makes a filter: translates (:func:`to_dyck`,
+    :func:`to_balanced`, :func:`ratpark.tuples.translate`), a filter less a
+    level checked to be removable (:func:`remove`, ``FilterTuple.stages``),
+    the m<->n mirror, whose row minima are the column minima (:func:`mn_swap`),
+    and Dyck paths: a sorted parking word's (:func:`_dyck_filter`) and a
+    checked path's that never dips below level 0 (:func:`filter_from_path`).
+    Both constructors store ``by_residue``, the row minima by residue mod
+    m; it is no field, so equality, hash and ``repr`` never see it.
     """
 
     m: int
@@ -78,8 +71,7 @@ class Filter:
             raise InternalInconsistency(
                 f"expected {self.m} row minima, got {len(minima)}"
             )
-        if set(map(type, minima)) != {int}:  # no floats, no bools
-            raise DimensionMismatch(f"row minima not all integers: {minima}")
+        _require_ints(minima, DimensionMismatch, "row minima")
         minima = tuple(sorted(minima))
         object.__setattr__(self, "row_minima", minima)
         table = _residue_table(minima, self.m)
@@ -236,9 +228,7 @@ def filter_from_column_minima(m: int, n: int, cols: Sequence[int]) -> Filter:
     mod m (the m<->n mirror of :func:`column_minima`).
 
     ``cols`` are raw levels, so the result is validated and its column
-    minima rechecked.  The library's own callers whose levels come from
-    checked input (:func:`_dyck_filter`, :func:`filter_from_path`)
-    skip both and build the trusted ``Filter._of`` (see :class:`Filter`).
+    minima rechecked.
     """
     require_coprime(m, n, "filters")
     cols = tuple(cols)
@@ -278,7 +268,7 @@ def area_letters(levels: Sequence[int], m: int, n: int) -> tuple[int, ...]:
 def dyck_word(f: Filter) -> Word:
     """Sorted column lengths of the filter's boundary path."""
     letters = area_letters(column_minima(f), f.m, f.n)
-    return Word(f.m, f.n, tuple(sorted(letters)))
+    return _derived_word(f.m, f.n, tuple(sorted(letters)), "dyck word")
 
 
 def _dyck_filter(
@@ -301,11 +291,9 @@ def _dyck_filter(
 
 def filter_from_dyck_word(w: Word) -> Filter:
     """The Dyck filter whose boundary path has the given column lengths."""
-    if not is_parking_word(w):
-        raise NotAParkingWord(f"{w} is not a parking word")
+    _require_parking(w, "filters")
     if any(a > b for a, b in zip(w.letters, w.letters[1:])):
         raise NotDyck(f"{w} is not weakly increasing")
-    require_coprime(w.m, w.n, "filters")
     return _dyck_filter(w.letters, w.m, w.n)[0]
 
 
@@ -363,10 +351,9 @@ def _dyck_classes(
     """Each Dyck class's sorted letters, Dyck filter and column minima by
     area letter (see :func:`_dyck_filter`), in Dyck-word order.
 
-    The one builder of the binomial(m+n, n)/(m+n) classes behind every
-    whole-space path.  Coprimality is checked once; the words of
-    ``enumerate_words(m, n, "dyck")`` are sorted parking words, all that
-    :func:`filter_from_dyck_word` checks, so each goes to the trusted core.
+    The one builder of the classes behind every whole-space path.
+    Coprimality is checked once; the enumerated words are sorted parking
+    words, all that :func:`filter_from_dyck_word` checks.
     """
     require_coprime(m, n, "filters")
     for w in enumerate_words(m, n, "dyck"):

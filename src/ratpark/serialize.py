@@ -15,6 +15,8 @@ or comma-separated letters otherwise.  Malformed input raises
 
 from __future__ import annotations
 
+from math import gcd
+
 from .action import Point
 from .affine import AffinePermutation
 from .errors import RatparkError, SchemaViolation
@@ -23,16 +25,25 @@ from .tuples import FilterTuple, QTTable
 from .words import Word
 
 
-def _require_int(obj: object, path: str) -> int:
+def _require_int(obj: object, path: str, low: int | None = None) -> int:
     if not isinstance(obj, int) or isinstance(obj, bool):
         raise SchemaViolation(path, f"expected an integer, got {obj!r}")
+    if low is not None and obj < low:
+        raise SchemaViolation(path, f"expected at least {low}, got {obj}")
     return obj
 
 
-def _require_int_list(obj: object, path: str) -> list[int]:
+def _require_list(obj: object, path: str, length: int | None = None) -> list:
     if not isinstance(obj, list):
         raise SchemaViolation(path, f"expected a list, got {obj!r}")
-    return [_require_int(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+    if length is not None and len(obj) != length:
+        raise SchemaViolation(path, f"expected {length} entries, got {len(obj)}")
+    return obj
+
+
+def _require_int_list(obj: object, path: str, length=None, low=None) -> list[int]:
+    obj = _require_list(obj, path, length)
+    return [_require_int(v, f"{path}[{i}]", low) for i, v in enumerate(obj)]
 
 
 def _require_keys(obj: object, path: str, keys: tuple[str, ...]) -> None:
@@ -51,15 +62,16 @@ def word_from_json(obj: object, path: str = "word") -> Word:
     _require_keys(obj, path, ("m", "n", "letters"))
     m = _require_int(obj["m"], f"{path}.m")
     n = _require_int(obj["n"], f"{path}.n")
-    letters = _require_int_list(obj["letters"], f"{path}.letters")
-    if len(letters) != n:
-        raise SchemaViolation(f"{path}.letters", f"expected {n} letters")
+    letters = _require_int_list(obj["letters"], f"{path}.letters", n)
     for i, letter in enumerate(letters):
         if not 0 <= letter < m:
             raise SchemaViolation(
                 f"{path}.letters[{i}]", f"letter {letter} outside [0, {m})"
             )
-    return Word(m, n, tuple(letters))
+    try:
+        return Word(m, n, tuple(letters))
+    except RatparkError as exc:
+        raise SchemaViolation(path, str(exc)) from exc
 
 
 def word_from_text(text: str, m: int, n: int | None = None) -> Word:
@@ -91,9 +103,7 @@ def point_to_json(p: Point) -> dict:
 def point_from_json(obj: object, path: str = "point") -> Point:
     _require_keys(obj, path, ("m", "coords"))
     m = _require_int(obj["m"], f"{path}.m")
-    coords = _require_int_list(obj["coords"], f"{path}.coords")
-    if len(coords) != m:
-        raise SchemaViolation(f"{path}.coords", f"expected {m} coordinates")
+    coords = _require_int_list(obj["coords"], f"{path}.coords", m)
     try:
         return Point(tuple(coords))
     except RatparkError as exc:
@@ -143,9 +153,7 @@ def window_to_json(w: AffinePermutation) -> dict:
 def window_from_json(obj: object, path: str = "affine") -> AffinePermutation:
     _require_keys(obj, path, ("n", "window"))
     n = _require_int(obj["n"], f"{path}.n")
-    window = _require_int_list(obj["window"], f"{path}.window")
-    if len(window) != n:
-        raise SchemaViolation(f"{path}.window", f"expected {n} entries")
+    window = _require_int_list(obj["window"], f"{path}.window", n)
     try:
         return AffinePermutation(tuple(window))
     except RatparkError as exc:
@@ -173,15 +181,18 @@ def qt_table_to_json(t: QTTable) -> dict:
 
 def qt_table_from_json(obj: object, path: str = "qt_table") -> QTTable:
     _require_keys(obj, path, ("m", "n", "over", "counts"))
-    m = _require_int(obj["m"], f"{path}.m")
-    n = _require_int(obj["n"], f"{path}.n")
+    m = _require_int(obj["m"], f"{path}.m", low=1)
+    n = _require_int(obj["n"], f"{path}.n", low=1)
+    if gcd(m, n) != 1:
+        raise SchemaViolation(path, f"(m, n) must be coprime, got ({m}, {n})")
     over = obj["over"]
     if over not in ("parking", "dyck"):
         raise SchemaViolation(f"{path}.over", f"expected parking or dyck, got {over!r}")
-    if not isinstance(obj["counts"], list):
-        raise SchemaViolation(f"{path}.counts", "expected a list of rows")
+    # a row per area value and a column per dinv value, 0 to (m-1)(n-1)/2
+    side = (m - 1) * (n - 1) // 2 + 1
+    rows = _require_list(obj["counts"], f"{path}.counts", side)
     counts = tuple(
-        tuple(_require_int_list(row, f"{path}.counts[{i}]"))
-        for i, row in enumerate(obj["counts"])
+        tuple(_require_int_list(row, f"{path}.counts[{i}]", side, low=0))
+        for i, row in enumerate(rows)
     )
     return QTTable(m, n, over, counts)

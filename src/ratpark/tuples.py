@@ -25,10 +25,11 @@ from operator import lt
 
 from . import action
 from .errors import (
+    DimensionMismatch,
     InternalInconsistency,
     LevelNotRemovable,
-    NotAParkingWord,
     NotDyck,
+    _require_ints,
     require_coprime,
 )
 from .filters import (
@@ -45,23 +46,20 @@ from .filters import (
     is_dyck,
     to_balanced,
 )
-from .words import Word, is_parking_word
+from .words import Word, _derived_word, _require_parking
 
 
 @dataclass(frozen=True)
 class FilterTuple:
     """An initial filter plus the ordered sequence of n removed levels.
 
-    The constructor always validates the removals, in one O(m + n) pass
-    over a copy of the initial filter's residue table: each
-    removal must be removable by the rule :func:`ratpark.filters.remove`
-    applies (else :class:`LevelNotRemovable`), its row's minimum then moves
-    up by m, and the last stage must be the initial filter shifted by n
-    (else :class:`InternalInconsistency`).  These are the checks of a chain
-    of ``remove`` calls, without building the n intermediate filters.  The
-    initial filter was validated where it was built.  :meth:`stages` builds
-    each stage by the trusted ``Filter._of``: every removal has been
-    checked, and removing a removable level yields a filter.
+    The constructor always validates the n integer removals, in one
+    O(m + n) pass over a copy of the initial filter's residue table: each
+    must be removable by the rule of :func:`ratpark.filters.remove` (else
+    :class:`LevelNotRemovable`), its row's minimum then moves up by m, and
+    the last stage must be the initial filter shifted by n (else
+    :class:`InternalInconsistency`), without building the n intermediate
+    filters.  So :meth:`stages` builds each by the trusted ``Filter._of``.
     """
 
     initial: Filter
@@ -74,6 +72,7 @@ class FilterTuple:
             raise LevelNotRemovable(
                 f"expected {n} removals, got {len(self.removals)}"
             )
+        _require_ints(self.removals, DimensionMismatch, "removals")
         table = list(self.initial.by_residue)
         for v in self.removals:
             if not _removable(table, v, m, n):
@@ -132,10 +131,7 @@ def is_balanced_tuple(t: FilterTuple) -> bool:
 
 def area_word(t: FilterTuple) -> Word:
     """Column lengths of the tuple's path, in removal order."""
-    w = Word(t.m, t.n, area_letters(t.removals, t.m, t.n))
-    if not is_parking_word(w):
-        raise InternalInconsistency(f"area word {w} is not parking")
-    return w
+    return _derived_word(t.m, t.n, area_letters(t.removals, t.m, t.n), "area word")
 
 
 def tuple_from_area_word(w: Word) -> FilterTuple:
@@ -145,9 +141,7 @@ def tuple_from_area_word(w: Word) -> FilterTuple:
     picks the residue class of its removed level (levels sharing a class
     are consumed in increasing order).
     """
-    require_coprime(w.m, w.n, "area-word tuples")
-    if not is_parking_word(w):
-        raise NotAParkingWord(f"{w} is not a parking word")
+    _require_parking(w, "area-word tuples")
     d, groups = _dyck_filter(sorted(w.letters), w.m, w.n)
     levels = {letter: iter(group) for letter, group in groups.items()}
     return FilterTuple(d, tuple(next(levels[letter]) for letter in w.letters))
@@ -162,15 +156,11 @@ def dyck_embedding(d: Filter) -> FilterTuple:
 
 def rank_word(t: FilterTuple) -> Word:
     """Rank (0-indexed) of each removed level among the current row minima."""
-    letters = []
-    minima = t.initial.row_minima
+    letters, minima = [], t.initial.row_minima
     for v in t.removals:
         letters.append(minima.index(v))
         minima = after_removal(minima, v, t.m)
-    w = Word(t.m, t.n, tuple(letters))
-    if not is_parking_word(w):
-        raise InternalInconsistency(f"rank word {w} is not parking")
-    return w
+    return _derived_word(t.m, t.n, tuple(letters), "rank word")
 
 
 def tuple_from_rank_word(w: Word) -> FilterTuple:
@@ -182,16 +172,11 @@ def tuple_from_rank_word(w: Word) -> FilterTuple:
     independent route over the balanced filters.
 
     The orbit starts at the balanced Dyck filter of the sorted word, which
-    usually lies far closer to the fixed point than the staircase.  The
-    start is only a hint: it is balanced, the action preserves coordinate
-    sums, and a coprime parking word has exactly one fixed point on the
-    balanced slice, so the orbit reaches that point, closes a cycle
-    (:class:`InternalInconsistency`) or exhausts its budget.  It never
-    ends elsewhere, and ``FilterTuple`` validates every removal.
+    usually lies far closer to the fixed point than the staircase; a
+    balanced start can only shorten the orbit (see
+    :func:`ratpark.action.find_fixed_point`).
     """
-    require_coprime(w.m, w.n, "rank-word inversion")
-    if not is_parking_word(w):
-        raise NotAParkingWord(f"{w} is not a parking word")
+    _require_parking(w, "rank-word inversion")
     dyck, _ = _dyck_filter(sorted(w.letters), w.m, w.n)
     initial = _fixed_filter(w, to_balanced(dyck))
     return FilterTuple(initial, _rank_removals(initial, w.letters))
@@ -242,9 +227,7 @@ def fixed_point_oracle(w: Word) -> action.Point:
     ``binomial(m+n, n)/(m+n)`` balanced filters; neither the word action
     nor the solver is used.
     """
-    require_coprime(w.m, w.n, "the fixed-point oracle")
-    if not is_parking_word(w):
-        raise NotAParkingWord(f"{w} is not a parking word")
+    _require_parking(w, "the fixed-point oracle")
     replayed = []
     for b in enumerate_balanced(w.m, w.n):
         removals = _rank_removals(b, w.letters)
@@ -272,8 +255,7 @@ def zeta_inverse(w: Word) -> Word:
     return area_word(tuple_from_rank_word(w))
 
 
-def _statistic_ceiling(m: int, n: int) -> int:
-    require_coprime(m, n, "area and dinv")
+def _statistic_ceiling(m: int, n: int) -> int:  # of sizes checked coprime
     return (m - 1) * (n - 1) // 2
 
 
@@ -281,8 +263,8 @@ def area(x: Word | FilterTuple) -> int:
     """``(m-1)(n-1)/2`` minus the letter sum of the area word."""
     if isinstance(x, FilterTuple):
         x = area_word(x)
-    elif not is_parking_word(x):
-        raise NotAParkingWord(f"{x} is not a parking word")
+    else:
+        _require_parking(x, "area and dinv")
     return _statistic_ceiling(x.m, x.n) - sum(x.letters)
 
 

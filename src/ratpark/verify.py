@@ -59,6 +59,7 @@ from .filters import (
     to_balanced,
     to_dyck,
 )
+from .serialize import word_from_text
 from .sweep import sweep, sweep_column_word, sweep_inverse
 from .tuples import (
     area,
@@ -142,10 +143,6 @@ class _Checker:
         )
 
 
-def _word(m: int, n: int, text: str) -> Word:
-    return Word(m, n, tuple(int(ch) for ch in text))
-
-
 # ---------------------------------------------------------------- reference
 
 def _suite_reference_words(c: _Checker) -> None:
@@ -157,28 +154,30 @@ def _suite_reference_words(c: _Checker) -> None:
     c.equal(got, set(ref.PARKING_WORDS_4_3), "parking words (3,3) match (4,3)")
 
     c.equal(
-        touch_points(_word(9, 12, "531030678631")), (3, 6), "touch points (9,12)"
+        touch_points(word_from_text("531030678631", 9, 12)),
+        (3, 6),
+        "touch points (9,12)",
     )
-    c.equal(touch_points(_word(6, 9, "020101151")), (), "touch points (6,9)")
+    c.equal(touch_points(word_from_text("020101151", 6, 9)), (), "touch points (6,9)")
     c.equal(
-        classify(_word(3, 3, "000")),
+        classify(word_from_text("000", 3, 3)),
         Classification.INFINITELY_MANY_FIXED_POINTS,
         "classification (3,3) 000",
     )
     c.equal(
-        classify(_word(4, 3, "012")),
+        classify(word_from_text("012", 4, 3)),
         Classification.UNIQUE_FIXED_POINT,
         "classification (4,3) 012",
     )
     c.equal(
-        classify(_word(4, 3, "022")),
+        classify(word_from_text("022", 4, 3)),
         Classification.NO_FIXED_POINT,
         "classification (4,3) 022",
     )
 
 
 def _suite_reference_action(c: _Checker) -> None:
-    word = _word(*map(int, (3, 5)), ref.ORBIT_3_5["word"])
+    word = word_from_text(ref.ORBIT_3_5["word"], 3, 5)
     chain = ref.ORBIT_3_5["chain"]
     cur = Point(chain[0])
     for letter, expected in zip(word.letters, chain[1:]):
@@ -187,7 +186,7 @@ def _suite_reference_action(c: _Checker) -> None:
 
     for target, words in ref.FIXED_POINTS_3_4.items():
         for text in words:
-            w = _word(3, 4, text)
+            w = word_from_text(text, 3, 4)
             report = find_fixed_point(w)
             c.check(isinstance(report.outcome, Fixed), f"solver fixes {w}")
             if isinstance(report.outcome, Fixed):
@@ -197,14 +196,14 @@ def _suite_reference_action(c: _Checker) -> None:
 
     for target, words in ref.FIXED_REGIONS_3_3.items():
         for text in words:
-            w = _word(3, 3, text)
+            w = word_from_text(text, 3, 3)
             c.check(
                 apply_word(Point(target), w).coords == target,
                 f"{w} fixes {target}",
             )
 
     six_nine = ref.GCD_EXAMPLE_6_9
-    w = _word(6, 9, six_nine["word"])
+    w = word_from_text(six_nine["word"], 6, 9)
     fp = Point(six_nine["fixed_point"])
     c.check(apply_word(fp, w).coords == fp.coords, "(6,9) fixed point")
     for vertex in six_nine["simplex"]:
@@ -236,7 +235,7 @@ def _suite_reference_action(c: _Checker) -> None:
     c.equal(norm(Point((-2, 3, 5))), 78, "norm (-2,3,5)")
     c.equal(distance(Point((-1, 3, 4)), Point((0, 2, 4))), 6, "distance example")
 
-    report = find_fixed_point(_word(4, 3, "022"))
+    report = find_fixed_point(word_from_text("022", 4, 3))
     c.check(isinstance(report.outcome, Diverged), "(4,3) 022 diverges")
 
 
@@ -261,7 +260,7 @@ def _suite_reference_filters(c: _Checker) -> None:
         f = Filter(m, n, minima)
         c.equal(str(dyck_word(f)), text, f"dyck word of {minima}")
         c.equal(
-            filter_from_dyck_word(_word(m, n, text)).row_minima,
+            filter_from_dyck_word(word_from_text(text, m, n)).row_minima,
             minima,
             f"filter of word {text}",
         )
@@ -300,20 +299,21 @@ def _suite_reference_filters(c: _Checker) -> None:
 def _suite_reference_zeta(c: _Checker) -> None:
     for table, (m, n) in ((ref.ZETA_4_3, (4, 3)), (ref.ZETA_5_3, (5, 3))):
         for src, dst in table.items():
-            c.equal(str(zeta(_word(m, n, src))), dst, f"zeta({src}) ({m},{n})")
+            got = str(zeta(word_from_text(src, m, n)))
+            c.equal(got, dst, f"zeta({src}) ({m},{n})")
             c.equal(
-                str(zeta_inverse(_word(m, n, dst))),
+                str(zeta_inverse(word_from_text(dst, m, n))),
                 src,
                 f"zeta_inverse({dst}) ({m},{n})",
             )
 
     for table, (m, n) in ((ref.REMOVALS_4_3, (4, 3)), (ref.REMOVALS_5_3, (5, 3))):
         for src, removals in table.items():
-            t = tuple_to_balanced(tuple_from_area_word(_word(m, n, src)))
+            t = tuple_to_balanced(tuple_from_area_word(word_from_text(src, m, n)))
             c.equal(t.removals, removals, f"removals of {src} ({m},{n})")
 
     worked = ref.WORKED_TUPLE_3_5
-    t = tuple_from_area_word(_word(3, 5, worked["area_word"]))
+    t = tuple_from_area_word(word_from_text(worked["area_word"], 3, 5))
     c.equal(t.initial.row_minima, worked["initial_parking"], "worked initial")
     c.equal(t.removals, worked["removals_parking"], "worked removals")
     c.equal(str(rank_word(t)), worked["rank_word"], "worked rank word")
@@ -326,19 +326,15 @@ def _suite_reference_zeta(c: _Checker) -> None:
     c.equal(
         balanced.removals, worked["removals_balanced"], "worked balanced removals"
     )
-    back = tuple_from_rank_word(_word(3, 5, worked["rank_word"]))
+    back = tuple_from_rank_word(word_from_text(worked["rank_word"], 3, 5))
     c.equal(
         back.initial.row_minima, worked["initial_balanced"], "rank-word inversion"
     )
     c.equal(back.removals, worked["removals_balanced"], "rank-word removals")
 
-    t = tuple_from_area_word(_word(5, 3, ref.WORKED_TUPLE_5_3["area_word"]))
-    parking = t.removals
-    c.equal(
-        parking,
-        ref.WORKED_TUPLE_5_3["removals_parking"],
-        "worked (5,3) removals",
-    )
+    worked = ref.WORKED_TUPLE_5_3
+    t = tuple_from_area_word(word_from_text(worked["area_word"], 5, 3))
+    c.equal(t.removals, worked["removals_parking"], "worked (5,3) removals")
 
 
 def _suite_reference_qt(c: _Checker) -> None:
@@ -371,9 +367,7 @@ def _suite_reference_sweep(c: _Checker) -> None:
     for m, n in ((4, 3), (5, 3)):
         table = ref.ZETA_4_3_DYCK_ROWS if (m, n) == (4, 3) else ref.ZETA_5_3_DYCK_ROWS
         zeta_map = ref.ZETA_4_3 if (m, n) == (4, 3) else ref.ZETA_5_3
-        got = set()
-        for _, d, _ in _dyck_classes(m, n):
-            got.add(str(sweep_column_word(d)))
+        got = {str(sweep_column_word(d)) for _, d, _ in _dyck_classes(m, n)}
         c.equal(
             got, {zeta_map[row] for row in table}, f"sweep column words ({m},{n})"
         )
@@ -571,9 +565,7 @@ def _suite_affine_agreement(c: _Checker, m: int, n: int) -> None:
                 window.window,
                 f"dominant round trip at {window.window}",
             )
-            back = mn_swap_dominant(
-                mn_swap_dominant(window, m), n
-            )
+            back = mn_swap_dominant(mn_swap_dominant(window, m), n)
             c.equal(
                 back.window, window.window, f"double swap at {window.window}"
             )

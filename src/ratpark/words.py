@@ -14,7 +14,13 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import LetterOutOfRange, NotAParkingWord
+from .errors import (
+    InternalInconsistency,
+    LetterOutOfRange,
+    NotAParkingWord,
+    _require_ints,
+    require_coprime,
+)
 
 
 @dataclass(frozen=True)
@@ -27,11 +33,7 @@ class Word:
 
     def __post_init__(self):
         letters = tuple(self.letters)
-        if set(map(type, (self.m, self.n, *letters))) != {int}:  # no floats, no bools
-            raise LetterOutOfRange(
-                f"sizes and letters not all integers: m={self.m!r} n={self.n!r} "
-                f"letters={letters}"
-            )
+        _require_ints((self.m, self.n, *letters), LetterOutOfRange, "sizes and letters")
         if self.m < 1 or self.n < 1:
             raise LetterOutOfRange(f"need m,n >= 1, got m={self.m} n={self.n}")
         if len(letters) != self.n:
@@ -45,7 +47,8 @@ class Word:
 
     @classmethod
     def _of(cls, m: int, n: int, letters: tuple[int, ...]) -> Word:
-        """Trusted constructor: ``letters`` is a tuple of n letters below m."""
+        """Trusted constructor: ``letters`` is a tuple of n letters below m.
+        Only :func:`enumerate_words` and :func:`_derived_word` call it."""
         w = object.__new__(cls)
         object.__setattr__(w, "m", m)
         object.__setattr__(w, "n", n)
@@ -68,6 +71,24 @@ class Classification(enum.Enum):
 
 def word(m: int, n: int, letters: Sequence[int]) -> Word:
     return Word(m, n, tuple(letters))
+
+
+def _require_parking(w: Word, what: str) -> None:
+    """Coprime sizes (else :class:`NotCoprime` naming ``what``) and a parking word."""
+    require_coprime(w.m, w.n, what)
+    if not is_parking_word(w):
+        raise NotAParkingWord(f"{w} is not a parking word")
+
+
+def _derived_word(m: int, n: int, letters: tuple[int, ...], what: str) -> Word:
+    """A word the library computed, with n letters below m by construction
+    and parking by a theorem: the area and rank readings of a tuple, the
+    Anderson and Pak-Stanley labels of a Sommers window, a Dyck path's sorted
+    column lengths, a touch block.  Only the theorem is checked, once."""
+    w = Word._of(m, n, letters)
+    if not is_parking_word(w):
+        raise InternalInconsistency(f"{what} {w} is not parking")
+    return w
 
 
 def letter_histogram(w: Word) -> tuple[int, ...]:
@@ -123,7 +144,8 @@ def touch_decomposition(w: Word) -> list[tuple[int, Word]]:
     for j in range(len(cuts) - 1):
         lo, hi = cuts[j], cuts[j + 1]
         letters = tuple(l - lo for l in w.letters if lo <= l < hi)
-        blocks.append((lo, Word(hi - lo, len(letters), letters)))
+        block = _derived_word(hi - lo, len(letters), letters, "touch block")
+        blocks.append((lo, block))
     return blocks
 
 
@@ -142,12 +164,9 @@ def enumerate_words(m: int, n: int, kind: str = "all") -> Iterator[Word]:
     ``kind`` is ``"all"``, ``"parking"`` or ``"dyck"``.  Parking yields
     exactly ``m**(n-1)`` words when gcd(m, n) = 1; dyck yields the weakly
     increasing ones.  Sizes below 1 raise :class:`LetterOutOfRange`, as
-    :class:`Word` does, when the first word is requested.
-
-    The words are built by the trusted ``Word._of``: with m, n >= 1
-    checked here, both letter streams yield tuples of n letters in
-    ``range(m)`` by construction, which is all :class:`Word` checks.
-    ``tests/test_layout.py`` keeps ``Word._of`` to this site.
+    :class:`Word` does, when the first word is requested; with them
+    checked, both letter streams yield n letters below m by construction,
+    so the words are built by the trusted ``Word._of``.
     """
     if kind not in ("all", "parking", "dyck"):
         raise ValueError(f"unknown enumeration kind {kind!r}")

@@ -47,6 +47,10 @@ def test_window_validation():
         AffinePermutation((1, 4))  # repeated residue mod 2
     with pytest.raises(DimensionMismatch):
         AffinePermutation((0, 1, 2))  # wrong sum
+    # no floats or bools, though these pass the residue and sum checks
+    for window in ((2.0, 1.0), (True, 2), (3, -1, 2, 5, 6.0)):
+        with pytest.raises(DimensionMismatch):
+            AffinePermutation(window)
     w = AffinePermutation((3, -1, 2, 5, 6))
     assert w.n == 5
 

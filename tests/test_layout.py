@@ -78,6 +78,7 @@ TRUSTED_FILTER_SITES = {
     "filters.filter_from_path",
     "tuples.FilterTuple.stages",
     "tuples.translate",
+    "words._derived_word",
     "words.enumerate_words",
 }
 
@@ -154,6 +155,40 @@ def test_column_minima_only_where_the_columns_are_unknown():
         "filters.mn_swap",
         "sweep.sweep",
         "tuples.dyck_embedding",
+    ]
+
+
+def _trusted_word(node) -> bool:
+    """Whether ``node`` is ``Word._of``, the word constructor that skips checks."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "_of"
+        and _named(node.value, "Word")
+    )
+
+
+def _raises(name: str):
+    return lambda node: isinstance(node, ast.Raise) and _calls(name)(node.exc)
+
+
+def test_words_are_validated_once_at_the_boundary():
+    # a word the library derives is built in words, by the one trusted
+    # builder that checks the theorem making it parking; letters are
+    # validated only where they come in, and only words decides that a
+    # word is not parking
+    assert sorted(_scopes(_trusted_word)) == [
+        "words._derived_word",
+        "words.enumerate_words",
+    ]
+    assert sorted(_scopes(_calls("Word"))) == [
+        "serialize.word_from_json",
+        "serialize.word_from_text",
+        "verify._suite_reference_action",
+        "words.word",
+    ]
+    assert sorted(_scopes(_raises("NotAParkingWord"))) == [
+        "words._require_parking",
+        "words.touch_points",
     ]
 
 

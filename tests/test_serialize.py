@@ -33,6 +33,9 @@ def test_word_schema_violations():
         ser.word_from_text("012", 11)
     with pytest.raises(SchemaViolation):
         ser.word_from_text("0x2", 4)
+    for m, n in ((0, 0), (3, 0), (0, 1)):
+        with pytest.raises(SchemaViolation):
+            ser.word_from_json({"m": m, "n": n, "letters": [0] * n})
 
 
 def test_point_round_trip():
@@ -77,3 +80,22 @@ def test_qt_table_round_trip():
     assert ser.qt_table_from_json(ser.qt_table_to_json(t)) == t
     with pytest.raises(SchemaViolation):
         ser.qt_table_from_json({"m": 4, "n": 3, "over": "nope", "counts": []})
+    good = ser.qt_table_to_json(t)
+    rows = good["counts"]
+    bad = (
+        ("qt_table.m", {"m": 0}),
+        ("qt_table.m", {"m": -1, "n": 0}),
+        ("qt_table.n", {"n": 0}),
+        ("qt_table", {"m": 4, "n": 6}),  # not coprime
+        ("qt_table.counts", {"counts": rows[:-1]}),
+        ("qt_table.counts[1]", {"counts": [rows[0], [1, 2], *rows[2:]]}),
+        ("qt_table.counts[0][2]", {"counts": [[0, 0, -1, 0], *rows[1:]]}),
+        ("qt_table.counts[2][0]", {"counts": [*rows[:2], [True, 0, 0, 0], rows[3]]}),
+    )
+    for path, fields in bad:
+        with pytest.raises(SchemaViolation) as err:
+            ser.qt_table_from_json(good | fields)
+        assert err.value.path == path
+    ragged = {"m": 4, "n": 6, "over": "parking", "counts": [[1, 2], [3]]}
+    with pytest.raises(SchemaViolation):
+        ser.qt_table_from_json(ragged)

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from ratpark import (
+    DimensionMismatch,
     Filter,
     FilterTuple,
     InternalInconsistency,
@@ -14,6 +15,7 @@ from ratpark import (
     Point,
     SchemaViolation,
     Word,
+    anderson,
     anderson_inverse,
     area,
     area_word,
@@ -25,6 +27,7 @@ from ratpark import (
     filter_from_dyck_word,
     find_fixed_point,
     fixed_point_oracle,
+    pak_stanley,
     pak_stanley_inverse,
     qt_table,
     rank_word,
@@ -68,6 +71,9 @@ def test_tuple_validation():
         FilterTuple(initial, (4, -1, 2, 5, 6))  # 4 is not removable
     with pytest.raises(LevelNotRemovable):
         FilterTuple(initial, (3, -1, 2))
+    for removals in ((3.0, -1, 2, 5, 6), (3, -1, 2, 5, True), (3, "-1", 2, 5, 6)):
+        with pytest.raises(DimensionMismatch):
+            FilterTuple(initial, removals)
 
 
 def test_worked_example_maps():
@@ -408,8 +414,9 @@ def test_tuple_check_matches_the_removal_chain():
 
 
 def test_public_filter_validations_per_op_do_not_grow_with_n(monkeypatch):
-    # library-derived filters are trusted; only boundary filters validate,
-    # and sweep_inverse, which needs only the fixed filter, builds no tuple
+    # library-derived filters and words are trusted; only boundary filters
+    # validate, sweep_inverse, which needs only the fixed filter, builds no
+    # tuple, and no op validates a word it derives
     counts = Counter()
 
     def counting(cls):
@@ -423,34 +430,43 @@ def test_public_filter_validations_per_op_do_not_grow_with_n(monkeypatch):
 
     counting(Filter)
     counting(FilterTuple)
-    per_op = {}
-    for m, n in ((3, 5), (13, 21)):
+    counting(Word)
+    per_op, sizes = {}, ((3, 5), (13, 21))
+    for m, n in sizes:
         word_ = _random_parking_word(random.Random(3), m, n)
         swept = sweep(filter_from_dyck_word(Word(m, n, tuple(sorted(word_.letters)))))
+        window = anderson_inverse(word_)
         ops = (
             (zeta, word_),
             (zeta_inverse, word_),
+            (dinv, word_),
             (sweep_inverse, swept),
             (anderson_inverse, word_),
             (pak_stanley_inverse, word_),
+            (anderson, window, m),
+            (pak_stanley, window, m),
         )
-        for op, arg in ops:
+        for op, *args in ops:
             counts.clear()
-            op(arg)
-            per_op[op.__name__, m, n] = (counts["FilterTuple"], counts["Filter"])
+            op(*args)
+            per_op[op.__name__, m, n] = tuple(
+                counts[cls] for cls in ("FilterTuple", "Filter", "Word")
+            )
     # dyck filters of checked words are trusted; the solver's fixed point is
-    # not; a window is read off the checked removals, with no second tuple
+    # not; a window is read off the checked removals, with no second tuple;
+    # a word the library derives is checked by its theorem, not validated
+    expected = {
+        "zeta": (1, 0, 0),
+        "zeta_inverse": (1, 1, 0),
+        "dinv": (1, 0, 0),
+        "sweep_inverse": (0, 1, 0),
+        "anderson_inverse": (1, 0, 0),
+        "pak_stanley_inverse": (1, 1, 0),
+        "anderson": (0, 0, 0),
+        "pak_stanley": (0, 0, 0),
+    }
     assert per_op == {
-        ("zeta", 3, 5): (1, 0),
-        ("zeta", 13, 21): (1, 0),
-        ("zeta_inverse", 3, 5): (1, 1),
-        ("zeta_inverse", 13, 21): (1, 1),
-        ("sweep_inverse", 3, 5): (0, 1),
-        ("sweep_inverse", 13, 21): (0, 1),
-        ("anderson_inverse", 3, 5): (1, 0),
-        ("anderson_inverse", 13, 21): (1, 0),
-        ("pak_stanley_inverse", 3, 5): (1, 1),
-        ("pak_stanley_inverse", 13, 21): (1, 1),
+        (op, m, n): want for op, want in expected.items() for m, n in sizes
     }
 
 
