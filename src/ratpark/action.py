@@ -47,6 +47,13 @@ class Point:
             raise DimensionMismatch(f"coordinates not weakly increasing: {coords}")
         object.__setattr__(self, "coords", coords)
 
+    @classmethod
+    def _of(cls, coords: tuple[int, ...]) -> Point:
+        """Trusted constructor: ``coords`` is a nonempty sorted tuple of integers."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "coords", coords)
+        return x
+
     @property
     def m(self) -> int:
         return len(self.coords)
@@ -97,16 +104,17 @@ def _apply_raw(
 def apply_letter(x: Point, i: int) -> Point:
     """Add ``m`` to the i-th smallest coordinate, subtract 1 everywhere, sort."""
     m = x.m
+    _require_ints((i,), LetterOutOfRange, "letter")
     if not 0 <= i < m:
         raise LetterOutOfRange(f"letter {i} outside [0, {m})")
-    return Point(_apply_raw(x.coords, (i,), m, 1))
+    return Point._of(_apply_raw(x.coords, (i,), m, 1))
 
 
 def apply_word(x: Point, w: Word) -> Point:
     """Act by the letters of ``w`` from left to right."""
     if x.m != w.m:
         raise DimensionMismatch(f"point has {x.m} coordinates, word expects {w.m}")
-    return Point(_apply_raw(x.coords, w.letters, w.m, w.n))
+    return Point._of(_apply_raw(x.coords, w.letters, w.m, w.n))
 
 
 def _norm(coords: Sequence[int]) -> int:
@@ -461,13 +469,11 @@ def find_fixed_point(
         budget = default_budget(m, n)
     else:
         budget = _positive_budget(max_iterations, "max_iterations")
-    if start is None:
-        start = staircase_point(m, n)
-    elif not isinstance(start, Point) or start.m != m:
+    if start is not None and not (isinstance(start, Point) and start.m == m):
         raise DimensionMismatch(f"start {start!r} is not a point with {m} coordinates")
-    start, letters = start.coords, w.letters
+    start = _staircase(m, n) if start is None else start.coords
     bound = (_norm(start) + (m * n) ** 4) if escape_bound is None else escape_bound
-    orbit = _orbit(start, letters, m, n, budget, bound)
+    orbit = _orbit(start, w.letters, m, n, budget, bound)
     if orbit is None:
         raise IterationBudgetExhausted(
             f"no resolution for {w} within {budget} word applications"
@@ -476,13 +482,13 @@ def find_fixed_point(
     if it is None:
         # the cycle's witness is its first repeat; Brent's detection
         # found the cycle at or after it, so within the budget
-        first, x = _first_repeat(start, letters, m, n, period)
+        first, x = _first_repeat(start, w.letters, m, n, period)
         it, applications = first + period, applications + period + 2 * first
     if period == 0:
         return OrbitReport(Diverged(it, _norm(x)), it, applications)
     if period == 1:
-        return OrbitReport(Fixed(Point(x)), it, applications)
-    witness = Point(x)
+        return OrbitReport(Fixed(Point._of(x)), it, applications)
+    witness = Point._of(x)
     if gcd(m, n) == 1 and is_parking_word(w) and len({c % m for c in start}) == m:
         raise InternalInconsistency(
             f"coprime parking word {w} entered a {period}-cycle", witness=witness

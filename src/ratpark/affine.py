@@ -58,6 +58,14 @@ class AffinePermutation:
             )
         object.__setattr__(self, "window", window)
 
+    @classmethod
+    def _of(cls, window: tuple[int, ...]) -> AffinePermutation:
+        """Trusted constructor: ``window`` is a checked balanced tuple's removals,
+        which are distinct mod n and sum to n(n+1)/2."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "window", window)
+        return w
+
     @property
     def n(self) -> int:
         return len(self.window)
@@ -133,7 +141,7 @@ def tuple_to_window(t: FilterTuple) -> AffinePermutation:
     """Removal levels of the tuple's balanced translate, read as a window:
     the tuple's checked removals, shifted once."""
     shift = _balancing_shift(t.initial)
-    return AffinePermutation(tuple([v + shift for v in t.removals]))
+    return AffinePermutation._of(tuple([v + shift for v in t.removals]))
 
 
 def window_to_tuple(w: AffinePermutation, m: int) -> FilterTuple:
@@ -187,9 +195,8 @@ def enumerate_sommers(m: int, n: int) -> Iterator[AffinePermutation]:
     balanced filter and shifted area groups of each Dyck class are built
     once, from :func:`ratpark.filters._dyck_classes`, into a dict keyed by
     the class's sorted letters; the parking words then look up their class.
-    Each window costs one ``FilterTuple`` check of its balanced removals
-    (removability does not change under translation, so the parking tuple
-    needs no check of its own) and one ``AffinePermutation`` check.
+    Each window is the removals of one checked balanced ``FilterTuple``;
+    removability is invariant under translation, so no parking tuple is built.
     """
     classes: dict[tuple[int, ...], tuple[Filter, dict[int, list[int]]]] = {}
     for letters, d, groups in _dyck_classes(m, n):
@@ -199,7 +206,7 @@ def enumerate_sommers(m: int, n: int) -> Iterator[AffinePermutation]:
         b, groups = classes[tuple(sorted(u.letters))]
         levels = {a: iter(g) for a, g in groups.items()}
         removals = tuple([next(levels[a]) for a in u.letters])
-        yield AffinePermutation(FilterTuple(b, removals).removals)
+        yield AffinePermutation._of(FilterTuple(b, removals).removals)
 
 
 def anderson_inverse(w: Word) -> AffinePermutation:

@@ -23,19 +23,25 @@ class NotCoprime(RatparkError):
     pass
 
 
-def require_coprime(m: int, n: int, what: str) -> None:
-    """Raise :class:`NotCoprime` naming ``what`` unless gcd(m, n) = 1;
-    sizes below 1 (where gcd(0, 1) = 1) raise as ``Word`` does."""
-    if m < 1 or n < 1:
-        raise LetterOutOfRange(f"need m,n >= 1, got m={m} n={n}")
-    if gcd(m, n) != 1:
-        raise NotCoprime(f"{what}: (m, n) must be coprime, got ({m}, {n})")
-
-
 def _require_ints(values: tuple, error: type[RatparkError], what: str) -> None:
     """The integer rule of every value type: no floats, no bools, else ``error``."""
     if set(map(type, values)) != {int}:
         raise error(f"{what} not all integers: {values}")
+
+
+def _require_sizes(m: int, n: int) -> None:
+    """The one size gate: integers of at least 1, else :class:`LetterOutOfRange`."""
+    _require_ints((m, n), LetterOutOfRange, "sizes")
+    if m < 1 or n < 1:
+        raise LetterOutOfRange(f"need m,n >= 1, got m={m} n={n}")
+
+
+def require_coprime(m: int, n: int, what: str) -> None:
+    """Raise :class:`NotCoprime` naming ``what`` unless gcd(m, n) = 1, after
+    the size gate that ``Word`` passes too (gcd(0, 1) = 1 is no pass)."""
+    _require_sizes(m, n)
+    if gcd(m, n) != 1:
+        raise NotCoprime(f"{what}: (m, n) must be coprime, got ({m}, {n})")
 
 
 class NotDyck(RatparkError):

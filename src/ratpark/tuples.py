@@ -189,7 +189,7 @@ def _fixed_filter(w: Word, start: Filter) -> Filter:
     :func:`ratpark.sweep.sweep_inverse` hands over the balanced form of the
     Dyck filter it inverts.  The solver's point is validated as a filter.
     """
-    report = action.find_fixed_point(w, start=action.Point(start.row_minima))
+    report = action.find_fixed_point(w, start=action.Point._of(start.row_minima))
     if not isinstance(report.outcome, action.Fixed):
         raise InternalInconsistency(
             f"solver did not fix a point for parking word {w}: {report}"
@@ -242,7 +242,7 @@ def fixed_point_oracle(w: Word) -> action.Point:
         raise InternalInconsistency(
             f"{len(replayed)} balanced tuples have rank word {w}"
         )
-    return action.Point(replayed[0].row_minima)
+    return action.Point._of(replayed[0].row_minima)
 
 
 def zeta(w: Word) -> Word:

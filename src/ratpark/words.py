@@ -19,6 +19,7 @@ from .errors import (
     LetterOutOfRange,
     NotAParkingWord,
     _require_ints,
+    _require_sizes,
     require_coprime,
 )
 
@@ -33,9 +34,8 @@ class Word:
 
     def __post_init__(self):
         letters = tuple(self.letters)
-        _require_ints((self.m, self.n, *letters), LetterOutOfRange, "sizes and letters")
-        if self.m < 1 or self.n < 1:
-            raise LetterOutOfRange(f"need m,n >= 1, got m={self.m} n={self.n}")
+        _require_sizes(self.m, self.n)
+        _require_ints(letters, LetterOutOfRange, "letters")
         if len(letters) != self.n:
             raise LetterOutOfRange(f"expected {self.n} letters, got {len(letters)}")
         for j, letter in enumerate(letters):
@@ -163,15 +163,14 @@ def enumerate_words(m: int, n: int, kind: str = "all") -> Iterator[Word]:
 
     ``kind`` is ``"all"``, ``"parking"`` or ``"dyck"``.  Parking yields
     exactly ``m**(n-1)`` words when gcd(m, n) = 1; dyck yields the weakly
-    increasing ones.  Sizes below 1 raise :class:`LetterOutOfRange`, as
-    :class:`Word` does, when the first word is requested; with them
+    increasing ones.  Sizes pass the size gate of :class:`Word` (else
+    :class:`LetterOutOfRange`) when the first word is requested; with them
     checked, both letter streams yield n letters below m by construction,
     so the words are built by the trusted ``Word._of``.
     """
     if kind not in ("all", "parking", "dyck"):
         raise ValueError(f"unknown enumeration kind {kind!r}")
-    if m < 1 or n < 1:
-        raise LetterOutOfRange(f"need m,n >= 1, got m={m} n={n}")
+    _require_sizes(m, n)
     if kind == "all":
         letter_tuples = itertools.product(range(m), repeat=n)
     else:

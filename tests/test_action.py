@@ -9,6 +9,7 @@ from ratpark import (
     Cycle,
     DimensionMismatch,
     Diverged,
+    Filter,
     Fixed,
     InternalInconsistency,
     InvalidBudget,
@@ -33,7 +34,7 @@ from ratpark import (
     to_balanced,
     touch_decomposition,
 )
-from ratpark import action
+from ratpark import action, tuples
 from ratpark.action import _apply_raw, _norm
 from ratpark.reference import (
     FIXED_POINTS_3_4,
@@ -71,6 +72,10 @@ def test_apply_letter_examples():
     assert apply_letter(Point((0, 0)), 1).coords == (-1, 1)
     with pytest.raises(LetterOutOfRange):
         apply_letter(Point((0, 0)), 2)
+    # a float or bool letter is refused, as Word refuses it
+    for letter in (1.0, True, "1"):
+        with pytest.raises(LetterOutOfRange):
+            apply_letter(Point((0, 1, 2)), letter)
 
 
 def test_apply_word_chain():
@@ -624,6 +629,41 @@ def test_solver_matches_plain_orbit_on_near_misses():
         assert below[0] == outcome
         at = _assert_matches_plain(word_, escape_bound=outcome.norm)[0]
         assert not (isinstance(at, Diverged) and at.step == outcome.step)
+
+
+def test_trusted_points_equal_validated_points(monkeypatch):
+    # the action, the solver, the oracle and the warm start of rank-word
+    # inversion build their points unchecked; each must be the point the
+    # validating constructor makes of its coordinates
+    solved = []
+    solve = action.find_fixed_point
+
+    def recording(word_, **kwargs):
+        report = solve(word_, **kwargs)
+        solved.extend([kwargs["start"], report.outcome.point])
+        return report
+
+    monkeypatch.setattr(action, "find_fixed_point", recording)
+    rng = random.Random(21)
+    for m, n in ((3, 5), (13, 21), (50, 77)):
+        for _ in range(3):
+            word_ = _random_parking_word(rng, m, n)
+            solved.clear()
+            start = Filter(m, n, _warm_start(word_).coords)
+            initial = tuples._fixed_filter(word_, start)
+            fixed = solve(word_).outcome.point
+            points = [
+                *solved,
+                fixed,
+                apply_word(staircase_point(m, n), word_),
+                apply_word(fixed, word_),
+                apply_letter(fixed, word_.letters[0]),
+            ]
+            if m < 13:
+                points.append(fixed_point_oracle(word_))
+            assert initial.row_minima == fixed.coords
+            for p in points:
+                assert p == Point(p.coords), (word_, p)
 
 
 def test_solver_memory_is_bounded():

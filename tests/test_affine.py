@@ -24,6 +24,7 @@ from ratpark import (
     rank_word,
     staircase_window,
     tuple_from_area_word,
+    tuple_from_rank_word,
     tuple_to_balanced,
     tuple_to_window,
     value_position,
@@ -40,6 +41,7 @@ from ratpark.reference import (
     SWAP_PAIRS,
 )
 from ratpark.tuples import translate
+from ratpark.verify import DEFAULT_PAIRS
 
 
 def test_window_validation():
@@ -75,6 +77,9 @@ def test_in_sommers():
     for m in (0, -3):
         with pytest.raises(LetterOutOfRange, match="need m,n >= 1"):
             in_sommers(AffinePermutation((1,)), m)
+    for m in (2.0, True):
+        with pytest.raises(LetterOutOfRange, match="not all integers"):
+            in_sommers(AffinePermutation((1, 2, 3)), m)
 
 
 def test_is_dominant():
@@ -181,9 +186,27 @@ def test_enumerate_sommers_equals_the_public_route():
             for u in enumerate_words(m, n, "parking")
         ]
         assert list(enumerate_sommers(m, n)) == expected, (m, n)
-    for m, n, error in ((2, 4, NotCoprime), (0, 3, LetterOutOfRange)):
+    for m, n, error in (
+        (2, 4, NotCoprime),
+        (0, 3, LetterOutOfRange),
+        (3.0, 4, LetterOutOfRange),
+        (3, True, LetterOutOfRange),
+    ):
         with pytest.raises(error):
             list(enumerate_sommers(m, n))
+
+
+def test_trusted_windows_equal_validated_windows():
+    # a window read off a checked balanced tuple is built unchecked, since
+    # its removals are distinct mod n and sum to n(n+1)/2 by a theorem; each
+    # must be the window the validating constructor makes of it
+    for m, n in DEFAULT_PAIRS:
+        for w in enumerate_sommers(m, n):
+            assert w == AffinePermutation(w.window), (m, n, w)
+        for u in enumerate_words(m, n, "parking"):
+            for t in (tuple_from_area_word(u), tuple_from_rank_word(u)):
+                w = tuple_to_window(t)
+                assert w == AffinePermutation(w.window), (u, w)
 
 
 def test_enumerate_sommers_published_windows():

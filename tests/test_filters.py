@@ -12,6 +12,7 @@ from ratpark import (
     DimensionMismatch,
     Filter,
     InternalInconsistency,
+    LetterOutOfRange,
     LevelNotRemovable,
     NotCoprime,
     NotDyck,
@@ -36,6 +37,7 @@ from ratpark import (
     mn_swap,
     pak_stanley,
     pak_stanley_inverse,
+    qt_table,
     removable_levels,
     remove,
     sweep,
@@ -72,6 +74,13 @@ def test_filter_validation():
     for minima in ((0.0, 2, 4), (0, 2, 4.0), (False, 2, 4)):
         with pytest.raises(DimensionMismatch):
             Filter(3, 4, minima)
+    # sizes pass the size gate of Word, here and in every coprime-size
+    # check: a float or bool size is refused before gcd sees it
+    for m, n, minima in ((3.0, 4, (0, 2, 4)), (3, 4.0, (0, 2, 4)), (True, 3, (0,))):
+        with pytest.raises(LetterOutOfRange):
+            Filter(m, n, minima)
+        with pytest.raises(LetterOutOfRange):
+            qt_table(m, n)
 
 
 def _each_built_filter(m, n):

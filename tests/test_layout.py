@@ -66,20 +66,30 @@ def test_module_graph_is_acyclic():
     TopologicalSorter(graph).prepare()
 
 
-# every site that builds a filter or a word without validation; each one's
-# docstring, or that of ``Filter``, argues why its minima are a filter's or
-# its letters a word's
-TRUSTED_FILTER_SITES = {
-    "filters.to_dyck",
-    "filters.to_balanced",
-    "filters.remove",
-    "filters.mn_swap",
-    "filters._dyck_filter",
-    "filters.filter_from_path",
-    "tuples.FilterTuple.stages",
-    "tuples.translate",
-    "words._derived_word",
-    "words.enumerate_words",
+# every site that builds a value without validation, by the type it builds;
+# each one's docstring, or that of its type, argues why the value is valid:
+# a filter's minima, a word's letters, sorted coordinates made by the action
+# or read off row minima, and a window read off a checked balanced tuple
+TRUSTED_SITES = {
+    "Filter": {
+        "filters.to_dyck",
+        "filters.to_balanced",
+        "filters.remove",
+        "filters.mn_swap",
+        "filters._dyck_filter",
+        "filters.filter_from_path",
+        "tuples.FilterTuple.stages",
+        "tuples.translate",
+    },
+    "Word": {"words._derived_word", "words.enumerate_words"},
+    "Point": {
+        "action.apply_letter",
+        "action.apply_word",
+        "action.find_fixed_point",
+        "tuples._fixed_filter",
+        "tuples.fixed_point_oracle",
+    },
+    "AffinePermutation": {"affine.tuple_to_window", "affine.enumerate_sommers"},
 }
 
 
@@ -112,8 +122,22 @@ def _sites(name: str) -> list[str]:
     return _scopes(lambda node: _named(node, name))
 
 
+def _trusted(name: str):
+    """Whether a node is ``name._of``, the constructor of ``name`` that skips
+    checks."""
+    return lambda node: (
+        isinstance(node, ast.Attribute)
+        and node.attr == "_of"
+        and _named(node.value, name)
+    )
+
+
 def test_trusted_filter_constructor_stays_at_its_sites():
-    assert set(_sites("_of")) == TRUSTED_FILTER_SITES
+    # each type's trusted constructor stays at its own sites, matched by the
+    # type it is called on, and no other type has one
+    for name, sites in TRUSTED_SITES.items():
+        assert set(_scopes(_trusted(name))) == sites, name
+    assert set(_sites("_of")) == set().union(*TRUSTED_SITES.values())
 
 
 def test_one_orbit_loop():
@@ -158,15 +182,6 @@ def test_column_minima_only_where_the_columns_are_unknown():
     ]
 
 
-def _trusted_word(node) -> bool:
-    """Whether ``node`` is ``Word._of``, the word constructor that skips checks."""
-    return (
-        isinstance(node, ast.Attribute)
-        and node.attr == "_of"
-        and _named(node.value, "Word")
-    )
-
-
 def _raises(name: str):
     return lambda node: isinstance(node, ast.Raise) and _calls(name)(node.exc)
 
@@ -176,7 +191,7 @@ def test_words_are_validated_once_at_the_boundary():
     # builder that checks the theorem making it parking; letters are
     # validated only where they come in, and only words decides that a
     # word is not parking
-    assert sorted(_scopes(_trusted_word)) == [
+    assert sorted(_scopes(_trusted("Word"))) == [
         "words._derived_word",
         "words.enumerate_words",
     ]
@@ -216,8 +231,9 @@ def test_one_balancing_shift():
         "filters.to_balanced",
         "tuples.tuple_to_balanced",
     ]
-    for name in ("Filter", "_of", "FilterTuple", "translate", "tuple_to_balanced"):
+    for name in ("Filter", "FilterTuple", "translate", "tuple_to_balanced"):
         assert "affine.tuple_to_window" not in _scopes(_calls(name)), name
+    assert "affine.tuple_to_window" not in _scopes(_trusted("Filter"))
 
 
 def _enumerates_dyck_words(node) -> bool:

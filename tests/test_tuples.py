@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from ratpark import (
+    AffinePermutation,
     DimensionMismatch,
     Filter,
     FilterTuple,
@@ -414,23 +415,24 @@ def test_tuple_check_matches_the_removal_chain():
 
 
 def test_public_filter_validations_per_op_do_not_grow_with_n(monkeypatch):
-    # library-derived filters and words are trusted; only boundary filters
-    # validate, sweep_inverse, which needs only the fixed filter, builds no
-    # tuple, and no op validates a word it derives
+    # library-derived filters, words, points and windows are trusted; only
+    # boundary filters validate, sweep_inverse, which needs only the fixed
+    # filter, builds no tuple, and no op validates a word, point or window
+    # it derives
     counts = Counter()
 
     def counting(cls):
         post_init = cls.__post_init__
 
         def counted(self):
-            counts[cls.__name__] += 1
+            counts[cls] += 1
             post_init(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
 
-    counting(Filter)
-    counting(FilterTuple)
-    counting(Word)
+    types = (FilterTuple, Filter, Word, Point, AffinePermutation)
+    for cls in types:
+        counting(cls)
     per_op, sizes = {}, ((3, 5), (13, 21))
     for m, n in sizes:
         word_ = _random_parking_word(random.Random(3), m, n)
@@ -449,21 +451,21 @@ def test_public_filter_validations_per_op_do_not_grow_with_n(monkeypatch):
         for op, *args in ops:
             counts.clear()
             op(*args)
-            per_op[op.__name__, m, n] = tuple(
-                counts[cls] for cls in ("FilterTuple", "Filter", "Word")
-            )
+            per_op[op.__name__, m, n] = tuple(counts[cls] for cls in types)
     # dyck filters of checked words are trusted; the solver's fixed point is
-    # not; a window is read off the checked removals, with no second tuple;
-    # a word the library derives is checked by its theorem, not validated
+    # not; a window is read off the checked removals, with no second tuple
+    # and no second check; a word the library derives is checked by its
+    # theorem, not validated; the solver's start and outcome are points by
+    # construction
     expected = {
-        "zeta": (1, 0, 0),
-        "zeta_inverse": (1, 1, 0),
-        "dinv": (1, 0, 0),
-        "sweep_inverse": (0, 1, 0),
-        "anderson_inverse": (1, 0, 0),
-        "pak_stanley_inverse": (1, 1, 0),
-        "anderson": (0, 0, 0),
-        "pak_stanley": (0, 0, 0),
+        "zeta": (1, 0, 0, 0, 0),
+        "zeta_inverse": (1, 1, 0, 0, 0),
+        "dinv": (1, 0, 0, 0, 0),
+        "sweep_inverse": (0, 1, 0, 0, 0),
+        "anderson_inverse": (1, 0, 0, 0, 0),
+        "pak_stanley_inverse": (1, 1, 0, 0, 0),
+        "anderson": (0, 0, 0, 0, 0),
+        "pak_stanley": (0, 0, 0, 0, 0),
     }
     assert per_op == {
         (op, m, n): want for op, want in expected.items() for m, n in sizes

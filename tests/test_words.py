@@ -133,10 +133,11 @@ def test_enumeration_equals_the_filtered_product():
         ]
         assert [x.letters for x in enumerate_words(m, n, "parking")] == parking
         assert [x.letters for x in enumerate_words(m, n, "dyck")] == dyck
-    # sizes below 1 are refused on every kind, when the first word is drawn
+    # sizes below 1, and float or bool sizes, are refused on every kind,
+    # when the first word is drawn
     assert inspect.isgeneratorfunction(enumerate_words)
     for kind in ("all", "parking", "dyck"):
-        for m, n in ((0, 3), (-2, 3), (3, 0), (3, -1)):
+        for m, n in ((0, 3), (-2, 3), (3, 0), (3, -1), (2.0, 3), (3, True)):
             with pytest.raises(LetterOutOfRange):
                 list(enumerate_words(m, n, kind))
 
