@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import comb, gcd, isqrt, lcm
 from operator import gt, mul
 
@@ -25,6 +24,7 @@ from .errors import (
     InvalidBudget,
     IterationBudgetExhausted,
     LetterOutOfRange,
+    _Record,
     _require_ints,
 )
 from .words import Word, is_parking_word, touch_decomposition
@@ -32,11 +32,14 @@ from .words import Word, is_parking_word, touch_decomposition
 MAX_ITER_ENV = "RATPARK_MAX_ITER"
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Record):
     """A weakly increasing tuple of exact integers."""
 
-    coords: tuple[int, ...]
+    __slots__ = _fields = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]):
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()
 
     def __post_init__(self):
         coords = tuple(self.coords)
@@ -46,6 +49,14 @@ class Point:
         if any(map(gt, coords, coords[1:])):
             raise DimensionMismatch(f"coordinates not weakly increasing: {coords}")
         object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.coords,) == (other.coords,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     @classmethod
     def _of(cls, coords: tuple[int, ...]) -> Point:
@@ -63,28 +74,75 @@ class Point:
         return sum(self.coords)
 
 
-@dataclass(frozen=True)
-class Fixed:
-    point: Point
+class Fixed(_Record):
+    __slots__ = _fields = ("point",)
+
+    def __init__(self, point: Point):
+        object.__setattr__(self, "point", point)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.point,) == (other.point,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.point,))
 
 
-@dataclass(frozen=True)
-class Cycle:
-    period: int
-    witness: Point
+class Cycle(_Record):
+    __slots__ = _fields = ("period", "witness")
+
+    def __init__(self, period: int, witness: Point):
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.period, self.witness) == (other.period, other.witness)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.period, self.witness))
 
 
-@dataclass(frozen=True)
-class Diverged:
-    step: int
-    norm: int
+class Diverged(_Record):
+    __slots__ = _fields = ("step", "norm")
+
+    def __init__(self, step: int, norm: int):
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "norm", norm)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.step, self.norm) == (other.step, other.norm)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.step, self.norm))
 
 
-@dataclass(frozen=True)
-class OrbitReport:
-    outcome: Fixed | Cycle | Diverged
-    iterations: int  # applications of the plain orbit from its start to the outcome
-    applications: int  # applications the solver computed
+class OrbitReport(_Record):
+    """``iterations`` counts the applications of the plain orbit from its
+    start to the outcome; ``applications`` those the solver computed."""
+
+    __slots__ = _fields = ("outcome", "iterations", "applications")
+
+    def __init__(
+        self, outcome: Fixed | Cycle | Diverged, iterations: int, applications: int
+    ):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "applications", applications)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.outcome, self.iterations, self.applications) == (
+                other.outcome, other.iterations, other.applications
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.outcome, self.iterations, self.applications))
 
 
 def _apply_raw(

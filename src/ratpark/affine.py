@@ -14,13 +14,13 @@ Pak-Stanley parking words.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
     NotDominant,
     NotInSommers,
     RatparkError,
+    _Record,
     _require_ints,
     require_coprime,
 )
@@ -38,11 +38,14 @@ from .tuples import FilterTuple, tuple_from_area_word, tuple_from_rank_word
 from .words import Word, _derived_word, enumerate_words
 
 
-@dataclass(frozen=True)
-class AffinePermutation:
+class AffinePermutation(_Record):
     """Window of n integers, distinct mod n, summing to n(n+1)/2."""
 
-    window: tuple[int, ...]
+    __slots__ = _fields = ("window",)
+
+    def __init__(self, window: tuple[int, ...]):
+        object.__setattr__(self, "window", window)
+        self.__post_init__()
 
     def __post_init__(self):
         window = tuple(self.window)
@@ -57,6 +60,14 @@ class AffinePermutation:
                 f"window {window} sums to {sum(window)}, expected {n * (n + 1) // 2}"
             )
         object.__setattr__(self, "window", window)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.window,) == (other.window,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.window,))
 
     @classmethod
     def _of(cls, window: tuple[int, ...]) -> AffinePermutation:

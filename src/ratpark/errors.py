@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all ratpark modules."""
+"""Exception hierarchy, value-type rules and record base shared by all
+ratpark modules."""
 
 from math import gcd
 
@@ -21,6 +22,38 @@ class DimensionMismatch(RatparkError):
 
 class NotCoprime(RatparkError):
     pass
+
+
+class _Record:
+    """Base of the frozen value types, a frozen dataclass without the
+    ``dataclasses`` import.
+
+    A subclass names its fields in ``_fields``, in constructor order, and
+    keeps them in ``__slots__``.  It writes its ``__init__``, which sets the
+    fields with ``object.__setattr__`` and then, if the type validates, calls
+    ``self.__post_init__()`` through the class; and its ``__eq__`` (same class,
+    equal field tuples) and ``__hash__`` (the hash of the field tuple) over
+    exactly ``_fields``, as ``@dataclass(frozen=True)`` would generate them.
+    The base adds the dataclass ``repr``, refuses assignment and deletion,
+    and pickles and copies a record by calling its class on its fields,
+    which validates them again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 def _require_ints(values: tuple, error: type[RatparkError], what: str) -> None:

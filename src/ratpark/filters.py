@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from math import comb
 
 from .action import staircase_point
@@ -23,6 +22,7 @@ from .errors import (
     InternalInconsistency,
     LevelNotRemovable,
     NotDyck,
+    _Record,
     _require_ints,
     require_coprime,
 )
@@ -42,8 +42,7 @@ def _residue_table(levels: Iterable[int], modulus: int) -> tuple[int | None, ...
     return tuple(table)
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(_Record):
     """An (m,n)-invariant order filter, canonically its sorted row minima.
 
     ``Filter(m, n, minima)`` validates: coprime sizes, one integer minimum
@@ -57,12 +56,18 @@ class Filter:
     and Dyck paths: a sorted parking word's (:func:`_dyck_filter`) and a
     checked path's that never dips below level 0 (:func:`filter_from_path`).
     Both constructors store ``by_residue``, the row minima by residue mod
-    m; it is no field, so equality, hash and ``repr`` never see it.
+    m, in a slot outside ``_fields``, so equality, hash and ``repr`` never
+    see it.
     """
 
-    m: int
-    n: int
-    row_minima: tuple[int, ...]
+    _fields = ("m", "n", "row_minima")
+    __slots__ = _fields + ("by_residue",)
+
+    def __init__(self, m: int, n: int, row_minima: tuple[int, ...]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "row_minima", row_minima)
+        self.__post_init__()
 
     def __post_init__(self):
         require_coprime(self.m, self.n, "filters")
@@ -86,6 +91,16 @@ class Filter:
                 raise InternalInconsistency(
                     f"row minima {minima} not up-closed: {v}+{self.n} missing"
                 )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.n, self.row_minima) == (
+                other.m, other.n, other.row_minima
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.row_minima))
 
     @classmethod
     def _of(cls, m: int, n: int, sorted_minima: Sequence[int]) -> Filter:

@@ -19,7 +19,6 @@ the fixed point of the word being inverted.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import product
 from operator import lt
 
@@ -29,6 +28,7 @@ from .errors import (
     InternalInconsistency,
     LevelNotRemovable,
     NotDyck,
+    _Record,
     _require_ints,
     require_coprime,
 )
@@ -49,8 +49,7 @@ from .filters import (
 from .words import Word, _derived_word, _require_parking
 
 
-@dataclass(frozen=True)
-class FilterTuple:
+class FilterTuple(_Record):
     """An initial filter plus the ordered sequence of n removed levels.
 
     The constructor always validates the n integer removals, in one
@@ -62,8 +61,12 @@ class FilterTuple:
     filters.  So :meth:`stages` builds each by the trusted ``Filter._of``.
     """
 
-    initial: Filter
-    removals: tuple[int, ...]
+    __slots__ = _fields = ("initial", "removals")
+
+    def __init__(self, initial: Filter, removals: tuple[int, ...]):
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "removals", removals)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "removals", tuple(self.removals))
@@ -85,6 +88,14 @@ class FilterTuple:
             raise InternalInconsistency(
                 f"final stage {final} is not initial + {n}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.initial, self.removals) == (other.initial, other.removals)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.initial, self.removals))
 
     @property
     def m(self) -> int:
@@ -279,14 +290,26 @@ def dinv(x: Word | FilterTuple) -> int:
     return _statistic_ceiling(x.m, x.n) - sum(rank_word(x).letters)
 
 
-@dataclass(frozen=True)
-class QTTable:
+class QTTable(_Record):
     """Joint (area, dinv) counts; rows are area values, columns dinv."""
 
-    m: int
-    n: int
-    over: str
-    counts: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("m", "n", "over", "counts")
+
+    def __init__(self, m: int, n: int, over: str, counts: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "over", over)
+        object.__setattr__(self, "counts", counts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.n, self.over, self.counts) == (
+                other.m, other.n, other.over, other.counts
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.over, self.counts))
 
     @property
     def size(self) -> int:

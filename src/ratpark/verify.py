@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from math import comb
 from operator import sub
 
@@ -94,22 +93,22 @@ LIPSCHITZ_TRIALS = 10_000
 DIVERGENCE_APPLICATIONS = 50
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    seconds: float = 0.0
-    first_failure: str | None = None
+    def __init__(self, name: str):
+        self.name = name
+        self.passed = 0
+        self.failed = 0
+        self.seconds = 0.0
+        self.first_failure: str | None = None
 
     @property
     def ok(self) -> bool:
         return self.failed == 0
 
 
-@dataclass
 class VerifyReport:
-    suites: list[SuiteResult] = field(default_factory=list)
+    def __init__(self):
+        self.suites: list[SuiteResult] = []
 
     @property
     def ok(self) -> bool:

@@ -11,26 +11,29 @@ from __future__ import annotations
 import enum
 import itertools
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
     InternalInconsistency,
     LetterOutOfRange,
     NotAParkingWord,
+    _Record,
     _require_ints,
     _require_sizes,
     require_coprime,
 )
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """A length-``n`` word with letters drawn from ``{0,...,m-1}``."""
 
-    m: int
-    n: int
-    letters: tuple[int, ...]
+    __slots__ = _fields = ("m", "n", "letters")
+
+    def __init__(self, m: int, n: int, letters: tuple[int, ...]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self):
         letters = tuple(self.letters)
@@ -44,6 +47,14 @@ class Word:
                     f"letter {letter} at position {j} outside [0, {self.m})"
                 )
         object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.n, self.letters) == (other.m, other.n, other.letters)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.letters))
 
     @classmethod
     def _of(cls, m: int, n: int, letters: tuple[int, ...]) -> Word:
@@ -189,27 +200,37 @@ def _parking_letters(m: int, n: int, increasing: bool) -> Iterator[tuple[int, ..
     ``slack[1..a]``, so the letters that keep the prefix parking are
     those below the first ``i`` with ``slack[i] < m``.  With
     ``increasing`` each letter is at least the one before (Dyck words).
+    The DFS keeps its path in lists, not in the call stack, so no length
+    of word is too deep for it.
     """
     slack = [(m - i) * n for i in range(m)]
-    prefix: list[int] = []
-
-    def extend(lo: int) -> Iterator[tuple[int, ...]]:
+    prefix: list[int] = []  # the letters placed, each paid for in slack[1..letter]
+    tops: list[int] = []  # per placed letter, one past the largest its position allows
+    lo = 0  # the least letter of the open position; always 0 unless increasing
+    while True:
         top = 1
         while top < m and slack[top] >= m:
             top += 1
-        last = len(prefix) == n - 1
-        spent = 0  # slack[1..spent] pay for the letter at this position
-        for a in range(lo, min(top, m)):
-            while spent < a:
-                spent += 1
-                slack[spent] -= m
-            if last:
+        if len(prefix) == n - 1:
+            for a in range(lo, top):
                 yield (*prefix, a)
-            else:
-                prefix.append(a)
-                yield from extend(a if increasing else 0)
-                prefix.pop()
-        for i in range(1, spent + 1):
-            slack[i] += m
-
-    yield from extend(0)
+        elif lo < top:
+            for i in range(1, lo + 1):
+                slack[i] -= m
+            prefix.append(lo)
+            tops.append(top)
+            continue
+        # the open position is done: advance the deepest letter that can grow
+        while prefix:
+            a = prefix[-1] + 1
+            if a < tops[-1]:
+                slack[a] -= m
+                prefix[-1] = a
+                lo = a if increasing else 0
+                break
+            prefix.pop()
+            tops.pop()
+            for i in range(1, a):
+                slack[i] += m
+        else:
+            return

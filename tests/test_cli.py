@@ -37,6 +37,16 @@ def test_enumerate_streams_the_listed_output(capsys):
         assert run(capsys, *args, "--json") == (0, as_json, "")
 
 
+def test_dyck_commands_take_words_longer_than_the_recursion_limit(capsys):
+    args = ("--m", "2", "--n", "1001")
+    code, out, err = run(capsys, "enumerate", *args, "--kind", "dyck")
+    assert (code, len(out.split()), err) == (0, 501, "")
+    args += ("--over", "dyck", "--format", "json")
+    code, out, err = run(capsys, "qt-table", *args)
+    assert (code, err) == (0, "")
+    assert sum(map(sum, json.loads(out)["counts"])) == 501
+
+
 def test_enumerate_refuses_sizes_below_one(capsys):
     for kind in ("all", "parking", "dyck"):
         for m, n in (("0", "3"), ("3", "-1")):

@@ -1,7 +1,9 @@
 """Source layout rules that keep the module graph acyclic and explicit."""
 
 import ast
-from dataclasses import fields
+import os
+import subprocess
+import sys
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -38,6 +40,33 @@ def test_no_imports_inside_functions():
     assert modules
     sites = [site for path in modules for site in _imports_inside_functions(path)]
     assert sites == IMPORTS_INSIDE_FUNCTIONS
+
+
+def test_no_module_imports_dataclasses():
+    # the value types are errors._Record subclasses and verify's results are
+    # plain classes: dataclasses, and the inspect, ast and dis it loads, cost
+    # a third of a cold start
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    assert imported and "dataclasses" not in imported
+
+
+def test_cli_cold_start_loads_no_dataclasses():
+    # -S keeps site's own imports out of the count
+    probe = (
+        "import sys, ratpark.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def _relative_imports(path: Path) -> set[str]:
@@ -160,7 +189,7 @@ def test_one_residue_table():
         "filters.filter_from_path",
     ]
     assert not hasattr(ratpark.filters, "_by_residue")
-    assert [f.name for f in fields(ratpark.Filter)] == ["m", "n", "row_minima"]
+    assert ratpark.Filter._fields == ("m", "n", "row_minima")
 
 
 def _calls(name: str):

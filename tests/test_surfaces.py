@@ -1,17 +1,26 @@
 """Direct checks for the small helper surfaces."""
 
+import copy
+import pickle
+
 import pytest
 
 from ratpark import (
+    Cycle,
+    Diverged,
     Filter,
     InternalInconsistency,
+    Point,
     Word,
+    anderson_inverse,
     dyck_filter_to_path,
     filter_from_column_minima,
     filter_from_dyck_word,
+    find_fixed_point,
     is_balanced,
     is_dyck,
     is_dyck_word,
+    qt_table,
     tuple_from_area_word,
     tuple_to_balanced,
     tuple_to_parking,
@@ -119,3 +128,45 @@ def test_dyck_word_of_unbalanced_representative():
     assert dyck_word(filter_from_dyck_word(Word(3, 4, (0, 0, 1, 1)))) == Word(
         3, 4, (0, 0, 1, 1)
     )
+
+
+def _one_value_of_each_type():
+    word_ = Word(3, 5, (1, 0, 0, 1, 1))
+    report = find_fixed_point(word_)
+    return [
+        word_,
+        Point((-1, 3, 4)),
+        report.outcome,
+        Cycle(2, Point((0, 1))),
+        Diverged(3, 40),
+        report,
+        Filter(3, 5, (4, -1, 3)),
+        tuple_from_area_word(word_),
+        qt_table(3, 5),
+        anderson_inverse(word_),
+    ]
+
+
+def test_value_types_are_frozen_records():
+    # equality, hash, repr, pickling and copies see the fields and nothing
+    # else; a record equals no other type, its own field tuple included
+    values = _one_value_of_each_type()
+    assert len({type(v) for v in values}) == 10
+    for v in values:
+        fields = tuple(getattr(v, name) for name in type(v)._fields)
+        assert hash(v) == hash(fields) and v != fields, v
+        for twin in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+            assert type(twin) is type(v) and twin == v and repr(twin) == repr(v)
+            if isinstance(v, Filter):
+                assert twin.by_residue == v.by_residue
+        for name in type(v)._fields + ("extra",):
+            with pytest.raises(AttributeError, match=f"assign to field '{name}'"):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError, match=f"delete field '{name}'"):
+                delattr(v, name)
+        assert tuple(getattr(v, name) for name in type(v)._fields) == fields
+    assert repr(values[5]) == (
+        "OrbitReport(outcome=Fixed(point=Point(coords=(-1, 3, 4))), "
+        f"iterations={values[5].iterations}, applications={values[5].applications})"
+    )
+    assert repr(values[6]) == "Filter(m=3, n=5, row_minima=(-1, 3, 4))"

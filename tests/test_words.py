@@ -111,6 +111,15 @@ def test_enumerate_counts_and_order():
     assert len(only) == 1 and only[0].letters == (0, 0, 0, 0)
 
 
+def test_enumeration_reaches_words_longer_than_the_recursion_limit():
+    # the DFS keeps its path in lists, so no word is too long for it
+    only = list(enumerate_words(1, 1200, "parking"))
+    assert len(only) == 1 and only[0].letters == (0,) * 1200
+    dyck = list(enumerate_words(2, 1001, "dyck"))
+    assert len(dyck) == 501
+    assert [x.letters.count(1) for x in dyck] == list(range(501))
+
+
 def test_dyck_words_are_sorted_parking_words():
     for m, n in ((4, 3), (3, 5), (4, 5)):
         dyck = {x.letters for x in enumerate_words(m, n, "dyck")}
