@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-inconsistency.  All output is deterministic for identical inputs; suite
-timings are printed only on request.
+inconsistency, 4 internal error (any other exception, such as a
+``MemoryError`` or a library bug).  All output is deterministic for
+identical inputs; suite timings are printed only on request.
 """
 
 from __future__ import annotations
@@ -255,6 +256,10 @@ def main(argv: list[str] | None = None) -> int:
     except RatparkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # not 1: that code means a verify suite failed
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ Only coprime (m, n) are supported.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from collections.abc import Iterable, Iterator, Sequence
 from math import comb
 
@@ -207,14 +207,18 @@ def removable_levels(f: Filter) -> tuple[int, ...]:
     return tuple(v for v in f.row_minima if _removable(table, v, f.m, f.n))
 
 
+def _lift_minimum(minima: list[int], i: int, m: int) -> None:
+    """Lift the minimal level ``minima[i]`` of sorted row minima by m, in place."""
+    insort(minima, minima.pop(i) + m, i)
+
+
 def after_removal(minima: Sequence[int], v: int, m: int) -> list[int]:
     """Sorted row minima once the minimal level ``v`` is removed.
 
     ``minima`` is sorted and holds ``v``; its row now starts at ``v + m``.
     """
     out = list(minima)
-    out.remove(v)
-    insort(out, v + m)
+    _lift_minimum(out, bisect_left(out, v), m)
     return out
 
 
@@ -292,16 +296,21 @@ def _dyck_filter(
     """The Dyck filter whose boundary path has the sorted column lengths
     ``letters``, with its column minima grouped by column length (the area
     letter), each group increasing.  Unchecked: ``letters`` must be a sorted
-    parking word of coprime sizes, as every caller has checked or enumerated."""
-    # from (0,0) the west steps come in falling column length, so sorted
-    # letter k ends its west step at x = k - n, height m - c: the level below.
-    # Its area letter is c, as the least of these levels is 0 (k = 0)
+    parking word of coprime sizes, as every caller has checked or enumerated.
+
+    From (0,0) the west steps come in falling column length, so sorted
+    letter ``k`` ends its west step at ``x = k - n``, height ``m - c_k``:
+    its column minimum, of area letter ``c_k`` as the least is 0 (``k = 0``).
+    The north step at height ``h`` starts at a row minimum, west of the
+    ``#{k : c_k >= m - h}`` west steps at heights up to ``h``, so at level
+    ``h*n - m * #{k : c_k >= m - h}``: a bisection of ``letters``, no table.
+    """
     cols = [(k - n) * m + (m - c) * n for k, c in enumerate(letters)]
     groups: dict[int, list[int]] = {}
     for c, v in zip(letters, cols):
         groups.setdefault(c, []).append(v)
-    d = Filter._of(m, n, _class_minima(_residue_table(cols, n), n, m))
-    return d, groups
+    rows = [h * n - m * (n - bisect_left(letters, m - h)) for h in range(m)]
+    return Filter._of(m, n, sorted(rows)), groups
 
 
 def filter_from_dyck_word(w: Word) -> Filter:

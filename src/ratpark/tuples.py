@@ -18,6 +18,7 @@ the fixed point of the word being inverted.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from itertools import product
 from operator import lt
@@ -37,6 +38,7 @@ from .filters import (
     _dyck_classes,
     _balancing_shift,
     _dyck_filter,
+    _lift_minimum,
     _removable,
     after_removal,
     area_letters,
@@ -166,11 +168,13 @@ def dyck_embedding(d: Filter) -> FilterTuple:
 
 
 def rank_word(t: FilterTuple) -> Word:
-    """Rank (0-indexed) of each removed level among the current row minima."""
-    letters, minima = [], t.initial.row_minima
+    """Rank (0-indexed) of each removed level among the current row minima,
+    found by bisection in the one sorted list the replay lifts in place."""
+    letters, minima = [], list(t.initial.row_minima)
     for v in t.removals:
-        letters.append(minima.index(v))
-        minima = after_removal(minima, v, t.m)
+        i = bisect_left(minima, v)
+        letters.append(i)
+        _lift_minimum(minima, i, t.m)
     return _derived_word(t.m, t.n, tuple(letters), "rank word")
 
 
@@ -213,14 +217,14 @@ def _rank_removals(initial: Filter, letters: tuple[int, ...]) -> tuple[int, ...]
     each is the current row minimum of the letter's rank.  The replay stops
     before the first level :func:`ratpark.filters._removable` refuses."""
     m, n = initial.m, initial.n
-    table, minima, removals = list(initial.by_residue), initial.row_minima, []
+    table, minima, removals = list(initial.by_residue), list(initial.row_minima), []
     for letter in letters:
         v = minima[letter]
         if not _removable(table, v, m, n):
             break
         table[v % m] = v + m
         removals.append(v)
-        minima = after_removal(minima, v, m)
+        _lift_minimum(minima, letter, m)
     return tuple(removals)
 
 

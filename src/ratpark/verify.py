@@ -137,9 +137,9 @@ class _Checker:
         return condition
 
     def equal(self, got, expected, label: str) -> bool:
-        return self.check(
-            got == expected, f"{label}: got {got!r}, expected {expected!r}"
-        )
+        if got == expected:  # the reprs are built only for a failure
+            return self.check(True, label)
+        return self.check(False, f"{label}: got {got!r}, expected {expected!r}")
 
 
 # ---------------------------------------------------------------- reference

@@ -266,6 +266,23 @@ def test_internal_inconsistency_exit_code(capsys, monkeypatch):
     assert "inconsistency" in err
 
 
+def test_other_exceptions_exit_4_not_1(capsys, monkeypatch):
+    from ratpark import cli as cli_module
+    from ratpark import reference
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic bug")
+
+    monkeypatch.setattr(cli_module, "zeta", boom)
+    code, out, err = run(capsys, "zeta", "--m", "4", "--n", "3", "--word", "012")
+    assert (code, out, err) == (4, "", "internal error: RuntimeError: synthetic bug\n")
+    # 1 stays the code of a failed suite
+    monkeypatch.setattr(reference, "PARKING_WORDS_4_3", ("000",))
+    code, out, _ = run(capsys, "verify", "--paper")
+    assert code == 1
+    assert "first failure: parking words (4,3): got {" in out
+
+
 def test_env_var_budget(capsys, monkeypatch):
     monkeypatch.setenv("RATPARK_MAX_ITER", "1")
     code, _, err = run(

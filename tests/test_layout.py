@@ -180,11 +180,11 @@ def test_one_residue_table():
     # a filter's row minima by residue are built by one helper, for the
     # filter's own table, which both constructors store outside the fields,
     # and for the column tables of the m<->n mirror builders; no per-call
-    # rebuild is left
+    # rebuild is left, and a Dyck filter's rows are counted from its column
+    # lengths with no table
     assert sorted(_sites("_residue_table")) == [
         "filters.Filter.__post_init__",
         "filters.Filter._of",
-        "filters._dyck_filter",
         "filters.filter_from_column_minima",
         "filters.filter_from_path",
     ]
@@ -194,6 +194,22 @@ def test_one_residue_table():
 
 def _calls(name: str):
     return lambda node: isinstance(node, ast.Call) and _named(node.func, name)
+
+
+def test_one_sorted_minima_step():
+    # a minimal level leaves the sorted row minima by one in-place step on a
+    # list the replay owns; the routes that hand out filters copy once per
+    # stage, through after_removal
+    assert _sites("insort") == ["filters._lift_minimum"]
+    assert sorted(_scopes(_calls("_lift_minimum"))) == [
+        "filters.after_removal",
+        "tuples._rank_removals",
+        "tuples.rank_word",
+    ]
+    assert sorted(_scopes(_calls("after_removal"))) == [
+        "filters.remove",
+        "tuples.FilterTuple.stages",
+    ]
 
 
 def test_column_minima_only_where_the_columns_are_unknown():

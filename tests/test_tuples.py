@@ -1,4 +1,5 @@
 import random
+from bisect import insort
 from collections import Counter
 from math import gcd
 
@@ -46,7 +47,15 @@ from ratpark import (
     zeta_inverse,
 )
 from ratpark import filters, tuples
-from ratpark.filters import _dyck_classes, after_removal, area_letters
+from ratpark.filters import (
+    _class_minima,
+    _dyck_classes,
+    _dyck_filter,
+    _removable,
+    _residue_table,
+    after_removal,
+    area_letters,
+)
 from ratpark.reference import (
     QT_4_3_DYCK,
     QT_4_3_PARKING,
@@ -473,8 +482,9 @@ def test_public_filter_validations_per_op_do_not_grow_with_n(monkeypatch):
 
 
 def test_class_minima_per_op(monkeypatch):
-    # a Dyck class's column minima come with its filter, so no route derives
-    # them again from its row minima
+    # a Dyck class's column minima come with its filter, and its row minima
+    # are counted from its column lengths, so no route derives class minima;
+    # column_minima, which does, shows the count is live
     calls = []
     class_minima = filters._class_minima
 
@@ -491,18 +501,107 @@ def test_class_minima_per_op(monkeypatch):
         ("anderson_inverse", lambda: anderson_inverse(word_)),
         ("enumerate_sommers", lambda: list(enumerate_sommers(5, 4))),
         ("qt_table", lambda: qt_table(5, 4)),
+        ("column_minima", lambda: column_minima(tuple_from_area_word(word_).initial)),
     ):
         calls.clear()
         op()
         per_op[name] = len(calls)
-    # one per word; one per Dyck class, of which (5,4) has 14
     assert per_op == {
-        "zeta": 1,
-        "dinv": 1,
-        "anderson_inverse": 1,
-        "enumerate_sommers": 14,
-        "qt_table": 14,
+        "zeta": 0,
+        "dinv": 0,
+        "anderson_inverse": 0,
+        "enumerate_sommers": 0,
+        "qt_table": 0,
+        "column_minima": 1,
     }
+
+
+def _copying_removal(minima, v, m):
+    """Sorted row minima less ``v``, by a copy, a scan and an insertion."""
+    out = list(minima)
+    out.remove(v)
+    insort(out, v + m)
+    return out
+
+
+def _reference_rank_word(t):
+    """The rank replay that scans for each removal and copies per step."""
+    letters, minima = [], t.initial.row_minima
+    for v in t.removals:
+        letters.append(minima.index(v))
+        minima = _copying_removal(minima, v, t.m)
+    return tuple(letters)
+
+
+def _reference_rank_removals(initial, letters):
+    """:func:`tuples._rank_removals` with a copy per step."""
+    m, n = initial.m, initial.n
+    table, minima, removals = list(initial.by_residue), initial.row_minima, []
+    for letter in letters:
+        v = minima[letter]
+        if not _removable(table, v, m, n):
+            break
+        table[v % m] = v + m
+        removals.append(v)
+        minima = _copying_removal(minima, v, m)
+    return tuple(removals)
+
+
+def _reference_dyck_filter(letters, m, n):
+    """Row minima and area groups of the Dyck filter of sorted ``letters``,
+    the rows derived from the residue table of its column minima."""
+    cols = [(k - n) * m + (m - c) * n for k, c in enumerate(letters)]
+    groups = {}
+    for c, v in zip(letters, cols):
+        groups.setdefault(c, []).append(v)
+    return _class_minima(_residue_table(cols, n), n, m), groups
+
+
+def _check_kernels(word_):
+    m, n = word_.m, word_.n
+    letters = sorted(word_.letters)
+    d, groups = _dyck_filter(letters, m, n)
+    want_rows, want_groups = _reference_dyck_filter(letters, m, n)
+    assert d.row_minima == want_rows, word_
+    assert list(groups.items()) == list(want_groups.items()), word_
+    t = tuple_from_area_word(word_)
+    ranks = rank_word(t).letters
+    assert ranks == _reference_rank_word(t), word_
+    assert tuples._rank_removals(t.initial, ranks) == t.removals, word_
+    # a replay from a start that is not the fixed point stops early
+    start = to_balanced(d)
+    assert tuples._rank_removals(start, word_.letters) == _reference_rank_removals(
+        start, word_.letters
+    ), word_
+
+
+def test_tuple_kernels_match_the_copying_references():
+    seen = 0
+    for m in range(1, 8):
+        for n in range(1, 8):
+            if gcd(m, n) != 1 or m ** (n - 1) > 20_000:
+                continue
+            for word_ in enumerate_words(m, n, "parking"):
+                _check_kernels(word_)
+                seen += 1
+    assert seen == 45_113
+    rng = random.Random(23)
+    for m, n in ((50, 77), (77, 101)):
+        for _ in range(200):
+            _check_kernels(_random_parking_word(rng, m, n))
+
+
+def test_dyck_rows_match_the_class_minima_on_every_small_class():
+    seen = 0
+    for m in range(1, 9):
+        for n in range(1, 10):
+            if gcd(m, n) != 1:
+                continue
+            for letters, d, groups in _dyck_classes(m, n):
+                want_rows, want_groups = _reference_dyck_filter(letters, m, n)
+                assert (d.row_minima, groups) == (want_rows, want_groups), letters
+                seen += 1
+    assert seen == 4_084
 
 
 def _reference_area_groups(d):

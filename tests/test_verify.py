@@ -142,3 +142,27 @@ def test_lipschitz_suite_fails_on_an_expanding_map(monkeypatch):
     assert suite.first_failure.startswith("contraction failures (3,4)")
     assert report.ok is False
     assert LIPSCHITZ_TRIALS == 10_000
+
+
+def test_equal_builds_its_message_only_on_failure():
+    class Loud:
+        reprs = 0
+
+        def __init__(self, value):
+            self.value = value
+
+        def __eq__(self, other):
+            return self.value == other.value
+
+        def __repr__(self):
+            Loud.reprs += 1
+            return f"Loud({self.value})"
+
+    result = verify.SuiteResult("s")
+    checker = verify._Checker(result)
+    assert checker.equal(Loud(1), Loud(1), "same")
+    assert Loud.reprs == 0
+    assert not checker.equal(Loud(1), Loud(2), "differ")
+    assert not checker.equal(Loud(3), Loud(4), "later")
+    assert (result.passed, result.failed) == (1, 2)
+    assert result.first_failure == "differ: got Loud(1), expected Loud(2)"
