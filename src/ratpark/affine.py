@@ -2,7 +2,8 @@
 
 An affine permutation is stored by its window ``[w(1), ..., w(n)]`` and
 extended by ``w(i+n) = w(i) + n``; the inverse permutation is never
-materialized — evaluations of it go through :func:`value_position`.
+materialized: :func:`in_sommers` reads positions off one table per call,
+and :func:`pak_stanley` finds each by a window scan, :func:`value_position`.
 
 Windows whose inverses lie in the Sommers region (no descent of size
 exactly m, see :func:`in_sommers`) correspond to balanced filter tuples:
@@ -106,12 +107,15 @@ def in_sommers(w: AffinePermutation, m: int) -> bool:
     The defining condition is w(i) - w(j) != m for all integers i < j.
     Shifting both indices by n leaves it unchanged, so i ranges over the
     window only; for fixed i the only candidate j is the position of the
-    value w(i) - m, which must therefore sit at or before i.
+    value w(i) - m, which must therefore sit at or before i.  The value u
+    sits at ``u + at[u % n]``, where window entry k sets ``at[w(k) % n]``
+    to ``k - w(k)``: one table, read once per entry.
     """
     require_coprime(m, w.n, "the Sommers region")
-    return all(
-        value_position(w, w.window[i - 1] - m) < i for i in range(1, w.n + 1)
-    )
+    n, at = w.n, [0] * w.n
+    for k, v in enumerate(w.window, 1):
+        at[v % n] = k - v
+    return all(v - m + at[(v - m) % n] < k for k, v in enumerate(w.window, 1))
 
 
 def staircase_window(m: int, n: int) -> AffinePermutation:

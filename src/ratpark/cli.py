@@ -2,14 +2,16 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 inconsistency, 4 internal error (any other exception, such as a
-``MemoryError`` or a library bug).  All output is deterministic for
-identical inputs; suite timings are printed only on request.
+``MemoryError`` or a library bug), 141 silently when the reader closes
+stdout early (128 + SIGPIPE).  All output is deterministic for identical
+inputs; suite timings are printed only on request.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import serialize
@@ -249,7 +251,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: the flush at exit goes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3

@@ -54,7 +54,7 @@ class Filter(_Record):
     level checked to be removable (:func:`remove`, ``FilterTuple.stages``),
     the m<->n mirror, whose row minima are the column minima (:func:`mn_swap`),
     and Dyck paths: a sorted parking word's (:func:`_dyck_filter`) and a
-    checked path's that never dips below level 0 (:func:`filter_from_path`).
+    walk's that never dips below level 0 (:func:`_walk_filter`).
     Both constructors store ``by_residue``, the row minima by residue mod
     m, in a slot outside ``_fields``, so equality, hash and ``repr`` never
     see it.
@@ -351,22 +351,32 @@ def dyck_filter_to_path(f: Filter) -> tuple[str, tuple[int, ...]]:
     return "".join(steps), tuple(levels)
 
 
+def _walk_filter(m: int, n: int, steps: Iterable[int]) -> Filter:
+    """The Dyck filter whose boundary walk from level 0 goes north (+n) on
+    each odd entry of ``steps``, west (-m) on each even one; a north step
+    starts at a row minimum.  A dip below level 0 raises :class:`NotDyck`.
+    Trusted: ``steps`` has m odd and n even entries; callers check (m, n)."""
+    lvl = 0
+    rows = []
+    for step in steps:
+        if step & 1:
+            rows.append(lvl)
+            lvl += n
+        else:
+            lvl -= m
+            if lvl < 0:
+                raise NotDyck(f"walk of {m} N and {n} W steps dips below level 0")
+    return Filter._of(m, n, sorted(rows))
+
+
 def filter_from_path(m: int, n: int, steps: str) -> Filter:
     """Rebuild a Dyck filter from its boundary-path step string."""
     if m < 1 or n < 1 or sorted(steps) != sorted("N" * m + "W" * n):
         raise NotDyck(f"path needs {m} N steps and {n} W steps, got {steps!r}")
-    lvl = 0
-    cols = []
-    for s in steps:
-        if s == "N":
-            lvl += n
-        else:
-            lvl -= m
-            cols.append(lvl)
-        if lvl < 0:
-            raise NotDyck(f"path {steps!r} dips below the 0-level line")
+    d = _walk_filter(m, n, [s == "N" for s in steps])
+    # after the walk, so a path that dips reports NotDyck at any sizes
     require_coprime(m, n, "filters")
-    return Filter._of(m, n, _class_minima(_residue_table(cols, n), n, m))
+    return d
 
 
 def _dyck_classes(

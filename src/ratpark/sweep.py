@@ -17,9 +17,9 @@ from __future__ import annotations
 from .errors import InternalInconsistency, NotDyck
 from .filters import (
     Filter,
+    _walk_filter,
     column_minima,
     dyck_word,
-    filter_from_path,
     is_dyck,
     to_balanced,
     to_dyck,
@@ -32,23 +32,21 @@ def sweep(d: Filter) -> Filter:
     """Reorder the boundary steps of ``d`` by their levels.
 
     The north steps end at the row minima plus n and the west steps at the
-    column minima, so the levels are sorted without rendering the path.
-    The result is again a Dyck filter, rebuilt from the reordered walk.
+    column minima, so the levels are sorted without rendering the path:
+    each step is tagged ``2*level + 1`` if north, ``2*level`` if west, and
+    the tags are walked from level 0 in decreasing order, the order of the
+    swept path read from (0, 0).  Its north steps start at its row minima.
     """
     if not is_dyck(d):
         raise NotDyck(f"row minima {d.row_minima} have nonzero minimum")
-    pairs = sorted(
-        [(v + d.n, "N") for v in d.row_minima]
-        + [(c, "W") for c in column_minima(d)],
-        reverse=True,
-    )
-    if len({lvl for lvl, _ in pairs}) != len(pairs):
+    cols = column_minima(d)
+    if not {v + d.n for v in d.row_minima}.isdisjoint(cols):
         raise InternalInconsistency(f"step levels collide on {d.row_minima}")
-    # increasing level order read from (-n, m); walking from (0, 0) means
-    # taking the steps in decreasing level order.  A walk that stays at or
-    # above level 0 must end on a west step at level 0, so it is Dyck.
+    tags = [2 * (v + d.n) + 1 for v in d.row_minima] + [2 * c for c in cols]
+    tags.sort(reverse=True)
+    # a walk at or above level 0 ends on a west step at level 0: it is Dyck
     try:
-        return filter_from_path(d.m, d.n, "".join(s for _, s in pairs))
+        return _walk_filter(d.m, d.n, tags)
     except NotDyck as exc:
         raise InternalInconsistency(
             f"sweep of {d.row_minima} left the Dyck cone"

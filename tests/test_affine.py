@@ -1,3 +1,5 @@
+import random
+from itertools import product
 from math import comb, gcd
 
 import pytest
@@ -40,8 +42,10 @@ from ratpark.reference import (
     STAIRCASE_WINDOWS,
     SWAP_PAIRS,
 )
+from ratpark.filters import area_letters
 from ratpark.tuples import translate
 from ratpark.verify import DEFAULT_PAIRS
+from test_action import _random_parking_word
 
 
 def test_window_validation():
@@ -80,6 +84,50 @@ def test_in_sommers():
     for m in (2.0, True):
         with pytest.raises(LetterOutOfRange, match="not all integers"):
             in_sommers(AffinePermutation((1, 2, 3)), m)
+
+
+def _scanning_in_sommers(w, m):
+    """The membership test the position table replaced: one window scan per
+    entry, for the position of ``w(i) - m``."""
+    return all(
+        value_position(w, w.window[i - 1] - m) < i for i in range(1, w.n + 1)
+    )
+
+
+def _boxed_windows(n, half):
+    """Every window whose first n - 1 entries lie in ``[-half, half]``."""
+    for head in product(range(-half, half + 1), repeat=n - 1):
+        window = (*head, n * (n + 1) // 2 - sum(head))
+        if len({v % n for v in window}) == n:
+            yield AffinePermutation(window)
+
+
+def test_in_sommers_matches_the_window_scan():
+    for n, half, ms in (
+        (3, 10, (1, 2, 4, 5)),
+        (4, 7, (1, 3, 5, 7)),
+        (5, 5, (2, 3, 4, 6)),
+        (6, 5, (1, 5, 7)),
+    ):
+        windows = list(_boxed_windows(n, half))
+        for m in ms:
+            verdicts = [(in_sommers(w, m), _scanning_in_sommers(w, m)) for w in windows]
+            assert all(new == old for new, old in verdicts), (m, n)
+            # members and non-members both
+            assert {new for new, _ in verdicts} == {True, False}, (m, n)
+    # 200 seeded (50,77) windows: 100 Sommers windows, and each again with
+    # two entries swapped, which leaves the region for some of them
+    rng = random.Random(24)
+    swapped = []
+    for _ in range(100):
+        window = list(anderson_inverse(_random_parking_word(rng, 50, 77)).window)
+        assert in_sommers(AffinePermutation(tuple(window)), 50)
+        i, j = rng.sample(range(77), 2)
+        window[i], window[j] = window[j], window[i]
+        w = AffinePermutation(tuple(window))
+        swapped.append(in_sommers(w, 50))
+        assert swapped[-1] == _scanning_in_sommers(w, 50)
+    assert set(swapped) == {True, False}
 
 
 def test_is_dominant():
@@ -214,6 +262,22 @@ def test_enumerate_sommers_published_windows():
     assert got == set(REMOVALS_4_3.values())
     got = {w.window for w in enumerate_sommers(5, 3)}
     assert got == set(REMOVALS_5_3.values())
+
+
+def _counting_pak_stanley(w, m):
+    """Pak-Stanley letters by the inversion count over all integers j > i."""
+    return tuple(
+        sum(1 for v in range(wi - m + 1, wi) if value_position(w, v) > i)
+        for i, wi in enumerate(w.window, start=1)
+    )
+
+
+def test_labelings_unchanged_on_the_verify_sets():
+    for m, n in DEFAULT_PAIRS:
+        for w in enumerate_sommers(m, n):
+            assert _scanning_in_sommers(w, m)
+            assert anderson(w, m).letters == area_letters(w.window, m, n)
+            assert pak_stanley(w, m).letters == _counting_pak_stanley(w, m)
 
 
 def test_labelings_agree_with_tuple_maps():

@@ -201,17 +201,21 @@ def test_verify_reference_only(capsys):
     assert all(line.startswith(("PASS", "OK")) for line in out.strip().split("\n"))
 
 
+def _fresh_env():
+    """The environment with this ratpark first on the interpreter's path."""
+    src = Path(ratpark.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def _fresh_python(*argv):
     """Run the interpreter on ``argv`` with this ratpark first on its path.
 
     In-process tests cannot see what a cold start loads: other tests have
     imported ``verify`` already.
     """
-    src = Path(ratpark.__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True
+        [sys.executable, *argv], env=_fresh_env(), capture_output=True, text=True
     )
 
 
@@ -281,6 +285,24 @@ def test_other_exceptions_exit_4_not_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--paper")
     assert code == 1
     assert "first failure: parking words (4,3): got {" in out
+
+
+def test_closed_pipe_exits_141_quietly():
+    # ``ratpark enumerate ... | head -2``: 823,543 lines overrun any pipe
+    # buffer, so the writer meets the closed pipe mid-stream
+    argv = ("enumerate", "--m", "7", "--n", "8", "--kind", "parking")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ratpark.cli", *argv],
+        env=_fresh_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    lines = [proc.stdout.readline(), proc.stdout.readline()]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert lines == [b"00000000\n", b"00000001\n"]
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_env_var_budget(capsys, monkeypatch):

@@ -106,7 +106,7 @@ TRUSTED_SITES = {
         "filters.remove",
         "filters.mn_swap",
         "filters._dyck_filter",
-        "filters.filter_from_path",
+        "filters._walk_filter",
         "tuples.FilterTuple.stages",
         "tuples.translate",
     },
@@ -179,14 +179,13 @@ def test_one_orbit_loop():
 def test_one_residue_table():
     # a filter's row minima by residue are built by one helper, for the
     # filter's own table, which both constructors store outside the fields,
-    # and for the column tables of the m<->n mirror builders; no per-call
-    # rebuild is left, and a Dyck filter's rows are counted from its column
-    # lengths with no table
+    # and for the column table of the m<->n mirror builder; no per-call
+    # rebuild is left, a Dyck filter's rows are counted from its column
+    # lengths, and a path's rows are read off its walk, with no table
     assert sorted(_sites("_residue_table")) == [
         "filters.Filter.__post_init__",
         "filters.Filter._of",
         "filters.filter_from_column_minima",
-        "filters.filter_from_path",
     ]
     assert not hasattr(ratpark.filters, "_by_residue")
     assert ratpark.Filter._fields == ("m", "n", "row_minima")
@@ -209,6 +208,19 @@ def test_one_sorted_minima_step():
     assert sorted(_scopes(_calls("after_removal"))) == [
         "filters.remove",
         "tuples.FilterTuple.stages",
+    ]
+
+
+def test_sommers_routes_read_positions_off_one_table():
+    # membership reads one position table per call; only the Pak-Stanley
+    # inversion count still scans the window for each inverse evaluation
+    assert _scopes(_calls("value_position")) == ["affine.pak_stanley"]
+    # the sweep walks its sorted step tags, with no step string to parse
+    for name in ("filter_from_path", "join"):
+        assert "sweep.sweep" not in _scopes(_calls(name)), name
+    assert sorted(_scopes(_calls("_walk_filter"))) == [
+        "filters.filter_from_path",
+        "sweep.sweep",
     ]
 
 

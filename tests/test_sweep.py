@@ -21,6 +21,7 @@ from ratpark import (
     sweep_column_word,
     sweep_inverse,
 )
+from ratpark.filters import _class_minima, _residue_table
 from ratpark.reference import SWEEP_4_7, ZETA_4_3, ZETA_4_3_DYCK_ROWS
 from test_action import _random_parking_word
 
@@ -121,12 +122,28 @@ def _heights_path(f):
     return "".join(steps), tuple(levels)
 
 
+def _column_path_filter(m, n, steps):
+    """The path parse the row walk replaced: the west steps' column minima,
+    mirrored to row minima."""
+    lvl = 0
+    cols = []
+    for s in steps:
+        if s == "N":
+            lvl += n
+        else:
+            lvl -= m
+            cols.append(lvl)
+        assert lvl >= 0
+    return Filter(m, n, _class_minima(_residue_table(cols, n), n, m))
+
+
 def _path_sorting_sweep(d):
-    """The sweep the level sort replaced: render the path, sort its steps."""
+    """The string route the tag walk replaced: render the path, sort its
+    steps by level, join them and parse the string."""
     steps, levels = _heights_path(d)
     pairs = sorted(zip(levels, steps))
     assert len({lvl for lvl, _ in pairs}) == len(pairs)
-    return filter_from_path(d.m, d.n, "".join(s for _, s in reversed(pairs)))
+    return _column_path_filter(d.m, d.n, "".join(s for _, s in reversed(pairs)))
 
 
 def test_level_walks_match_the_rendered_path():
@@ -144,7 +161,9 @@ def test_level_walks_match_the_rendered_path():
         for w in (_random_parking_word(rng, 50, 77) for _ in range(300))
     ]
     for d in small + large:
-        assert dyck_filter_to_path(d) == _heights_path(d)
+        steps, levels = dyck_filter_to_path(d)
+        assert (steps, levels) == _heights_path(d)
+        assert filter_from_path(d.m, d.n, steps) == _column_path_filter(d.m, d.n, steps)
         assert sweep(d) == _path_sorting_sweep(d)
 
 
