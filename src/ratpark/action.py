@@ -404,7 +404,14 @@ def _orbit(
     plain iteration.  A piece finds ``P`` and ``L`` at the second
     application in it; ``c``, ``D`` and its walls take a second walk of
     the letters, paid only at the first jump test, which most runs end
-    before.
+    before.  The first ``m + n`` applications (``n = len(letters)``) run
+    plain: no slots, no runs, no pieces.  Tracing costs about as much as
+    the application itself and pays only on long drifts, which run for
+    thousands of applications, while a start near the fixed point (the
+    warm start of rank-word inversion) mostly resolves within ``m + n``.
+    A drift is then jumped at most about ``m + n`` applications later,
+    ``1/(10*(m+n))`` of the default budget; the budget, the escape test
+    and Brent's tortoise see every application in both phases.
 
     Cycles are found by Brent's method in O(m) memory: the hare is
     compared with a tortoise moved to the hare at each power of two, which
@@ -417,13 +424,18 @@ def _orbit(
     """
     m = len(start)
     pairs = comb(m, 2)
+    plain = m + len(letters)
     cur = start
     it = applications = 0
     tortoise, power, lam = start, 1, 0
     run_slots, piece = None, None
     run = 0  # consecutive inputs in the piece since it was entered or skipped
     while it < budget:
-        nxt, slots = _apply_traced(cur, letters, add, sub)
+        traced = applications >= plain
+        if traced:
+            nxt, slots = _apply_traced(cur, letters, add, sub)
+        else:
+            nxt = _apply_raw(cur, letters, add, sub)
         it += 1
         applications += 1
         if nxt == cur:
@@ -437,6 +449,8 @@ def _orbit(
         if lam == power:
             tortoise, power, lam = nxt, 2 * power, 0
         cur = nxt
+        if not traced:
+            continue
         if slots != run_slots:
             run_slots, piece, run = slots, None, 1
             continue
@@ -506,8 +520,9 @@ def find_fixed_point(
     ``Diverged`` once the norm exceeds the escape bound (non-parking words
     are guaranteed to escape), and ``Cycle`` on a repeat of period > 1.
     ``iterations`` counts word applications of the plain orbit from
-    ``start``, and ``applications`` those actually computed: inside one
-    affine piece the solver skips whole periods of the orbit's drift.
+    ``start``, and ``applications`` those actually computed: after the
+    first ``m + n`` applications, which run plain, the solver skips whole
+    periods of the orbit's drift inside one affine piece.
     The escape bound ``norm(start) + (m*n)**4``, taken at the start
     actually used, is an engineering constant, not derived from any
     sharper estimate.

@@ -561,8 +561,10 @@ def _parking_words_by_slack(m, n, seed, slacks):
 def test_solver_matches_plain_orbit_on_large_rank_words():
     found = _parking_words_by_slack(50, 77, seed=11, slacks=(1, 2, 3, 4))
     # these pin the jump schedule: a jump test moved to another
-    # application changes them, though outcomes and iterations stay exact
-    applications = {1: 776, 2: 520, 3: 852, 4: 538}
+    # application changes them, though outcomes and iterations stay exact;
+    # the slack-2 orbit drifts from inside the plain phase of the first
+    # m + n applications, so its first jump comes later than it could
+    applications = {1: 776, 2: 592, 3: 852, 4: 538}
     for slack, word_ in sorted(found.items()):
         outcome, iterations = _assert_matches_plain(word_)
         assert isinstance(outcome, Fixed)
@@ -599,8 +601,10 @@ def test_solver_matches_plain_orbit_on_near_misses():
             diverged.append(word_)
             applications.append(find_fixed_point(word_).applications)
             assert applications[-1] < result[1] // 4
-    # the other three exhaust the budget, as the plain orbit does
-    assert applications == [60, 29, 48]
+    # the other three exhaust the budget, as the plain orbit does; all
+    # three drifts start inside the plain phase of the first m + n = 34
+    # applications, so each is jumped only from application 35 on
+    assert applications == [60, 40, 60]
     # exhaustion and escape inside a jump window
     word_ = diverged[0]
     outcome, iterations = _assert_matches_plain(word_)
@@ -629,6 +633,69 @@ def test_solver_matches_plain_orbit_on_near_misses():
         assert below[0] == outcome
         at = _assert_matches_plain(word_, escape_bound=outcome.norm)[0]
         assert not (isinstance(at, Diverged) and at.step == outcome.step)
+
+
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called in the plain phase")
+
+    return refuse
+
+
+def test_short_orbits_run_plain(monkeypatch):
+    # a warm-started (50,77) orbit that resolves within m + n applications
+    # never traces a slot or builds a piece
+    m, n = 50, 77
+    rng = random.Random(25)
+    short = []
+    while len(short) < 12:
+        word_ = _random_parking_word(rng, m, n)
+        report = find_fixed_point(word_, start=_warm_start(word_))
+        if report.iterations <= m + n:
+            assert report.applications == report.iterations
+            short.append((word_, tuples.tuple_from_rank_word(word_)))
+    monkeypatch.setattr(action, "_apply_traced", _refuse("_apply_traced"))
+    monkeypatch.setattr(action, "_Piece", _refuse("_Piece"))
+    for word_, expected in short:
+        assert tuples.tuple_from_rank_word(word_) == expected
+
+
+def test_plain_phase_boundary():
+    # starts on a plain orbit m + n - 1, m + n and m + n + 1 applications
+    # before its fixed point, and near misses whose drift begins inside the
+    # plain phase: the solver's outcome and iterations stay those of the
+    # plain orbit, and it never computes more applications than that
+    m, n = 13, 21
+    word_ = _parking_words_by_slack(m, n, seed=3, slacks=(1,))[1]
+    orbit = [staircase_point(m, n).coords]
+    while len(orbit) < 2 or orbit[-1] != orbit[-2]:
+        orbit.append(_apply_raw(orbit[-1], word_.letters, m, n))
+    assert len(orbit) > m + n + 2
+    for length in (m + n - 1, m + n, m + n + 1):
+        start = Point(orbit[-1 - length])
+        _, iterations = _assert_matches_plain(word_, start=start)
+        assert iterations == length
+        report = find_fixed_point(word_, start=start)
+        assert report.applications <= report.iterations == length
+    rng = random.Random(5)
+    drifting = 0
+    while drifting < 2:
+        letters = list(_random_parking_word(rng, m, n).letters)
+        letters[letters.index(min(letters))] = m - 1
+        near = Word(m, n, tuple(letters))
+        if is_parking_word(near):
+            continue
+        # the slots of application m + n + 1 repeat those of m + n
+        cur, slots = staircase_point(m, n).coords, []
+        for _ in range(m + n + 1):
+            cur, traced = action._apply_traced(cur, near.letters, m, n)
+            slots.append(traced)
+        outcome, iterations = _assert_matches_plain(near)
+        if slots[-1] != slots[-2] or not isinstance(outcome, Diverged):
+            continue
+        report = find_fixed_point(near)
+        assert report.applications < report.iterations == iterations
+        drifting += 1
 
 
 def test_trusted_points_equal_validated_points(monkeypatch):

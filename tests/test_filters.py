@@ -44,6 +44,7 @@ from ratpark import (
     to_balanced,
     to_dyck,
     tuple_from_area_word,
+    tuple_from_rank_word,
     tuple_to_balanced,
     zeta,
     zeta_inverse,
@@ -303,13 +304,14 @@ def test_trusted_results_are_filters():
         for (_, d, _), w in zip(classes, dyck):
             check(d)
             assert d == filter_from_dyck_word(w)
+            check(sweep(d))
         for _, d in _accepted_paths(m, n):
             check(d)
         for u in enumerate_words(m, n, "parking"):
-            t = tuple_from_area_word(u)
-            for stage in t.stages():
-                check(stage)
-            check(tuple_to_balanced(t).initial)
+            for t in (tuple_from_area_word(u), tuple_from_rank_word(u)):
+                for stage in t.stages():
+                    check(stage)
+                check(tuple_to_balanced(t).initial)
 
 
 def test_per_word_routes_never_enumerate_classes(monkeypatch):
