@@ -50,14 +50,6 @@ class Point(_Record):
             raise DimensionMismatch(f"coordinates not weakly increasing: {coords}")
         object.__setattr__(self, "coords", coords)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.coords,) == (other.coords,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coords,))
-
     @classmethod
     def _of(cls, coords: tuple[int, ...]) -> Point:
         """Trusted constructor: ``coords`` is a nonempty sorted tuple of integers."""
@@ -77,48 +69,13 @@ class Point(_Record):
 class Fixed(_Record):
     __slots__ = _fields = ("point",)
 
-    def __init__(self, point: Point):
-        object.__setattr__(self, "point", point)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.point,) == (other.point,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.point,))
-
 
 class Cycle(_Record):
     __slots__ = _fields = ("period", "witness")
 
-    def __init__(self, period: int, witness: Point):
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "witness", witness)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.period, self.witness) == (other.period, other.witness)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.period, self.witness))
-
 
 class Diverged(_Record):
     __slots__ = _fields = ("step", "norm")
-
-    def __init__(self, step: int, norm: int):
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "norm", norm)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.step, self.norm) == (other.step, other.norm)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.step, self.norm))
 
 
 class OrbitReport(_Record):
@@ -126,23 +83,6 @@ class OrbitReport(_Record):
     start to the outcome; ``applications`` those the solver computed."""
 
     __slots__ = _fields = ("outcome", "iterations", "applications")
-
-    def __init__(
-        self, outcome: Fixed | Cycle | Diverged, iterations: int, applications: int
-    ):
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "iterations", iterations)
-        object.__setattr__(self, "applications", applications)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.outcome, self.iterations, self.applications) == (
-                other.outcome, other.iterations, other.applications
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.outcome, self.iterations, self.applications))
 
 
 def _apply_raw(

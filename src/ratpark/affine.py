@@ -62,14 +62,6 @@ class AffinePermutation(_Record):
             )
         object.__setattr__(self, "window", window)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.window,) == (other.window,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.window,))
-
     @classmethod
     def _of(cls, window: tuple[int, ...]) -> AffinePermutation:
         """Trusted constructor: ``window`` is a checked balanced tuple's removals,

@@ -2,6 +2,7 @@
 ratpark modules."""
 
 from math import gcd
+from operator import attrgetter
 
 
 class RatparkError(Exception):
@@ -29,18 +30,47 @@ class _Record:
     ``dataclasses`` import.
 
     A subclass names its fields in ``_fields``, in constructor order, and
-    keeps them in ``__slots__``.  It writes its ``__init__``, which sets the
-    fields with ``object.__setattr__`` and then, if the type validates, calls
-    ``self.__post_init__()`` through the class; and its ``__eq__`` (same class,
-    equal field tuples) and ``__hash__`` (the hash of the field tuple) over
-    exactly ``_fields``, as ``@dataclass(frozen=True)`` would generate them.
-    The base adds the dataclass ``repr``, refuses assignment and deletion,
-    and pickles and copies a record by calling its class on its fields,
-    which validates them again.
+    keeps them in ``__slots__``.  From ``_fields`` the base derives, once per
+    subclass, ``_values``, the getter of the field tuple (a 1-tuple for one
+    field), and over it what ``@dataclass(frozen=True)`` would generate:
+    equality only with the same class, the hash of the field tuple, the
+    ``repr``, an ``__init__`` that takes each field once, by position or by
+    name (else ``TypeError``), and pickling and copying by calling the class
+    on the field tuple, which validates it again.  Assignment and deletion
+    are refused.
+
+    The five types that validate write an ``__init__`` that calls
+    ``self.__post_init__()`` through the instance, where the benchmark's
+    tracer and the tests that count validations patch it, and each keeps its
+    trusted ``_of``: a generic loop over ``_fields`` cost the ``exhaustive``
+    workload about 7 % of its words per second.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        # keywords fill the fields after the positional values, in order; a
+        # keyword left over (repeated or unknown) or a wrong count is refused
+        if kwargs:
+            args += tuple(kwargs.pop(f) for f in fields[len(args) :] if f in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__qualname__}() takes each of {fields} once")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -53,7 +83,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        return type(self), self._values(self)
 
 
 def _require_ints(values: tuple, error: type[RatparkError], what: str) -> None:

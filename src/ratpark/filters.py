@@ -92,16 +92,6 @@ class Filter(_Record):
                     f"row minima {minima} not up-closed: {v}+{self.n} missing"
                 )
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.m, self.n, self.row_minima) == (
-                other.m, other.n, other.row_minima
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.row_minima))
-
     @classmethod
     def _of(cls, m: int, n: int, sorted_minima: Sequence[int]) -> Filter:
         """Trusted constructor: ``sorted_minima`` are a filter's sorted row minima."""

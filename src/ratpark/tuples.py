@@ -91,14 +91,6 @@ class FilterTuple(_Record):
                 f"final stage {final} is not initial + {n}"
             )
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.initial, self.removals) == (other.initial, other.removals)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.initial, self.removals))
-
     @property
     def m(self) -> int:
         return self.initial.m
@@ -298,22 +290,6 @@ class QTTable(_Record):
     """Joint (area, dinv) counts; rows are area values, columns dinv."""
 
     __slots__ = _fields = ("m", "n", "over", "counts")
-
-    def __init__(self, m: int, n: int, over: str, counts: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "over", over)
-        object.__setattr__(self, "counts", counts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.m, self.n, self.over, self.counts) == (
-                other.m, other.n, other.over, other.counts
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.over, self.counts))
 
     @property
     def size(self) -> int:

@@ -48,14 +48,6 @@ class Word(_Record):
                 )
         object.__setattr__(self, "letters", letters)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.m, self.n, self.letters) == (other.m, other.n, other.letters)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.letters))
-
     @classmethod
     def _of(cls, m: int, n: int, letters: tuple[int, ...]) -> Word:
         """Trusted constructor: ``letters`` is a tuple of n letters below m.

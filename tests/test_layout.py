@@ -304,3 +304,24 @@ def _enumerates_dyck_words(node) -> bool:
 def test_one_dyck_class_builder():
     # every whole-space path reads the Dyck classes from one builder
     assert _scopes(_enumerates_dyck_words) == ["filters._dyck_classes"]
+
+
+def test_records_derive_their_methods_from_their_fields():
+    # errors._Record derives equality, hash, repr, pickling and the plain
+    # constructor from _fields; a type writes __init__ only to call its
+    # __post_init__, which the benchmark's tracer and the validation
+    # counters patch
+    records = ratpark.errors._Record.__subclasses__()
+    derived = {"__eq__", "__hash__", "__repr__", "__reduce__"}
+    assert len(records) == 10
+    for cls in records:
+        assert not derived & cls.__dict__.keys(), cls
+    validating = [cls for cls in records if "__post_init__" in cls.__dict__]
+    assert [cls for cls in records if "__init__" in cls.__dict__] == validating
+    assert sorted(cls.__name__ for cls in validating) == [
+        "AffinePermutation",
+        "Filter",
+        "FilterTuple",
+        "Point",
+        "Word",
+    ]

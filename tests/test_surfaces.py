@@ -170,3 +170,23 @@ def test_value_types_are_frozen_records():
         f"iterations={values[5].iterations}, applications={values[5].applications})"
     )
     assert repr(values[6]) == "Filter(m=3, n=5, row_minima=(-1, 3, 4))"
+
+
+def test_value_types_take_each_field_once():
+    # by position, by name or both, as a dataclass signature would; the five
+    # validating types write theirs, the others get _Record's
+    for v in _one_value_of_each_type():
+        cls, names = type(v), type(v)._fields
+        fields = tuple(getattr(v, name) for name in names)
+        by_name = dict(zip(names, fields))
+        assert cls(**by_name) == cls(*fields) == v, cls
+        assert cls(fields[0], **dict(zip(names[1:], fields[1:]))) == v, cls
+        for args, kwargs in (
+            (fields[:-1], {}),
+            ((), dict(zip(names[:-1], fields[:-1]))),
+            (fields + (None,), {}),
+            (fields, {"extra": None}),
+            (fields, {names[0]: fields[0]}),
+        ):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
