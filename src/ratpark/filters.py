@@ -280,27 +280,34 @@ def dyck_word(f: Filter) -> Word:
     return _derived_word(f.m, f.n, tuple(sorted(letters)), "dyck word")
 
 
-def _dyck_filter(
-    letters: Sequence[int], m: int, n: int
-) -> tuple[Filter, dict[int, list[int]]]:
+def _dyck_filter(letters: Sequence[int], m: int, n: int) -> Filter:
     """The Dyck filter whose boundary path has the sorted column lengths
-    ``letters``, with its column minima grouped by column length (the area
-    letter), each group increasing.  Unchecked: ``letters`` must be a sorted
-    parking word of coprime sizes, as every caller has checked or enumerated.
+    ``letters``.  Unchecked: ``letters`` must be a sorted parking word of
+    coprime sizes, as every caller has checked or enumerated.
+
+    From (0,0) the west steps come in falling column length (see
+    :func:`_column_groups`).  The north step at height ``h`` starts at a
+    row minimum, west of the ``#{k : c_k >= m - h}`` west steps at heights
+    up to ``h``, so at level ``h*n - m * #{k : c_k >= m - h}``: a bisection
+    of ``letters``, no table.
+    """
+    rows = [h * n - m * (n - bisect_left(letters, m - h)) for h in range(m)]
+    return Filter._of(m, n, sorted(rows))
+
+
+def _column_groups(letters: Sequence[int], m: int, n: int) -> dict[int, list[int]]:
+    """The column minima of the Dyck filter of the sorted column lengths
+    ``letters`` (:func:`_dyck_filter`), grouped by column length (the area
+    letter), each group increasing.
 
     From (0,0) the west steps come in falling column length, so sorted
     letter ``k`` ends its west step at ``x = k - n``, height ``m - c_k``:
     its column minimum, of area letter ``c_k`` as the least is 0 (``k = 0``).
-    The north step at height ``h`` starts at a row minimum, west of the
-    ``#{k : c_k >= m - h}`` west steps at heights up to ``h``, so at level
-    ``h*n - m * #{k : c_k >= m - h}``: a bisection of ``letters``, no table.
     """
-    cols = [(k - n) * m + (m - c) * n for k, c in enumerate(letters)]
     groups: dict[int, list[int]] = {}
-    for c, v in zip(letters, cols):
-        groups.setdefault(c, []).append(v)
-    rows = [h * n - m * (n - bisect_left(letters, m - h)) for h in range(m)]
-    return Filter._of(m, n, sorted(rows)), groups
+    for k, c in enumerate(letters):
+        groups.setdefault(c, []).append((k - n) * m + (m - c) * n)
+    return groups
 
 
 def filter_from_dyck_word(w: Word) -> Filter:
@@ -308,7 +315,7 @@ def filter_from_dyck_word(w: Word) -> Filter:
     _require_parking(w, "filters")
     if any(a > b for a, b in zip(w.letters, w.letters[1:])):
         raise NotDyck(f"{w} is not weakly increasing")
-    return _dyck_filter(w.letters, w.m, w.n)[0]
+    return _dyck_filter(w.letters, w.m, w.n)
 
 
 def dyck_filter_to_path(f: Filter) -> tuple[str, tuple[int, ...]]:
@@ -373,7 +380,7 @@ def _dyck_classes(
     m: int, n: int
 ) -> Iterator[tuple[tuple[int, ...], Filter, dict[int, list[int]]]]:
     """Each Dyck class's sorted letters, Dyck filter and column minima by
-    area letter (see :func:`_dyck_filter`), in Dyck-word order.
+    area letter (see :func:`_column_groups`), in Dyck-word order.
 
     The one builder of the classes behind every whole-space path.
     Coprimality is checked once; the enumerated words are sorted parking
@@ -381,7 +388,8 @@ def _dyck_classes(
     """
     require_coprime(m, n, "filters")
     for w in enumerate_words(m, n, "dyck"):
-        yield w.letters, *_dyck_filter(w.letters, m, n)
+        letters = w.letters
+        yield letters, _dyck_filter(letters, m, n), _column_groups(letters, m, n)
 
 
 def enumerate_balanced(m: int, n: int) -> Iterator[Filter]:

@@ -37,6 +37,7 @@ from .filters import (
     Filter,
     _dyck_classes,
     _balancing_shift,
+    _column_groups,
     _dyck_filter,
     _lift_minimum,
     _removable,
@@ -147,7 +148,9 @@ def tuple_from_area_word(w: Word) -> FilterTuple:
     are consumed in increasing order).
     """
     _require_parking(w, "area-word tuples")
-    d, groups = _dyck_filter(sorted(w.letters), w.m, w.n)
+    letters = sorted(w.letters)
+    d = _dyck_filter(letters, w.m, w.n)
+    groups = _column_groups(letters, w.m, w.n)
     levels = {letter: iter(group) for letter, group in groups.items()}
     return FilterTuple(d, tuple(next(levels[letter]) for letter in w.letters))
 
@@ -184,7 +187,7 @@ def tuple_from_rank_word(w: Word) -> FilterTuple:
     :func:`ratpark.action.find_fixed_point`).
     """
     _require_parking(w, "rank-word inversion")
-    dyck, _ = _dyck_filter(sorted(w.letters), w.m, w.n)
+    dyck = _dyck_filter(sorted(w.letters), w.m, w.n)
     initial = _fixed_filter(w, to_balanced(dyck))
     return FilterTuple(initial, _rank_removals(initial, w.letters))
 
@@ -350,7 +353,7 @@ def _class_rank_sums(d: Filter, by_letter: dict[int, list[int]]) -> dict[int, in
     Each such tuple removes the column minima of ``d``; its area word picks,
     at each step, the group of column minima with that area letter, and a
     group is used in increasing order (:func:`tuple_from_area_word`).
-    ``by_letter`` holds those groups, as :func:`ratpark.filters._dyck_filter`
+    ``by_letter`` holds those groups, as :func:`ratpark.filters._column_groups`
     builds them.  An
     area letter fixes the row (``a`` is a unit mod m), and a row's column
     minima are its lowest levels, from its minimum up in steps of m: a used

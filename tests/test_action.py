@@ -362,20 +362,26 @@ def _bubble_traced(coords, letters, add, total_sub):
 
 
 def test_apply_traced_matches_the_loop():
-    # every point repeats a coordinate, and in a range 3m wide a moved
-    # value often ties with a coordinate it meets
+    # every point repeats a coordinate, and in a range 3*add wide a moved
+    # value often ties with a coordinate it meets.  Whole words act with
+    # add = m; the gcd > 1 blocks of construct_fixed_point_general act on
+    # mu < m coordinates with the whole word's add = m and sub = n.
     rng = random.Random(17)
     ties = 0
-    for m, n in ((3, 3), (4, 6), (5, 4), (13, 21)):
+    sizes = ((3, 3), (4, 6), (5, 4), (13, 21), (50, 77))
+    cases = [(m, n, m, n) for m, n in sizes]  # (mu, n_j, add, sub)
+    cases += [(2, 3, 4, 6), (4, 6, 6, 9), (3, 2, 9, 6), (25, 38, 50, 76)]
+    for mu, n_j, add, sub in cases:
         for _ in range(200):
-            values = [rng.randrange(-m, 2 * m) for _ in range(m - 1)]
+            values = [rng.randrange(-add, 2 * add) for _ in range(mu - 1)]
             coords = tuple(sorted(values + [rng.choice(values)]))
-            word_ = tuple(rng.randrange(m) for _ in range(n))
-            for letters, sub in [((i,), 1) for i in range(m)] + [(word_, n)]:
-                expected = _bubble_traced(coords, letters, m, sub)
-                assert action._apply_traced(coords, letters, m, sub) == expected
-                assert _apply_raw(coords, letters, m, sub) == expected[0]
-            ties += sum(c + m in coords for c in coords)
+            word_ = tuple(rng.randrange(mu) for _ in range(n_j))
+            for letters, total_sub in [((i,), 1) for i in range(mu)] + [(word_, sub)]:
+                expected = _bubble_traced(coords, letters, add, total_sub)
+                got = action._apply_traced(coords, letters, add, total_sub)
+                assert got == expected
+                assert _apply_raw(coords, letters, add, total_sub) == expected[0]
+            ties += sum(c + add in coords for c in coords)
     assert ties > 0
 
 

@@ -49,6 +49,7 @@ from ratpark import (
 from ratpark import filters, tuples
 from ratpark.filters import (
     _class_minima,
+    _column_groups,
     _dyck_classes,
     _dyck_filter,
     _removable,
@@ -560,7 +561,8 @@ def _reference_dyck_filter(letters, m, n):
 def _check_kernels(word_):
     m, n = word_.m, word_.n
     letters = sorted(word_.letters)
-    d, groups = _dyck_filter(letters, m, n)
+    d = _dyck_filter(letters, m, n)
+    groups = _column_groups(letters, m, n)
     want_rows, want_groups = _reference_dyck_filter(letters, m, n)
     assert d.row_minima == want_rows, word_
     assert list(groups.items()) == list(want_groups.items()), word_
