@@ -57,11 +57,9 @@ from .errors import (
 from .filters import (
     Filter,
     column_minima,
-    contains_level,
     dyck_filter_to_path,
     dyck_word,
     enumerate_balanced,
-    equivalent,
     filter_from_column_minima,
     filter_from_dyck_word,
     filter_from_path,
@@ -89,7 +87,6 @@ from .tuples import (
     tuple_from_area_word,
     tuple_from_rank_word,
     tuple_to_balanced,
-    tuple_to_parking,
     zeta,
     zeta_inverse,
 )
@@ -98,7 +95,6 @@ from .words import (
     Word,
     classify,
     enumerate_words,
-    is_dyck_word,
     is_parking_word,
     letter_histogram,
     touch_decomposition,

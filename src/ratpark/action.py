@@ -26,6 +26,7 @@ from .errors import (
     LetterOutOfRange,
     _Record,
     _require_ints,
+    _require_sizes,
 )
 from .words import Word, is_parking_word, touch_decomposition
 
@@ -148,8 +149,9 @@ def staircase_point(m: int, n: int) -> Point:
     Coordinates ``l, l+n, ..., l+(m-1)n`` with ``2l = 1+m+n-mn`` sum to
     ``m(m+1)/2``.  When ``1+m+n-mn`` is odd (possible only for gcd > 1)
     the identity staircase ``(1,...,m)`` is used instead; it has the same
-    sum.
+    sum.  The sizes pass the size gate of :class:`Word`.
     """
+    _require_sizes(m, n)
     return Point(_staircase(m, n))
 
 
@@ -211,40 +213,15 @@ class _Piece:
     ``(hi, lo, c, slope)``, meaning ``x[hi] - x[lo] + c >= 0``, where
     ``slope < 0`` is the change of the left side per period of drift; a
     comparison the drift does not work against holds for good.
-
-    Most runs in a piece end before the solver could test a jump, so the
-    piece is built in two steps: construction walks the slots for
-    ``origin`` alone and finds ``period``; ``shift``, ``drift`` and
-    ``walls`` are computed by the first :meth:`periods_to_skip`, the only
-    reader, and kept for the piece's later jump tests.
     """
 
     def __init__(
         self, slots: Sequence[int], letters: Sequence[int], m: int, add: int, sub: int
     ):
         origin = list(range(m))
-        for letter, j in zip(letters, slots):
-            origin.insert(j, origin.pop(letter))
-        cycles = []
-        todo = set(range(m))
-        while todo:
-            cycle = [todo.pop()]
-            while origin[cycle[-1]] != cycle[0]:
-                cycle.append(origin[cycle[-1]])
-                todo.discard(cycle[-1])
-            cycles.append(cycle)
-        self.origin, self.cycles = origin, cycles
-        self.period = lcm(*(len(c) for c in cycles))
-        self.slots, self.letters, self.add, self.sub = slots, letters, add, sub
-        self.drift = None
-
-    def _affine(self) -> None:
-        """Walk the letters again for ``shift``, ``drift`` and ``walls``."""
-        m, add = len(self.origin), self.add
-        origin = list(range(m))
         bumps = [0] * m
         walls = []
-        for letter, j in zip(self.letters, self.slots):
+        for letter, j in zip(letters, slots):
             o, k = origin[letter], bumps[letter] + 1
             if j > letter:
                 walls.append((o, origin[j], add * (k - bumps[j]) - 1))
@@ -253,10 +230,20 @@ class _Piece:
             origin[letter:j] = origin[letter + 1 : j + 1]
             bumps[letter:j] = bumps[letter + 1 : j + 1]
             origin[j], bumps[j] = o, k
-        self.shift = [add * b - self.sub for b in bumps]
+        cycles = []
+        todo = set(range(m))
+        while todo:
+            cycle = [todo.pop()]
+            while origin[cycle[-1]] != cycle[0]:
+                cycle.append(origin[cycle[-1]])
+                todo.discard(cycle[-1])
+            cycles.append(cycle)
+        self.origin = origin
+        self.period = lcm(*(len(c) for c in cycles))
+        self.shift = shift = [add * b - sub for b in bumps]
         drift = [0] * m
-        for cycle in self.cycles:
-            d = self.period // len(cycle) * sum(self.shift[p] for p in cycle)
+        for cycle in cycles:
+            d = self.period // len(cycle) * sum(shift[p] for p in cycle)
             for p in cycle:
                 drift[p] = d
         self.drift = drift
@@ -283,8 +270,6 @@ class _Piece:
         ``s = 0`` (``r >= 1``) or ``s = 1`` (``r = 0``), so it stays within
         bound in between.
         """
-        if self.drift is None:
-            self._affine()
         drift, m = self.drift, len(cur)
         if not any(drift):
             return 0
@@ -315,17 +300,16 @@ def _orbit(
     sub: int,
     budget: int,
     bound: int | None,
-) -> tuple[tuple[int, ...], int, int | None, int] | None:
+) -> tuple[tuple[int, ...], int, int, int] | None:
     """The orbit of ``x -> _apply_raw(x, letters, add, sub)`` from ``start``.
 
     Finds the plain orbit's first fixed point, escape (a norm above
     ``bound``, if any) or repeat within ``budget`` applications, else
     returns None.  Returns ``(x, period, it, applications)``: ``x`` is
     the first point beyond the bound when ``period`` is 0, the fixed
-    point when ``period`` is 1, and else a point on a cycle of that
-    period, all the gcd > 1 block builder needs; ``it`` counts the plain
-    orbit's applications to the outcome, and is None when a cycle's
-    first repeat is left to :func:`_first_repeat`.  Each of the
+    point when ``period`` is 1, and else the first repeat of a cycle of
+    that period; ``it`` counts the plain orbit's applications to the
+    outcome.  Each of the
     ``C(m,2)`` squared differences in the norm is at most the squared
     spread, so the exact norm is computed only when ``C(m,2)`` times the
     squared spread exceeds the bound.
@@ -342,16 +326,14 @@ def _orbit(
     ``D != 0`` holds no fixed point (``x = Px + c`` forces ``D = 0``), a
     jump lands on the plain orbit, and the first repeat is found by
     re-walking the plain orbit, so outcome and ``iterations`` are those of
-    plain iteration.  A piece finds ``P`` and ``L`` at the second
-    application in it; ``c``, ``D`` and its walls take a second walk of
-    the letters, paid only at the first jump test, which most runs end
-    before.  The first ``m + n`` applications (``n = len(letters)``) run
-    plain: no slots, no runs, no pieces.  A traced application costs
-    about 1.2 times a plain one at (50,77), and tracing pays only on long
-    drifts, which run for thousands of applications, while a start near
-    the fixed point (the warm start of rank-word inversion) mostly
-    resolves within ``m + n``.
-    A drift is then jumped at most about ``m + n`` applications later,
+    plain iteration.  A piece is built at the second application in it,
+    in one walk of the letters.  The first ``m + n`` applications
+    (``n = len(letters)``) run plain: no slots, no runs, no pieces.  A
+    traced application costs about 1.2 times a plain one at (50,77), and
+    tracing pays only on long drifts, which run for thousands of
+    applications, while a start near the fixed point (the warm start of
+    rank-word inversion) mostly resolves within ``m + n``.  A drift is
+    then jumped at most about ``m + n`` applications later,
     ``1/(10*(m+n))`` of the default budget; the budget, the escape test
     and Brent's tortoise see every application in both phases.
 
@@ -362,7 +344,10 @@ def _orbit(
     ``-sub``, so with ``gcd(add, sub) = 1`` a start with distinct residues
     has those of a coprime word's fixed point, and its orbit reaches it or
     escapes.  Only elsewhere is an exhausted orbit searched for a repeat
-    that closed within the budget; whether it did takes the first repeat.
+    that closed within the budget.  Both routes end at one exit: from a
+    period, found by the tortoise or by that search, :func:`_first_repeat`
+    walks from ``start`` to the first repeat, and a first repeat beyond
+    the budget counts as exhaustion.
     """
     m = len(start)
     pairs = comb(m, 2)
@@ -387,7 +372,8 @@ def _orbit(
                 return nxt, 0, it, applications
         lam += 1
         if nxt == tortoise:
-            return nxt, lam, None, applications
+            period = lam
+            break
         if lam == power:
             tortoise, power, lam = nxt, 2 * power, 0
         cur = nxt
@@ -406,20 +392,22 @@ def _orbit(
                 cur = tuple(c + k * d for c, d in zip(cur, piece.drift))
                 it += k * piece.period
                 tortoise, power, lam = cur, 1, 0
-    if gcd(add, sub) == 1 and len({c % add for c in start}) == m:
-        return None
-    # a repeat that closed within the budget puts ``cur`` on its cycle
-    ahead = _apply_raw(cur, letters, add, sub)
-    period = 1
-    while ahead != cur:
-        if period == budget:
+    else:  # the budget ran out
+        if gcd(add, sub) == 1 and len({c % add for c in start}) == m:
             return None
-        ahead = _apply_raw(ahead, letters, add, sub)
-        period += 1
+        # a repeat that closed within the budget puts ``cur`` on its cycle
+        ahead = _apply_raw(cur, letters, add, sub)
+        period = 1
+        while ahead != cur:
+            if period == budget:
+                return None
+            ahead = _apply_raw(ahead, letters, add, sub)
+            period += 1
+        applications += period
     first, x = _first_repeat(start, letters, add, sub, period)
     if first + period > budget:
         return None
-    return x, period, first + period, applications + 2 * (period + first)
+    return x, period, first + period, applications + period + 2 * first
 
 
 def _first_repeat(
@@ -478,6 +466,14 @@ def find_fixed_point(
     witness.  So an orbit that exhausts the budget is searched for a
     repeat that closed within it where a cycle can exist: when
     gcd(m, n) > 1, or when the start repeats a residue mod m.
+
+    A non-parking word closes no cycle from any start, so its cycle is an
+    :class:`InternalInconsistency` too.  Take ``i`` with ``m*c_i < i*n``,
+    where ``c_i`` counts the letters below ``i``.  A letter below ``i``
+    raises the sum of the ``i`` smallest coordinates by at most ``m``, any
+    other letter does not raise it, and every letter lowers it by ``i``.
+    So one word application changes that sum by at most
+    ``m*c_i - i*n <= -1``, and no point repeats.
     """
     m, n = w.m, w.n
     if max_iterations is None:
@@ -494,17 +490,16 @@ def find_fixed_point(
             f"no resolution for {w} within {budget} word applications"
         )
     x, period, it, applications = orbit
-    if it is None:
-        # the cycle's witness is its first repeat; Brent's detection
-        # found the cycle at or after it, so within the budget
-        first, x = _first_repeat(start, w.letters, m, n, period)
-        it, applications = first + period, applications + period + 2 * first
     if period == 0:
         return OrbitReport(Diverged(it, _norm(x)), it, applications)
     if period == 1:
         return OrbitReport(Fixed(Point._of(x)), it, applications)
     witness = Point._of(x)
-    if gcd(m, n) == 1 and is_parking_word(w) and len({c % m for c in start}) == m:
+    if not is_parking_word(w):
+        raise InternalInconsistency(
+            f"non-parking word {w} entered a {period}-cycle", witness=witness
+        )
+    if gcd(m, n) == 1 and len({c % m for c in start}) == m:
         raise InternalInconsistency(
             f"coprime parking word {w} entered a {period}-cycle", witness=witness
         )

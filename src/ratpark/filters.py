@@ -106,10 +106,6 @@ class Filter(_Record):
         return self.by_residue[r % self.m]
 
 
-def contains_level(f: Filter, v: int) -> bool:
-    return v >= f.minimum_by_residue(v % f.m)
-
-
 def _class_minima(table: Sequence[int], step: int, modulus: int) -> tuple[int, ...]:
     """Least level ``v + k*step`` (``k >= 0``) in each class mod ``modulus``, sorted.
 
@@ -171,11 +167,6 @@ def to_balanced(f: Filter) -> Filter:
     """Translate by :func:`_balancing_shift`."""
     shift = _balancing_shift(f)
     return Filter._of(f.m, f.n, [v + shift for v in f.row_minima])
-
-
-def equivalent(f: Filter, g: Filter) -> bool:
-    """Same filter up to translation of all levels."""
-    return (f.m, f.n) == (g.m, g.n) and to_balanced(f) == to_balanced(g)
 
 
 def _removable(table: Sequence[int], v: int, m: int, n: int) -> bool:

@@ -45,7 +45,6 @@ from .filters import (
     area_letters,
     column_minima,
     enumerate_balanced,
-    is_balanced,
     is_dyck,
     to_balanced,
 )
@@ -117,22 +116,9 @@ def translate(t: FilterTuple, shift: int) -> FilterTuple:
     )
 
 
-def tuple_to_parking(t: FilterTuple) -> FilterTuple:
-    """Translate so the initial filter is Dyck (minimum level 0)."""
-    return translate(t, -min(t.initial.row_minima))
-
-
 def tuple_to_balanced(t: FilterTuple) -> FilterTuple:
     """Translate so the initial filter is balanced."""
     return translate(t, _balancing_shift(t.initial))
-
-
-def is_parking_tuple(t: FilterTuple) -> bool:
-    return is_dyck(t.initial)
-
-
-def is_balanced_tuple(t: FilterTuple) -> bool:
-    return is_balanced(t.initial)
 
 
 def area_word(t: FilterTuple) -> Word:

@@ -113,11 +113,6 @@ def is_parking_word(w: Word) -> bool:
     return True
 
 
-def is_dyck_word(w: Word) -> bool:
-    """Weakly increasing parking words encode lattice paths above mx+ny=0."""
-    return all(a <= b for a, b in zip(w.letters, w.letters[1:])) and is_parking_word(w)
-
-
 def touch_points(w: Word) -> tuple[int, ...]:
     """Indices ``0 < i < m`` where the parking inequality is an equality.
 

@@ -518,6 +518,13 @@ def test_coprime_parking_cycle_from_repeated_residues_is_no_inconsistency(
     assert info.value.witness == Point((0, 1, 2))
     report = find_fixed_point(w(3, 4, "0012"), start=Point((0, 3, 6)))
     assert report.outcome == Cycle(3, Point((0, 3, 6)))
+    # a non-parking word closes no cycle from any start: the sum of its i
+    # smallest coordinates falls at each application for some i, so its
+    # cycle is a violation even from repeated residues, at any gcd
+    for word_ in (w(3, 4, "1222"), w(3, 6, "012222")):
+        with pytest.raises(InternalInconsistency, match="non-parking") as info:
+            find_fixed_point(word_, start=Point((0, 3, 6)))
+        assert info.value.witness == Point((0, 3, 6))
 
 
 def _warm_start(word_):

@@ -20,14 +20,12 @@ from ratpark import (
     anderson,
     anderson_inverse,
     column_minima,
-    contains_level,
     dinv,
     dyck_embedding,
     dyck_filter_to_path,
     dyck_word,
     enumerate_balanced,
     enumerate_words,
-    equivalent,
     filter_from_column_minima,
     filter_from_dyck_word,
     filter_from_path,
@@ -39,6 +37,8 @@ from ratpark import (
     qt_table,
     removable_levels,
     remove,
+    staircase_point,
+    staircase_window,
     sweep,
     sweep_inverse,
     to_balanced,
@@ -74,13 +74,26 @@ def test_filter_validation():
     for minima in ((0.0, 2, 4), (0, 2, 4.0), (False, 2, 4)):
         with pytest.raises(DimensionMismatch):
             Filter(3, 4, minima)
-    # sizes pass the size gate of Word, here and in every coprime-size
-    # check: a float or bool size is refused before gcd sees it
-    for m, n, minima in ((3.0, 4, (0, 2, 4)), (3, 4.0, (0, 2, 4)), (True, 3, (0,))):
+    # sizes pass the size gate of Word, here, in every coprime-size check
+    # and in the staircase builders: a float, bool or nonpositive size is
+    # refused before gcd or the staircase sees it
+    for m, n, minima in (
+        (3.0, 4, (0, 2, 4)),
+        (3, 4.0, (0, 2, 4)),
+        (True, 3, (0,)),
+        (2.5, 3, (0, 2)),
+        (2.0, 3, (0, 2)),
+        (0, 3, ()),
+        (3, 0, (0, 1, 2)),
+    ):
         with pytest.raises(LetterOutOfRange):
             Filter(m, n, minima)
         with pytest.raises(LetterOutOfRange):
             qt_table(m, n)
+        for build in (staircase_point, generator_filter, staircase_window):
+            for sizes in ((m, n), (n, m)):
+                with pytest.raises(LetterOutOfRange):
+                    build(*sizes)
 
 
 def _each_built_filter(m, n):
@@ -119,15 +132,6 @@ def test_residue_table_matches_the_row_minima():
                 assert f.minimum_by_residue(r) == _scanned_minimum(f, r)
 
 
-def test_contains_level():
-    f = Filter(3, 4, (-1, 1, 3))
-    for v in (-1, 1, 2, 3, 4):
-        assert contains_level(f, v)
-    for v in (-2, 0):
-        assert not contains_level(f, v)
-    assert contains_level(f, 1000)
-
-
 def test_generator_filter_membership():
     b = generator_filter(3, 5)
     assert b.row_minima == (-3, 2, 7)
@@ -136,7 +140,7 @@ def test_generator_filter_membership():
         l + a * 3 + c * 5 for a in range(0, 40) for c in range(0, 40)
     }
     for v in range(-10, 30):
-        assert contains_level(b, v) == (v in closure)
+        assert (v >= b.by_residue[v % 3]) == (v in closure)
 
 
 def test_column_minima_examples():
@@ -151,8 +155,8 @@ def test_representatives():
     assert to_balanced(f).row_minima == (0, 2, 4)
     assert to_dyck(to_dyck(f)) == to_dyck(f)
     assert to_dyck(Filter(3, 5, (2, 4, 6))).row_minima == (0, 2, 4)
-    assert equivalent(f, Filter(3, 4, (4, 6, 8)))
-    assert not equivalent(f, Filter(3, 4, (1, 2, 3)))
+    assert to_balanced(Filter(3, 4, (4, 6, 8))) == to_balanced(f)
+    assert to_balanced(Filter(3, 4, (1, 2, 3))) != to_balanced(f)
 
 
 def test_balanced_duality():

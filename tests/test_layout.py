@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from graphlib import TopologicalSorter
@@ -171,9 +172,37 @@ def test_trusted_filter_constructor_stays_at_its_sites():
 
 def test_one_orbit_loop():
     # the solver and the gcd > 1 block builder share one orbit loop: only
-    # it applies words with their slots traced and builds affine pieces
-    for name in ("_apply_traced", "_Piece"):
+    # it applies words with their slots traced, builds affine pieces and
+    # walks to a cycle's first repeat, at its one cycle exit; a piece is
+    # built in one step
+    for name in ("_apply_traced", "_Piece", "_first_repeat"):
         assert _sites(name) == ["action._orbit"], name
+    assert not hasattr(ratpark.action._Piece, "_affine")
+
+
+def _exports() -> list[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def test_exports_are_the_supported_surface():
+    # README's "Supported surface" list names every export of the package,
+    # and nothing else
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Supported surface\n", 1)[1].split("\n## ", 1)[0]
+    listed = [
+        name
+        for line in section.splitlines()
+        if line.startswith(("- ", "  "))
+        for name in re.findall(r"`([A-Za-z_]\w*)`", line)
+    ]
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(_exports())
 
 
 def test_one_residue_table():

@@ -19,19 +19,11 @@ from ratpark import (
     find_fixed_point,
     is_balanced,
     is_dyck,
-    is_dyck_word,
     qt_table,
     tuple_from_area_word,
     tuple_to_balanced,
-    tuple_to_parking,
 )
-from ratpark.tuples import is_balanced_tuple, is_parking_tuple, translate
-
-
-def test_is_dyck_word():
-    assert is_dyck_word(Word(4, 3, (0, 1, 2)))
-    assert not is_dyck_word(Word(4, 3, (1, 0, 2)))  # parking but unsorted
-    assert not is_dyck_word(Word(4, 3, (0, 2, 2)))  # sorted but not parking
+from ratpark.tuples import translate
 
 
 def test_filter_predicates():
@@ -55,13 +47,13 @@ def test_filter_from_column_minima():
 
 def test_tuple_representative_predicates():
     t = tuple_from_area_word(Word(3, 5, (1, 0, 0, 0, 1)))
-    assert is_parking_tuple(t)
+    assert is_dyck(t.initial)
     balanced = tuple_to_balanced(t)
-    assert is_balanced_tuple(balanced)
-    assert tuple_to_parking(balanced) == t
+    assert is_balanced(balanced.initial)
+    assert translate(balanced, -min(balanced.initial.row_minima)) == t
     shifted = translate(t, 7)
     assert shifted.removals == tuple(v + 7 for v in t.removals)
-    assert tuple_to_parking(shifted) == t
+    assert translate(shifted, -7) == t
 
 
 def test_labeled_path():

@@ -42,7 +42,6 @@ from ratpark import (
     tuple_from_area_word,
     tuple_from_rank_word,
     tuple_to_balanced,
-    tuple_to_parking,
     zeta,
     zeta_inverse,
 )
@@ -91,7 +90,7 @@ def test_worked_example_maps():
     t = FilterTuple(Filter(3, 5, (-1, 3, 4)), (3, -1, 2, 5, 6))
     assert str(rank_word(t)) == "10011"
     assert str(area_word(t)) == "10001"
-    parking = tuple_to_parking(t)
+    parking = tuples.translate(t, -min(t.initial.row_minima))
     assert parking.initial.row_minima == (0, 4, 5)
     assert parking.removals == (4, 0, 3, 6, 7)
     assert str(area_word(parking)) == "10001"
@@ -100,7 +99,7 @@ def test_worked_example_maps():
 
 def test_area_word_five_three():
     t = tuple_from_area_word(w(5, 3, "010"))
-    assert tuple_to_parking(t).removals == (0, 7, 5)
+    assert tuples.translate(t, -min(t.initial.row_minima)).removals == (0, 7, 5)
 
 
 def test_area_word_inverse_round_trip():
