@@ -86,18 +86,21 @@ class OrbitReport(_Record):
     __slots__ = _fields = ("outcome", "iterations", "applications")
 
 
-def _apply_raw(
-    coords: tuple[int, ...], letters: Sequence[int], add: int, total_sub: int
-) -> tuple[int, ...]:
-    # Per-letter uniform subtractions never change coordinate comparisons,
-    # so they are deferred to a single shift at the end.  insort_left puts
-    # the moved value back before any coordinate equal to it, searching
-    # from its old slot: where a compare-exchange pass would stop, in one
-    # C call per letter.
-    xs = list(coords)
+def _act(xs: list[int], letters: Sequence[int], add: int) -> None:
+    # The action in place, without its uniform subtractions: they never
+    # change coordinate comparisons.  insort_left puts the moved value back
+    # before any coordinate equal to it, searching from its old slot: where
+    # a compare-exchange pass would stop, in one C call per letter.
     pop = xs.pop
     for letter in letters:
         insort_left(xs, pop(letter) + add, letter)
+
+
+def _apply_raw(
+    coords: tuple[int, ...], letters: Sequence[int], add: int, total_sub: int
+) -> tuple[int, ...]:
+    xs = list(coords)
+    _act(xs, letters, add)
     return tuple([x - total_sub for x in xs])
 
 

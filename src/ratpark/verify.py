@@ -27,6 +27,7 @@ from .action import (
     find_fixed_point,
     norm,
     staircase_point,
+    _act,
     _apply_raw,
     _norm,
 )
@@ -574,15 +575,18 @@ def _suite_affine_agreement(c: _Checker, m: int, n: int) -> None:
 
 
 def _contracts(x: list[int], y: list[int], letters: list[int], m: int, n: int) -> bool:
-    """``contraction_certificate`` on raw lists: does the word not push
-    ``x`` and ``y`` apart?
+    """``contraction_certificate`` on raw lists, acting on them in place:
+    does the word not push ``x`` and ``y`` apart?
 
     The caller passes sorted points and letters below ``m``, which is all
     that ``Point`` and ``Word`` would validate; ``distance`` is ``_norm``
-    of the coordinatewise difference.
+    of the coordinatewise difference, which the word's shift of every
+    coordinate by ``-n`` leaves as it is, so :func:`_act` skips it.
     """
-    wx, wy = _apply_raw(x, letters, m, n), _apply_raw(y, letters, m, n)
-    return _norm(list(map(sub, x, y))) >= _norm(list(map(sub, wx, wy)))
+    before = _norm(list(map(sub, x, y)))
+    _act(x, letters, m)
+    _act(y, letters, m)
+    return before >= _norm(list(map(sub, x, y)))
 
 
 def _suite_lipschitz(c: _Checker, m: int, n: int, rng: random.Random) -> None:
@@ -619,15 +623,18 @@ def _suite_lipschitz(c: _Checker, m: int, n: int, rng: random.Random) -> None:
 
 
 def _suite_divergence(c: _Checker, m: int, n: int) -> None:
+    """The norm grows along each non-parking word's orbit.  :func:`_act`
+    skips the shift by ``-n`` per coordinate, which no norm sees."""
+    start = staircase_point(m, n).coords
+    start_norm = _norm(start)
     for w in enumerate_words(m, n, "all"):
         if is_parking_word(w):
             continue
-        cur = staircase_point(m, n)
-        start_norm = norm(cur)
+        xs = list(start)
         for _ in range(DIVERGENCE_APPLICATIONS):
-            cur = apply_word(cur, w)
+            _act(xs, w.letters, m)
         c.check(
-            norm(cur) > start_norm,
+            _norm(xs) > start_norm,
             f"norm did not grow under {w} ({m},{n})",
         )
 

@@ -159,7 +159,7 @@ def test_fixed_point_oracle_examples(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the oracle called the action or the solver")
 
-    for name in ("find_fixed_point", "_apply_raw", "_apply_traced"):
+    for name in ("find_fixed_point", "_act", "_apply_raw", "_apply_traced"):
         monkeypatch.setattr(action, name, boom)
     assert fixed_point_oracle(w(3, 5, "10011")).coords == (-1, 3, 4)
     assert fixed_point_oracle(w(3, 4, "0000")).coords == (1, 2, 3)
@@ -361,20 +361,26 @@ def _bubble_traced(coords, letters, add, total_sub):
     return tuple(x - total_sub for x in xs), slots
 
 
-def test_apply_traced_matches_the_loop():
+# (mu, n_j, add, sub) of gcd > 1 blocks: construct_fixed_point_general
+# acts on mu < m coordinates with the whole word's add = m and sub = n,
+# where a whole word acts as (m, n, m, n)
+BLOCK_CASES = [(2, 3, 4, 6), (4, 6, 6, 9), (3, 2, 9, 6), (25, 38, 50, 76)]
+
+
+def _tied_point(rng, mu, add):
     # every point repeats a coordinate, and in a range 3*add wide a moved
-    # value often ties with a coordinate it meets.  Whole words act with
-    # add = m; the gcd > 1 blocks of construct_fixed_point_general act on
-    # mu < m coordinates with the whole word's add = m and sub = n.
+    # value often ties with a coordinate it meets
+    values = [rng.randrange(-add, 2 * add) for _ in range(mu - 1)]
+    return tuple(sorted(values + [rng.choice(values)]))
+
+
+def test_apply_traced_matches_the_loop():
     rng = random.Random(17)
     ties = 0
     sizes = ((3, 3), (4, 6), (5, 4), (13, 21), (50, 77))
-    cases = [(m, n, m, n) for m, n in sizes]  # (mu, n_j, add, sub)
-    cases += [(2, 3, 4, 6), (4, 6, 6, 9), (3, 2, 9, 6), (25, 38, 50, 76)]
-    for mu, n_j, add, sub in cases:
+    for mu, n_j, add, sub in [(m, n, m, n) for m, n in sizes] + BLOCK_CASES:
         for _ in range(200):
-            values = [rng.randrange(-add, 2 * add) for _ in range(mu - 1)]
-            coords = tuple(sorted(values + [rng.choice(values)]))
+            coords = _tied_point(rng, mu, add)
             word_ = tuple(rng.randrange(mu) for _ in range(n_j))
             for letters, total_sub in [((i,), 1) for i in range(mu)] + [(word_, sub)]:
                 expected = _bubble_traced(coords, letters, add, total_sub)
@@ -383,6 +389,37 @@ def test_apply_traced_matches_the_loop():
                 assert _apply_raw(coords, letters, add, total_sub) == expected[0]
             ties += sum(c + add in coords for c in coords)
     assert ties > 0
+
+
+def test_in_place_kernel_then_shift_is_the_action():
+    # _act leaves out the uniform shift; adding it back gives _apply_raw,
+    # and for a whole word the chain of single letters, ties included
+    rng = random.Random(29)
+    ties = 0
+    sizes = ((3, 4), (13, 21), (50, 77))
+    for mu, n_j, add, sub in [(m, n, m, n) for m, n in sizes] + BLOCK_CASES:
+        for _ in range(100):
+            coords = _tied_point(rng, mu, add)
+            letters = tuple(rng.randrange(mu) for _ in range(n_j))
+            xs = list(coords)
+            assert action._act(xs, letters, add) is None
+            shifted = tuple(x - sub for x in xs)
+            assert shifted == _apply_raw(coords, letters, add, sub)
+            assert shifted == _bubble_traced(coords, letters, add, sub)[0]
+            if add == mu:
+                chained = Point(coords)
+                for letter in letters:
+                    chained = apply_letter(chained, letter)
+                assert shifted == chained.coords
+            ties += sum(c + add in coords for c in coords)
+    assert ties > 0
+
+
+def test_apply_raw_leaves_its_argument_untouched():
+    coords = [-3, 0, 0, 4, 9]
+    letters = (4, 0, 2, 2, 1, 3, 0)
+    assert _apply_raw(coords, letters, 5, 7) == _apply_raw(tuple(coords), letters, 5, 7)
+    assert coords == [-3, 0, 0, 4, 9]
 
 
 # ------------------------------------------ drift jumps against the plain orbit

@@ -241,9 +241,10 @@ def test_one_sorted_minima_step():
 
 
 def test_one_insertion_per_letter():
-    # the plain kernel puts each moved value back with one insort_left;
-    # only the traced kernel, which records the slot, bisects and inserts
-    assert _sites("insort_left") == ["action._apply_raw"]
+    # the plain in-place kernel puts each moved value back with one
+    # insort_left; only the traced kernel, which records the slot, bisects
+    # and inserts
+    assert _sites("insort_left") == ["action._act"]
     in_action = [s for s in _sites("bisect_left") if s.startswith("action.")]
     assert in_action == ["action._apply_traced"]
 

@@ -100,12 +100,20 @@ def test_lipschitz_stream_carries_across_pairs(monkeypatch):
         assert trials == expected, seed
 
 
-def _parity_map(coords, letters, add, total_sub):
-    # a monotone map that doubles some points and fixes others, so that
-    # some pairs move apart and some do not
-    if coords[0] % 2:
-        return tuple(2 * c for c in coords)
-    return tuple(coords)
+def _parity_act(xs, letters, add):
+    # in place, a monotone map that doubles some points and fixes others,
+    # so that some pairs move apart and some do not
+    if xs[0] % 2:
+        xs[:] = [2 * c for c in xs]
+
+
+def _double_act(xs, letters, add):
+    xs[:] = [2 * c for c in xs]
+
+
+def _translate_act(xs, letters, add):
+    # moves every coordinate alike, so no norm changes
+    xs[:] = [c + add for c in xs]
 
 
 def test_raw_lipschitz_verdict_matches_the_certificate(monkeypatch):
@@ -116,14 +124,16 @@ def test_raw_lipschitz_verdict_matches_the_certificate(monkeypatch):
             x = sorted(rng.randint(-span, span) for _ in range(m))
             y = sorted(rng.randint(-span, span) for _ in range(m))
             letters = [rng.randrange(m) for _ in range(n)]
-            raw = verify._contracts(x, y, letters, m, n)
+            # _contracts acts on its lists in place
+            raw = verify._contracts(list(x), list(y), letters, m, n)
             word_ = Word(m, n, tuple(letters))
             yield raw, contraction_certificate(word_, Point(tuple(x)), Point(tuple(y)))
 
     for m, n in ((3, 4), (5, 2)):
         assert all(raw and certified for raw, certified in verdicts(m, n, 1))
-    monkeypatch.setattr(verify, "_apply_raw", _parity_map)
-    monkeypatch.setattr(action, "_apply_raw", _parity_map)
+    # apply_word reaches the in-place kernel through action._apply_raw
+    monkeypatch.setattr(verify, "_act", _parity_act)
+    monkeypatch.setattr(action, "_act", _parity_act)
     for m, n in ((3, 4), (5, 2)):
         pairs = list(verdicts(m, n, 2))
         assert all(raw == certified for raw, certified in pairs)
@@ -131,17 +141,24 @@ def test_raw_lipschitz_verdict_matches_the_certificate(monkeypatch):
 
 
 def test_lipschitz_suite_fails_on_an_expanding_map(monkeypatch):
-    monkeypatch.setattr(
-        verify,
-        "_apply_raw",
-        lambda coords, letters, add, total_sub: tuple(2 * c for c in coords),
-    )
+    monkeypatch.setattr(verify, "_act", _double_act)
     report = run_verify(pairs=((3, 4),))
     (suite,) = [s for s in report.suites if s.name == "lipschitz (3,4)"]
     assert suite.failed > 0
     assert suite.first_failure.startswith("contraction failures (3,4)")
     assert report.ok is False
     assert LIPSCHITZ_TRIALS == 10_000
+
+
+def test_divergence_suite_fails_on_a_norm_preserving_map(monkeypatch):
+    monkeypatch.setattr(verify, "_act", _translate_act)
+    report = run_verify(pairs=((3, 4),))
+    failed = {s.name: s for s in report.suites if s.failed}
+    assert list(failed) == ["divergence (3,4)"]
+    suite = failed["divergence (3,4)"]
+    assert (suite.passed, suite.failed) == (0, 54)
+    assert suite.first_failure.startswith("norm did not grow under ")
+    assert report.ok is False
 
 
 def test_equal_builds_its_message_only_on_failure():
