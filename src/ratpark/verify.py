@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 from math import comb
-from operator import sub
+from operator import mul, sub
 
 from . import reference as ref
 from .errors import require_coprime
@@ -385,9 +385,7 @@ def _suite_reference_affine(c: _Checker) -> None:
         c.equal(got.window, expected, f"swap of {window} with m={m}")
 
     for (m, n), windows in ref.DOMINANT_WINDOWS.items():
-        got = {
-            filter_to_dominant(b).window for b in enumerate_balanced(m, n)
-        }
+        got = {filter_to_dominant(b).window for b in enumerate_balanced(m, n)}
         c.equal(got, set(windows), f"dominant windows ({m},{n})")
 
     for window, m, expected in ref.ANDERSON_EXAMPLES:
@@ -575,44 +573,46 @@ def _suite_affine_agreement(c: _Checker, m: int, n: int) -> None:
 
 
 def _contracts(x: list[int], y: list[int], letters: list[int], m: int, n: int) -> bool:
-    """``contraction_certificate`` on raw lists, acting on them in place:
-    does the word not push ``x`` and ``y`` apart?
+    """``contraction_certificate`` on sorted raw lists, acting on them in
+    place: does the word not push ``x`` and ``y`` apart?
 
-    The caller passes sorted points and letters below ``m``, which is all
-    that ``Point`` and ``Word`` would validate; ``distance`` is ``_norm``
-    of the coordinatewise difference, which the word's shift of every
-    coordinate by ``-n`` leaves as it is, so :func:`_act` skips it.
+    ``distance`` is ``m*sum(d*d) - sum(d)**2`` of the difference ``d``, and
+    :func:`_act` adds ``m`` to one coordinate of each point per letter (no
+    ``-n`` shift), so ``sum(d)`` stays and ``sum(d*d)`` orders the two.
     """
-    before = _norm(list(map(sub, x, y)))
+    d = list(map(sub, x, y))
+    before = sum(map(mul, d, d))
     _act(x, letters, m)
     _act(y, letters, m)
-    return before >= _norm(list(map(sub, x, y)))
+    d = list(map(sub, x, y))
+    return before >= sum(map(mul, d, d))
 
 
 def _suite_lipschitz(c: _Checker, m: int, n: int, rng: random.Random) -> None:
     # randint(-span, span) is -span + randrange(width), and CPython's
     # randrange(k) for an int k > 0 draws getrandbits(k.bit_length()) again
     # while the result is at least k.  The loops below apply that rule
-    # inline, without a frame per draw: the same draws in the same order
-    # (the m coordinates of x, the m of y, then the n letters), so the
-    # same trials as Point(sorted(randint ...)) would give; tests pin the
-    # stream.  The points are sorted and the letters below m by
-    # construction, so _contracts may skip Point and Word.
+    # inline, without a frame per draw: the 2m coordinates, x's then y's,
+    # then the n letters, as Point(sorted(randint ...)) and Word would draw
+    # them; tests pin the stream.  So the points are sorted and the letters
+    # below m, and _contracts may skip Point and Word.
     span = m * n + 5
     width = 2 * span + 1
     bits = rng.getrandbits
     kw, km = width.bit_length(), m.bit_length()
+    coordinates, word = range(2 * m), range(n)
     failures = 0
     for _ in range(LIPSCHITZ_TRIALS):
-        x, y, letters = [], [], []
-        for point in (x, y):
-            for _ in range(m):
+        drawn, letters = [], []
+        for _ in coordinates:
+            r = bits(kw)
+            while r >= width:
                 r = bits(kw)
-                while r >= width:
-                    r = bits(kw)
-                point.append(r - span)
-            point.sort()
-        for _ in range(n):
+            drawn.append(r - span)
+        x, y = drawn[:m], drawn[m:]
+        x.sort()
+        y.sort()
+        for _ in word:
             r = bits(km)
             while r >= m:
                 r = bits(km)

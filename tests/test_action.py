@@ -391,6 +391,22 @@ def test_apply_traced_matches_the_loop():
     assert ties > 0
 
 
+def test_in_place_kernel_keeps_its_list_sorted_and_its_sum_exact():
+    # verify._contracts relies on this contract: each letter adds `add` to
+    # one coordinate, so two points' sums move alike and their difference
+    # keeps its sum
+    rng = random.Random(31)
+    sizes = ((3, 4), (13, 21), (50, 77))
+    for mu, n_j, add, _ in [(m, n, m, n) for m, n in sizes] + BLOCK_CASES:
+        for _ in range(100):
+            xs = list(_tied_point(rng, mu, add))
+            letters = [rng.randrange(mu) for _ in range(n_j)]
+            before = sum(xs)
+            action._act(xs, letters, add)
+            assert xs == sorted(xs)
+            assert sum(xs) == before + len(letters) * add
+
+
 def test_in_place_kernel_then_shift_is_the_action():
     # _act leaves out the uniform shift; adding it back gives _apply_raw,
     # and for a whole word the chain of single letters, ties included
@@ -793,6 +809,21 @@ def test_solver_memory_is_bounded():
         tracemalloc.stop()
     assert report.iterations > 10_000
     assert peak < 1_000_000
+
+
+# the longest orbit from the staircase over every parking word, measured;
+# a solver change that lengthens the worst orbit fails here, long before
+# an orbit nears its budget of 10*(m+n)**2 applications
+STAIRCASE_ORBIT_MAXIMA = {(3, 7): 7, (4, 7): 10, (5, 7): 18, (7, 5): 22}
+
+
+def test_staircase_orbit_maxima_are_replayed(monkeypatch):
+    monkeypatch.delenv("RATPARK_MAX_ITER", raising=False)
+    for (m, n), longest in STAIRCASE_ORBIT_MAXIMA.items():
+        reports = [find_fixed_point(u) for u in enumerate_words(m, n, "parking")]
+        assert all(isinstance(r.outcome, Fixed) for r in reports)
+        assert max(r.iterations for r in reports) == longest
+        assert 50 * longest < action.default_budget(m, n) <= 1440
 
 
 def test_budget_must_be_a_positive_integer(monkeypatch):

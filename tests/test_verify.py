@@ -100,11 +100,15 @@ def test_lipschitz_stream_carries_across_pairs(monkeypatch):
         assert trials == expected, seed
 
 
-def _parity_act(xs, letters, add):
-    # in place, a monotone map that doubles some points and fixes others,
-    # so that some pairs move apart and some do not
-    if xs[0] % 2:
-        xs[:] = [2 * c for c in xs]
+def _lopsided_act(xs, letters, add):
+    # keeps the kernel's contract, a sorted list whose sum grows by add per
+    # letter, but not its 1-Lipschitz property: a point with an odd first
+    # coordinate takes every add on its largest coordinate, any other point
+    # on its smallest, so some pairs move apart and some do not
+    slot = -1 if xs[0] % 2 else 0
+    for _ in letters:
+        xs[slot] += add
+    xs.sort()
 
 
 def _double_act(xs, letters, add):
@@ -132,8 +136,8 @@ def test_raw_lipschitz_verdict_matches_the_certificate(monkeypatch):
     for m, n in ((3, 4), (5, 2)):
         assert all(raw and certified for raw, certified in verdicts(m, n, 1))
     # apply_word reaches the in-place kernel through action._apply_raw
-    monkeypatch.setattr(verify, "_act", _parity_act)
-    monkeypatch.setattr(action, "_act", _parity_act)
+    monkeypatch.setattr(verify, "_act", _lopsided_act)
+    monkeypatch.setattr(action, "_act", _lopsided_act)
     for m, n in ((3, 4), (5, 2)):
         pairs = list(verdicts(m, n, 2))
         assert all(raw == certified for raw, certified in pairs)
@@ -148,6 +152,18 @@ def test_lipschitz_suite_fails_on_an_expanding_map(monkeypatch):
     assert suite.first_failure.startswith("contraction failures (3,4)")
     assert report.ok is False
     assert LIPSCHITZ_TRIALS == 10_000
+
+
+def test_lipschitz_suite_fails_on_a_sum_keeping_expanding_map(monkeypatch):
+    # _contracts compares sums of squared differences, which is exact only
+    # for maps that raise both points' sums alike; a map that keeps that
+    # contract and still pushes points apart must fail as often as the
+    # full _norm comparison says: 3,878 of the 10,000 trials
+    monkeypatch.setattr(verify, "_act", _lopsided_act)
+    report = run_verify(pairs=((3, 4),))
+    (suite,) = [s for s in report.suites if s.name == "lipschitz (3,4)"]
+    assert suite.first_failure == "contraction failures (3,4): got 3878, expected 0"
+    assert report.ok is False
 
 
 def test_divergence_suite_fails_on_a_norm_preserving_map(monkeypatch):
