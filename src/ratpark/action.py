@@ -450,8 +450,12 @@ def find_fixed_point(
     where it ends.
 
     Returns ``Fixed`` when an application leaves the point unchanged,
-    ``Diverged`` once the norm exceeds the escape bound (non-parking words
-    are guaranteed to escape), and ``Cycle`` on a repeat of period > 1.
+    ``Diverged`` once the norm exceeds the escape bound, and ``Cycle`` on a
+    repeat of period > 1.  A non-parking word provably never fixes a point
+    or closes a cycle (the descent argument below), but it reaches
+    ``Diverged`` only if the budget lasts until its norm passes the bound:
+    under the default budget and bound some non-parking words, such as
+    near misses at (13,21), raise :class:`IterationBudgetExhausted` instead.
     ``iterations`` counts word applications of the plain orbit from
     ``start``, and ``applications`` those actually computed: after the
     first ``m + n`` applications, which run plain, the solver skips whole

@@ -145,7 +145,7 @@ class InternalInconsistency(RatparkError):
 
 
 class SchemaViolation(RatparkError):
-    """JSON input rejected; ``path`` locates the offending field."""
+    """Text input rejected; ``path`` locates the offending field."""
 
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")

@@ -194,6 +194,15 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_non_ascii_digit_words_are_usage_errors(capsys):
+    # '²' is a str.isdigit character that int() rejects, and Arabic-Indic
+    # digits are ones it reads: both are refused as bad digit strings
+    for text in ("²", "1²", "١٢"):
+        code, out, err = run(capsys, "classify", "--m", "3", "--n", "2", "--word", text)
+        assert (code, out) == (2, ""), text
+        assert err.startswith("error: word: bad digit string"), text
+
+
 def test_verify_reference_only(capsys):
     code, out, _ = run(capsys, "verify", "--paper")
     assert code == 0

@@ -291,7 +291,6 @@ def test_words_are_validated_once_at_the_boundary():
         "words.enumerate_words",
     ]
     assert sorted(_scopes(_calls("Word"))) == [
-        "serialize.word_from_json",
         "serialize.word_from_text",
         "verify._suite_reference_action",
         "words.word",
@@ -300,6 +299,27 @@ def test_words_are_validated_once_at_the_boundary():
         "words._require_parking",
         "words.touch_points",
     ]
+
+
+def test_every_serialize_function_has_a_program_caller():
+    # serialize keeps only the readers and writers that the CLI, verify or
+    # a script call: a format with test callers only is not kept
+    tree = ast.parse((PACKAGE / "serialize.py").read_text())
+    public = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    scripts = PACKAGE.parent.parent / "scripts"
+    callers = [PACKAGE / "cli.py", PACKAGE / "verify.py", *sorted(scripts.glob("*.py"))]
+    called = {
+        name
+        for path in callers
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in public
+        if _calls(name)(node)
+    }
+    assert public and called == public, sorted(public - called)
 
 
 def _balanced_sum(node) -> bool:

@@ -104,7 +104,6 @@ def test_zeta_round_trip_on_random_parking_words(w):
 
 @given(words())
 def test_word_serialization_round_trip(w):
-    assert ser.word_from_json(ser.word_to_json(w)) == w
     if w.m <= 10:
         assert ser.word_from_text(str(w), w.m, w.n) == w
 
@@ -112,4 +111,4 @@ def test_word_serialization_round_trip(w):
 @given(st.data(), st.integers(1, 6))
 def test_point_serialization_round_trip(data, m):
     p = data.draw(points(m))
-    assert ser.point_from_json(ser.point_to_json(p)) == p
+    assert ser.point_to_json(p) == {"m": m, "coords": list(p.coords)}
