@@ -524,12 +524,20 @@ def _scaled_block_fixed_point(
     scaled fixed points of ``q`` — kept integral without ever forming the
     rational scale factor.
 
-    When ``q`` has gcd > 1 the fixed region is a bounded convex set that
-    the 1-Lipschitz iteration can orbit instead of entering: on a cycle
-    the solver restarts from the floored centroid of the cycle points
-    (which sits strictly nearer the fixed region), shifting the
-    coordinate sum when restarts repeat, since integral fixed points
-    need not exist on every sum slice.
+    When ``q`` has gcd > 1 the orbit may close a cycle of period ``p``
+    instead of fixing a point; then the floored centroid
+    ``(s // p for s in sums)`` of the cycle, ``sums`` the coordinatewise
+    sum of its points, is returned, and it is fixed:
+
+    * The exact centroid ``c`` is fixed.  On the cycle's sum slice
+      ``s(y) = sum_i distance(x_i, y)`` is strictly convex with ``c`` its
+      only minimiser.  The action is 1-Lipschitz, keeps sums and permutes
+      the cycle, so ``s(A c) <= s(c)`` and ``A c = c``, also for a cycle
+      that crosses pieces.
+    * Floor commutes with each letter on sorted vectors.  Floor is
+      monotone, so it keeps the sort order and the i-th smallest
+      coordinate, and it commutes with adding ``add`` and subtracting
+      ``cycle_sub``.  So ``A(floor c) = floor(A c) = floor c``.
     """
     mu, n_j = q.m, q.n
     if mu * cycle_sub != add * n_j:
@@ -540,32 +548,16 @@ def _scaled_block_fixed_point(
     else:
         start = (0,) * mu
     letters = q.letters
-    tried = set()
-    for _ in range(2 * mu + 4):
-        tried.add(start)
-        orbit = _orbit(start, letters, add, cycle_sub, budget, None)
-        if orbit is None:
-            raise IterationBudgetExhausted(f"block word {q} unresolved within {budget}")
-        on_cycle, period = orbit[:2]
-        if period == 1:
-            return on_cycle
-        # the centroid is the same from every point of the cycle
-        sums = [0] * mu
-        for _ in range(period):
-            sums = [s + c for s, c in zip(sums, on_cycle)]
-            on_cycle = _apply_raw(on_cycle, letters, add, cycle_sub)
-        centroid = tuple(sorted(s // period for s in sums))
-        if centroid not in tried:
-            start = centroid
-        else:
-            # exhaust nearby sum slices: not all of them carry integral
-            # fixed points
-            start = tuple(
-                c + 1 if i == mu - 1 else c for i, c in enumerate(start)
-            )
-    raise InternalInconsistency(
-        f"no integral fixed point located for block word {q}"
-    )
+    orbit = _orbit(start, letters, add, cycle_sub, budget, None)
+    if orbit is None:
+        raise IterationBudgetExhausted(f"block word {q} unresolved within {budget}")
+    x, period = orbit[:2]
+    # the points of a cycle are sorted, so their sum and its floor are too
+    sums = x
+    for _ in range(period - 1):
+        x = _apply_raw(x, letters, add, cycle_sub)
+        sums = [s + c for s, c in zip(sums, x)]
+    return tuple(s // period for s in sums)
 
 
 def construct_fixed_point_general(w: Word) -> Point:

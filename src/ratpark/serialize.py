@@ -11,6 +11,9 @@ Text read:
                       or comma-separated letters otherwise
     AffinePermutation comma-separated window entries ("3,-1,2,5,6")
 
+A comma-separated entry is an optional "-" and ASCII digits, with ASCII
+spaces around it.
+
 Malformed text raises :class:`SchemaViolation` carrying the path of the
 offending field.
 """
@@ -32,10 +35,7 @@ def word_from_text(text: str, m: int, n: int | None = None) -> Word:
     """Parse a compact ASCII digit string (m <= 10 only) or comma-joined letters."""
     text = text.strip()
     if "," in text or "-" in text:
-        try:
-            letters = tuple(int(part) for part in text.split(","))
-        except ValueError as exc:
-            raise SchemaViolation("word", f"bad letter list {text!r}") from exc
+        letters = _ascii_integers(text, "word", "letter list")
     else:
         if m > 10:
             raise SchemaViolation(
@@ -59,13 +59,24 @@ def window_to_json(w: AffinePermutation) -> dict:
 
 
 def window_from_text(text: str) -> AffinePermutation:
+    window = _ascii_integers(text.strip(), "affine.window", "window")
     try:
-        window = tuple(int(part) for part in text.strip().split(","))
         return AffinePermutation(window)
     except RatparkError as exc:
         raise SchemaViolation("affine.window", str(exc)) from exc
-    except ValueError as exc:
-        raise SchemaViolation("affine.window", f"bad window {text!r}") from exc
+
+
+def _ascii_integers(text: str, path: str, what: str) -> tuple[int, ...]:
+    """The comma-separated ASCII integers of ``text``; ``int()`` alone would
+    also read other scripts' digits, underscores and a ``+``."""
+    parts = [part.strip(" ") for part in text.split(",")]
+    digits = [part.removeprefix("-") for part in parts]
+    try:
+        if all(d.isascii() and d.isdigit() for d in digits):
+            return tuple(map(int, parts))
+    except ValueError:  # more digits than int() converts
+        pass
+    raise SchemaViolation(path, f"bad {what} {text!r}")
 
 
 def qt_table_to_json(t: QTTable) -> dict:

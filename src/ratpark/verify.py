@@ -106,6 +106,20 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failed == 0
 
+    def check(self, condition: bool, label: str) -> bool:
+        if condition:
+            self.passed += 1
+        else:
+            self.failed += 1
+            if self.first_failure is None:
+                self.first_failure = label
+        return condition
+
+    def equal(self, got, expected, label: str) -> bool:
+        if got == expected:  # the reprs are built only for a failure
+            return self.check(True, label)
+        return self.check(False, f"{label}: got {got!r}, expected {expected!r}")
+
 
 class VerifyReport:
     def __init__(self):
@@ -124,28 +138,9 @@ class VerifyReport:
         return sum(s.failed for s in self.suites)
 
 
-class _Checker:
-    def __init__(self, result: SuiteResult):
-        self.result = result
-
-    def check(self, condition: bool, label: str) -> bool:
-        if condition:
-            self.result.passed += 1
-        else:
-            self.result.failed += 1
-            if self.result.first_failure is None:
-                self.result.first_failure = label
-        return condition
-
-    def equal(self, got, expected, label: str) -> bool:
-        if got == expected:  # the reprs are built only for a failure
-            return self.check(True, label)
-        return self.check(False, f"{label}: got {got!r}, expected {expected!r}")
-
-
 # ---------------------------------------------------------------- reference
 
-def _suite_reference_words(c: _Checker) -> None:
+def _suite_reference_words(c: SuiteResult) -> None:
     got = {str(w) for w in enumerate_words(4, 3, "parking")}
     c.equal(got, set(ref.PARKING_WORDS_4_3), "parking words (4,3)")
     got = {str(w) for w in enumerate_words(5, 3, "parking")}
@@ -176,7 +171,7 @@ def _suite_reference_words(c: _Checker) -> None:
     )
 
 
-def _suite_reference_action(c: _Checker) -> None:
+def _suite_reference_action(c: SuiteResult) -> None:
     word = word_from_text(ref.ORBIT_3_5["word"], 3, 5)
     chain = ref.ORBIT_3_5["chain"]
     cur = Point(chain[0])
@@ -239,7 +234,7 @@ def _suite_reference_action(c: _Checker) -> None:
     c.check(isinstance(report.outcome, Diverged), "(4,3) 022 diverges")
 
 
-def _suite_reference_filters(c: _Checker) -> None:
+def _suite_reference_filters(c: SuiteResult) -> None:
     for m, n, minima, cols in ref.FILTER_MINIMA_PAIRS:
         f = Filter(m, n, minima)
         c.equal(column_minima(f), cols, f"column minima of {minima} ({m},{n})")
@@ -296,7 +291,7 @@ def _suite_reference_filters(c: _Checker) -> None:
     )
 
 
-def _suite_reference_zeta(c: _Checker) -> None:
+def _suite_reference_zeta(c: SuiteResult) -> None:
     for table, (m, n) in ((ref.ZETA_4_3, (4, 3)), (ref.ZETA_5_3, (5, 3))):
         for src, dst in table.items():
             got = str(zeta(word_from_text(src, m, n)))
@@ -337,14 +332,14 @@ def _suite_reference_zeta(c: _Checker) -> None:
     c.equal(t.removals, worked["removals_parking"], "worked (5,3) removals")
 
 
-def _suite_reference_qt(c: _Checker) -> None:
+def _suite_reference_qt(c: SuiteResult) -> None:
     c.equal(qt_table(4, 3, "parking").counts, ref.QT_4_3_PARKING, "qt (4,3)")
     c.equal(qt_table(4, 3, "dyck").counts, ref.QT_4_3_DYCK, "qt (4,3) dyck")
     c.equal(qt_table(5, 3, "parking").counts, ref.QT_5_3_PARKING, "qt (5,3)")
     c.equal(qt_table(5, 3, "dyck").counts, ref.QT_5_3_DYCK, "qt (5,3) dyck")
 
 
-def _suite_reference_sweep(c: _Checker) -> None:
+def _suite_reference_sweep(c: SuiteResult) -> None:
     data = ref.SWEEP_4_7
     before = Filter(4, 7, data["before"])
     after = sweep(before)
@@ -373,7 +368,7 @@ def _suite_reference_sweep(c: _Checker) -> None:
         )
 
 
-def _suite_reference_affine(c: _Checker) -> None:
+def _suite_reference_affine(c: SuiteResult) -> None:
     for (m, n), window in ref.STAIRCASE_WINDOWS.items():
         w = staircase_window(m, n)
         c.equal(w.window, window, f"staircase window ({m},{n})")
@@ -409,7 +404,7 @@ def _suite_reference_affine(c: _Checker) -> None:
 
 # ---------------------------------------------------------------- properties
 
-def _suite_counts(c: _Checker, m: int, n: int) -> None:
+def _suite_counts(c: SuiteResult, m: int, n: int) -> None:
     parking = sum(1 for _ in enumerate_words(m, n, "parking"))
     c.equal(parking, m ** (n - 1), f"|parking({m},{n})| = m^(n-1)")
     balanced = sum(1 for _ in enumerate_balanced(m, n))
@@ -424,7 +419,7 @@ def _suite_counts(c: _Checker, m: int, n: int) -> None:
         c.check(in_sommers(w, m), f"membership of {w.window} ({m},{n})")
 
 
-def _suite_solver_matches_parking(c: _Checker, m: int, n: int) -> None:
+def _suite_solver_matches_parking(c: SuiteResult, m: int, n: int) -> None:
     for w in enumerate_words(m, n, "all"):
         report = find_fixed_point(w)
         if is_parking_word(w):
@@ -446,7 +441,7 @@ def _suite_solver_matches_parking(c: _Checker, m: int, n: int) -> None:
             )
 
 
-def _suite_oracle_agreement(c: _Checker, m: int, n: int) -> None:
+def _suite_oracle_agreement(c: SuiteResult, m: int, n: int) -> None:
     # one enumeration pass plays the oracle for every word at once; the
     # per-word oracle function is exercised on a slice of the words
     mapping = {}
@@ -468,7 +463,7 @@ def _suite_oracle_agreement(c: _Checker, m: int, n: int) -> None:
             )
 
 
-def _suite_zeta_bijection(c: _Checker, m: int, n: int) -> None:
+def _suite_zeta_bijection(c: SuiteResult, m: int, n: int) -> None:
     words = list(enumerate_words(m, n, "parking"))
     images = set()
     for w in words:
@@ -490,7 +485,7 @@ def _suite_zeta_bijection(c: _Checker, m: int, n: int) -> None:
     c.equal(ps_images, expected, f"pak-stanley image ({m},{n})")
 
 
-def _suite_equidistribution(c: _Checker, m: int, n: int) -> None:
+def _suite_equidistribution(c: SuiteResult, m: int, n: int) -> None:
     words = list(enumerate_words(m, n, "parking"))
     areas = sorted(area(w) for w in words)
     dinvs = sorted(dinv(w) for w in words)
@@ -504,7 +499,7 @@ def _suite_equidistribution(c: _Checker, m: int, n: int) -> None:
     )
 
 
-def _suite_sweep_properties(c: _Checker, m: int, n: int) -> None:
+def _suite_sweep_properties(c: SuiteResult, m: int, n: int) -> None:
     filters = [d for _, d, _ in _dyck_classes(m, n)]
     images = set()
     for d in filters:
@@ -536,7 +531,7 @@ def _suite_sweep_properties(c: _Checker, m: int, n: int) -> None:
     c.equal(from_dyck, increasing, f"rank words of embeddings ({m},{n})")
 
 
-def _suite_affine_agreement(c: _Checker, m: int, n: int) -> None:
+def _suite_affine_agreement(c: SuiteResult, m: int, n: int) -> None:
     for window in enumerate_sommers(m, n):
         t = window_to_tuple(window, m)
         c.equal(
@@ -588,7 +583,7 @@ def _contracts(x: list[int], y: list[int], letters: list[int], m: int, n: int) -
     return before >= sum(map(mul, d, d))
 
 
-def _suite_lipschitz(c: _Checker, m: int, n: int, rng: random.Random) -> None:
+def _suite_lipschitz(c: SuiteResult, m: int, n: int, rng: random.Random) -> None:
     # randint(-span, span) is -span + randrange(width), and CPython's
     # randrange(k) for an int k > 0 draws getrandbits(k.bit_length()) again
     # while the result is at least k.  The loops below apply that rule
@@ -622,7 +617,7 @@ def _suite_lipschitz(c: _Checker, m: int, n: int, rng: random.Random) -> None:
     c.equal(failures, 0, f"contraction failures ({m},{n})")
 
 
-def _suite_divergence(c: _Checker, m: int, n: int) -> None:
+def _suite_divergence(c: SuiteResult, m: int, n: int) -> None:
     """The norm grows along each non-parking word's orbit.  :func:`_act`
     skips the shift by ``-n`` per coordinate, which no norm sees."""
     start = staircase_point(m, n).coords
@@ -639,7 +634,7 @@ def _suite_divergence(c: _Checker, m: int, n: int) -> None:
         )
 
 
-def _suite_tuple_validity(c: _Checker, m: int, n: int) -> None:
+def _suite_tuple_validity(c: SuiteResult, m: int, n: int) -> None:
     for w in enumerate_words(m, n, "parking"):
         t = tuple_from_area_word(w)
         c.check(
@@ -658,7 +653,7 @@ def _suite_tuple_validity(c: _Checker, m: int, n: int) -> None:
         )
 
 
-def _suite_graph_reachability(c: _Checker, m: int, n: int) -> None:
+def _suite_graph_reachability(c: SuiteResult, m: int, n: int) -> None:
     start = to_balanced(generator_filter(m, n))
     seen = {start.row_minima}
     frontier = [start]
@@ -697,9 +692,8 @@ def run_verify(
 
     def run(name, fn, *args):
         result = SuiteResult(name)
-        checker = _Checker(result)
         started = time.perf_counter()
-        fn(checker, *args)
+        fn(result, *args)
         result.seconds = time.perf_counter() - started
         report.suites.append(result)
 

@@ -216,11 +216,28 @@ def test_construct_fixed_point_general_refuses_non_parking_words():
 def test_construct_fixed_point_general_exhaustive_small_gcd():
     # includes blocks that are themselves non-coprime, e.g. the (4,2)
     # block of the (6,3) word 004, where plain iteration orbits the
-    # fixed region in a 2-cycle and the centroid restart must kick in
+    # fixed region in a 2-cycle and the witness is the cycle's floored
+    # centroid
     for m, n in ((2, 2), (3, 3), (4, 4), (2, 4), (4, 2), (3, 6), (6, 3)):
         for word_ in enumerate_words(m, n, "parking"):
             witness = construct_fixed_point_general(word_)
             assert apply_word(witness, word_) == witness, word_
+
+
+def test_floor_commutes_with_the_action():
+    # the floor lemma behind the gcd > 1 block witness: acting by (m, n)
+    # on S // p is acting by (p*m, p*n) on S, floored
+    rng = random.Random(32)
+    for _ in range(3000):
+        p, m, n = rng.randint(1, 12), rng.randint(1, 7), rng.randint(1, 9)
+        span = p * m * n
+        coords = tuple(sorted(rng.randint(-span, span) for _ in range(m)))
+        letters = [rng.randrange(m) for _ in range(rng.randint(0, 2 * n))]
+        floored = tuple(s // p for s in coords)
+        scaled = _apply_raw(coords, letters, p * m, p * n)
+        assert _apply_raw(floored, letters, m, n) == tuple(
+            v // p for v in scaled
+        ), (coords, letters, p, m, n)
 
 
 def _seen_block_fixed_point(q, add, cycle_sub, budget, restarts):

@@ -203,6 +203,21 @@ def test_non_ascii_digit_words_are_usage_errors(capsys):
         assert err.startswith("error: word: bad digit string"), text
 
 
+def test_non_ascii_integer_entries_are_usage_errors(capsys):
+    # each of these was read by int() and exited 0
+    for text in ("١,٢", "1_0,0", "+1, 0"):
+        args = ("classify", "--m", "12", "--n", "2", "--word", text)
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, ""), text
+        assert err.startswith("error: word: bad letter list"), text
+    args = ("affine", "--window=٣,-1,2,5,6", "--m", "3", "--sommers-check")
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: affine.window: bad window")
+    args = ("affine", "--window=3,-1,2,5,6", "--m", "3", "--sommers-check")
+    assert run(capsys, *args)[:2] == (0, "yes\n")
+
+
 def test_verify_reference_only(capsys):
     code, out, _ = run(capsys, "verify", "--paper")
     assert code == 0
@@ -235,6 +250,14 @@ def test_cli_import_loads_no_verify_suites():
     )
     proc = _fresh_python("-c", probe)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_orbit_trace_script_reaches_the_fixed_point():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "orbit_trace.py"
+    proc = _fresh_python(str(script), "--m", "3", "--n", "5", "--word", "10011")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    last = proc.stdout.splitlines()[-1]
+    assert "(-1, 3, 4)" in last and last.endswith("<- fixed")
 
 
 def test_verify_paper_from_a_cold_start():

@@ -25,6 +25,14 @@ def test_word_schema_violations():
         ser.word_from_text("012", 11)
     with pytest.raises(SchemaViolation):
         ser.word_from_text("0x2", 4)
+    # a comma-separated letter is an optional '-' and ASCII digits: int()
+    # also reads Arabic-Indic digits, underscores and a '+', and past its
+    # digit limit an ASCII entry is refused too
+    for text in ("١,٢", "1_0,0", "+1, 0", "1,-", "1,,0", "9" * 5000 + ",0"):
+        with pytest.raises(SchemaViolation) as err:
+            ser.word_from_text(text, 12, 2)
+        assert err.value.path == "word", text
+    assert ser.word_from_text(" 1 , 0 ", 12, 2) == Word(12, 2, (1, 0))
 
 
 def test_word_digit_strings_are_ascii_only():
@@ -53,6 +61,11 @@ def test_window_round_trip():
         ser.window_from_text("1,3")
     with pytest.raises(SchemaViolation):
         ser.window_from_text("1;3")
+    for text in ("٣,-1,2,5,6", "3,-1,2,5,+6", "3,-1,2,5,6_0"):
+        with pytest.raises(SchemaViolation) as err:
+            ser.window_from_text(text)
+        assert err.value.path == "affine.window", text
+    assert ser.window_from_text("3, -1 ,2,5,6") == w
 
 
 def test_qt_table_round_trip():

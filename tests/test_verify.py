@@ -64,7 +64,7 @@ def test_lipschitz_draws_match_randint(monkeypatch):
         for seed in range(5):
             trials.clear()
             rng = random.Random(seed)
-            verify._suite_lipschitz(verify._Checker(verify.SuiteResult("")), m, n, rng)
+            verify._suite_lipschitz(verify.SuiteResult(""), m, n, rng)
             ref = random.Random(seed)
             expected = []
             for _ in range(500):
@@ -192,10 +192,9 @@ def test_equal_builds_its_message_only_on_failure():
             return f"Loud({self.value})"
 
     result = verify.SuiteResult("s")
-    checker = verify._Checker(result)
-    assert checker.equal(Loud(1), Loud(1), "same")
+    assert result.equal(Loud(1), Loud(1), "same")
     assert Loud.reprs == 0
-    assert not checker.equal(Loud(1), Loud(2), "differ")
-    assert not checker.equal(Loud(3), Loud(4), "later")
+    assert not result.equal(Loud(1), Loud(2), "differ")
+    assert not result.equal(Loud(3), Loud(4), "later")
     assert (result.passed, result.failed) == (1, 2)
     assert result.first_failure == "differ: got Loud(1), expected Loud(2)"
