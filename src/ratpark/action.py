@@ -16,7 +16,8 @@ import os
 from bisect import bisect_left, insort_left
 from collections.abc import Sequence
 from math import comb, gcd, isqrt, lcm
-from operator import gt, mul
+from itertools import repeat
+from operator import add, eq, gt, mul
 
 from .errors import (
     DimensionMismatch,
@@ -25,6 +26,7 @@ from .errors import (
     IterationBudgetExhausted,
     LetterOutOfRange,
     _Record,
+    _ascii_integer,
     _require_ints,
     _require_sizes,
 )
@@ -173,15 +175,13 @@ def _positive_budget(value, source: str) -> int:
 
 
 def default_budget(m: int, n: int) -> int:
-    """``10*(m+n)**2`` word applications, or ``$RATPARK_MAX_ITER`` when set."""
+    """``10*(m+n)**2`` word applications, or ``$RATPARK_MAX_ITER`` when set:
+    an optional ``-`` and ASCII digits, else :class:`InvalidBudget`."""
     env = os.environ.get(MAX_ITER_ENV)
     if env is None:
         return 10 * (m + n) ** 2
-    try:
-        value = int(env)
-    except ValueError:
-        value = env
-    return _positive_budget(value, MAX_ITER_ENV)
+    value = _ascii_integer(env)
+    return _positive_budget(env if value is None else value, MAX_ITER_ENV)
 
 
 def _apply_traced(
@@ -296,6 +296,12 @@ class _Piece:
         return k
 
 
+def _raised_by(xs: list[int], ys: list[int], gap: int) -> bool:
+    """Whether ``xs`` is ``ys`` with ``gap`` added to every coordinate,
+    compared up to the first coordinate that differs."""
+    return all(map(eq, xs, map(add, ys, repeat(gap))))
+
+
 def _orbit(
     start: tuple[int, ...],
     letters: Sequence[int],
@@ -340,6 +346,18 @@ def _orbit(
     ``1/(10*(m+n))`` of the default budget; the budget, the escape test
     and Brent's tortoise see every application in both phases.
 
+    The plain phase acts in place on one list by :func:`_act`, which
+    leaves out the ``-sub`` of each application: after ``it``
+    applications the list holds the orbit point plus ``it*sub``.  The
+    action commutes with adding a constant, so the tests read that frame
+    directly.  The point is fixed when the last application raised the
+    list by exactly ``sub``, and it equals Brent's tortoise, a copy taken
+    ``lam`` applications ago, when it lies ``lam*sub`` above that copy;
+    both compare the first coordinate before the rest.  The spread and
+    the norm ignore a uniform shift.  A point in the orbit's own frame is
+    built only at an exit, or once, with the tortoise, at the hand-off to
+    the traced phase.
+
     Cycles are found by Brent's method in O(m) memory: the hare is
     compared with a tortoise moved to the hare at each power of two, which
     yields the period and a point on the cycle.  The adds keep the
@@ -354,59 +372,75 @@ def _orbit(
     """
     m = len(start)
     pairs = comb(m, 2)
-    plain = m + len(letters)
-    cur = start
-    it = applications = 0
-    tortoise, power, lam = start, 1, 0
-    run_slots, piece = None, None
-    run = 0  # consecutive inputs in the piece since it was entered or skipped
-    while it < budget:
-        traced = applications >= plain
-        if traced:
-            nxt, slots = _apply_traced(cur, letters, add, sub)
-        else:
-            nxt = _apply_raw(cur, letters, add, sub)
+    plain = min(budget, m + len(letters))
+    act = _act
+    xs, tortoise = list(start), list(start)
+    it = period = lam = 0
+    power = 1
+    while it < plain:
+        before = xs[:]
+        act(xs, letters, add)
         it += 1
-        applications += 1
-        if nxt == cur:
-            return cur, 1, it, applications
-        if bound is not None and pairs * (nxt[-1] - nxt[0]) ** 2 > bound:
-            if _norm(nxt) > bound:
-                return nxt, 0, it, applications
+        low = xs[0]
+        if low == before[0] + sub and _raised_by(xs, before, sub):
+            return tuple([x - it * sub for x in xs]), 1, it, it
+        if bound is not None and pairs * (xs[-1] - low) ** 2 > bound:
+            if _norm(xs) > bound:
+                return tuple([x - it * sub for x in xs]), 0, it, it
         lam += 1
-        if nxt == tortoise:
+        gap = lam * sub
+        if low == tortoise[0] + gap and _raised_by(xs, tortoise, gap):
             period = lam
             break
         if lam == power:
-            tortoise, power, lam = nxt, 2 * power, 0
-        cur = nxt
-        if not traced:
-            continue
-        if slots != run_slots:
-            run_slots, piece, run = slots, None, 1
-            continue
-        run += 1
-        if piece is None:
-            piece = _Piece(slots, letters, m, add, sub)
-        if run >= piece.period:
-            run = 0
-            k = piece.periods_to_skip(cur, bound, (budget - it) // piece.period)
-            if k:
-                cur = tuple(c + k * d for c, d in zip(cur, piece.drift))
-                it += k * piece.period
-                tortoise, power, lam = cur, 1, 0
-    else:  # the budget ran out
-        if gcd(add, sub) == 1 and len({c % add for c in start}) == m:
-            return None
-        # a repeat that closed within the budget puts ``cur`` on its cycle
-        ahead = _apply_raw(cur, letters, add, sub)
-        period = 1
-        while ahead != cur:
-            if period == budget:
+            tortoise, power, lam = xs[:], 2 * power, 0
+    applications = it
+    if not period:
+        cur = tuple([x - it * sub for x in xs])
+        tortoise = tuple([t - (it - lam) * sub for t in tortoise])
+        run_slots, piece = None, None
+        run = 0  # consecutive inputs in the piece since it was entered or skipped
+        while it < budget:
+            nxt, slots = _apply_traced(cur, letters, add, sub)
+            it += 1
+            applications += 1
+            if nxt == cur:
+                return cur, 1, it, applications
+            if bound is not None and pairs * (nxt[-1] - nxt[0]) ** 2 > bound:
+                if _norm(nxt) > bound:
+                    return nxt, 0, it, applications
+            lam += 1
+            if nxt == tortoise:
+                period = lam
+                break
+            if lam == power:
+                tortoise, power, lam = nxt, 2 * power, 0
+            cur = nxt
+            if slots != run_slots:
+                run_slots, piece, run = slots, None, 1
+                continue
+            run += 1
+            if piece is None:
+                piece = _Piece(slots, letters, m, add, sub)
+            if run >= piece.period:
+                run = 0
+                k = piece.periods_to_skip(cur, bound, (budget - it) // piece.period)
+                if k:
+                    cur = tuple(c + k * d for c, d in zip(cur, piece.drift))
+                    it += k * piece.period
+                    tortoise, power, lam = cur, 1, 0
+        else:  # the budget ran out
+            if gcd(add, sub) == 1 and len({c % add for c in start}) == m:
                 return None
-            ahead = _apply_raw(ahead, letters, add, sub)
-            period += 1
-        applications += period
+            # a repeat that closed within the budget puts ``cur`` on its cycle
+            ahead = _apply_raw(cur, letters, add, sub)
+            period = 1
+            while ahead != cur:
+                if period == budget:
+                    return None
+                ahead = _apply_raw(ahead, letters, add, sub)
+                period += 1
+            applications += period
     first, x = _first_repeat(start, letters, add, sub, period)
     if first + period > budget:
         return None
@@ -522,7 +556,10 @@ def _scaled_block_fixed_point(
     subtracted from all coordinates once per word application.  This is
     the original action scaled by ``add/q.m``, so its fixed points are the
     scaled fixed points of ``q`` — kept integral without ever forming the
-    rational scale factor.
+    rational scale factor.  Requires ``add * q.n == q.m * cycle_sub``: the
+    dynamics then keeps coordinate sums.  Every block that
+    :func:`ratpark.words.touch_decomposition` cuts from an (m, n) parking
+    word, passed with ``add = m`` and ``cycle_sub = n``, meets it.
 
     When ``q`` has gcd > 1 the orbit may close a cycle of period ``p``
     instead of fixing a point; then the floored centroid
@@ -540,8 +577,6 @@ def _scaled_block_fixed_point(
       ``cycle_sub``.  So ``A(floor c) = floor(A c) = floor c``.
     """
     mu, n_j = q.m, q.n
-    if mu * cycle_sub != add * n_j:
-        raise InternalInconsistency("block dynamics does not preserve sums")
     ratio, rem = divmod(add, mu)
     if rem == 0:
         start = tuple(c * ratio for c in _staircase(mu, n_j))

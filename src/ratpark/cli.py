@@ -22,11 +22,19 @@ from .affine import (
     mn_swap_dominant,
     pak_stanley,
 )
-from .errors import InternalInconsistency, RatparkError
+from .errors import InternalInconsistency, RatparkError, _ascii_integer
 from .filters import dyck_filter_to_path, filter_from_path
 from .sweep import sweep, sweep_inverse
 from .tuples import area, dinv, qt_table, zeta, zeta_inverse
 from .words import Word, classify, enumerate_words
+
+
+def _integer(text: str) -> int:
+    """An integer option, read by the rule of the text readers."""
+    value = _ascii_integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not an ASCII integer: {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,8 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=_integer, required=True)
+        p.add_argument("--n", type=_integer, required=True)
         return p
 
     p = add("enumerate", "list words of a given kind in lexicographic order")
@@ -52,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("fixed-point", "run the orbit solver on a word")
     p.add_argument("--word", required=True)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--max-iter", type=_integer, default=None)
     p.add_argument("--json", action="store_true")
 
     p = add("zeta", "area-to-rank relabeling of a parking word")
@@ -81,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("affine", help="labelings and membership for windows")
     p.add_argument("--window", required=True, help="comma-separated window entries")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--pak-stanley", action="store_true")
     group.add_argument("--anderson", action="store_true")
@@ -90,14 +98,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="replay reference tables and property suites")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--m", type=_integer, default=None)
+    p.add_argument("--n", type=_integer, default=None)
     p.add_argument(
         "--paper",
         action="store_true",
         help="run only the published-table fixtures",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--json", action="store_true")
 

@@ -99,6 +99,19 @@ def _require_sizes(m: int, n: int) -> None:
         raise LetterOutOfRange(f"need m,n >= 1, got m={m} n={n}")
 
 
+def _ascii_integer(text: str) -> int | None:
+    """The integer rule of text input: an optional ``-`` and ASCII ``0-9``,
+    else None.  ``int()`` alone would also read other scripts' digits,
+    underscores, a ``+`` and padding."""
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def require_coprime(m: int, n: int, what: str) -> None:
     """Raise :class:`NotCoprime` naming ``what`` unless gcd(m, n) = 1, after
     the size gate that ``Word`` passes too (gcd(0, 1) = 1 is no pass)."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .action import Point
 from .affine import AffinePermutation
-from .errors import RatparkError, SchemaViolation
+from .errors import RatparkError, SchemaViolation, _ascii_integer
 from .tuples import QTTable
 from .words import Word
 
@@ -67,16 +67,12 @@ def window_from_text(text: str) -> AffinePermutation:
 
 
 def _ascii_integers(text: str, path: str, what: str) -> tuple[int, ...]:
-    """The comma-separated ASCII integers of ``text``; ``int()`` alone would
-    also read other scripts' digits, underscores and a ``+``."""
-    parts = [part.strip(" ") for part in text.split(",")]
-    digits = [part.removeprefix("-") for part in parts]
-    try:
-        if all(d.isascii() and d.isdigit() for d in digits):
-            return tuple(map(int, parts))
-    except ValueError:  # more digits than int() converts
-        pass
-    raise SchemaViolation(path, f"bad {what} {text!r}")
+    """The comma-separated integers of ``text``, each read by the rule of
+    :func:`ratpark.errors._ascii_integer` once ASCII spaces are stripped."""
+    values = [_ascii_integer(part.strip(" ")) for part in text.split(",")]
+    if None in values:
+        raise SchemaViolation(path, f"bad {what} {text!r}")
+    return tuple(values)
 
 
 def qt_table_to_json(t: QTTable) -> dict:

@@ -21,7 +21,6 @@ from .filters import (
     column_minima,
     dyck_word,
     is_dyck,
-    to_balanced,
     to_dyck,
 )
 from .tuples import _fixed_filter, dyck_embedding, rank_word
@@ -71,7 +70,7 @@ def sweep_inverse(d: Filter) -> Filter:
     """
     if not is_dyck(d):
         raise NotDyck(f"row minima {d.row_minima} have nonzero minimum")
-    preimage = to_dyck(_fixed_filter(dyck_word(d), to_balanced(d)))
+    preimage = to_dyck(_fixed_filter(dyck_word(d), d))
     check = sweep(preimage)
     if check != d:
         raise InternalInconsistency(

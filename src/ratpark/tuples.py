@@ -46,7 +46,6 @@ from .filters import (
     column_minima,
     enumerate_balanced,
     is_dyck,
-    to_balanced,
 )
 from .words import Word, _derived_word, _require_parking
 
@@ -61,6 +60,8 @@ class FilterTuple(_Record):
     the last stage must be the initial filter shifted by n (else
     :class:`InternalInconsistency`), without building the n intermediate
     filters.  So :meth:`stages` builds each by the trusted ``Filter._of``.
+    The trusted :meth:`_of` builds the one tuple whose removals a replay
+    has checked the same way (:func:`tuple_from_rank_word`).
     """
 
     __slots__ = _fields = ("initial", "removals")
@@ -90,6 +91,14 @@ class FilterTuple(_Record):
             raise InternalInconsistency(
                 f"final stage {final} is not initial + {n}"
             )
+
+    @classmethod
+    def _of(cls, initial: Filter, removals: tuple[int, ...]) -> FilterTuple:
+        """Trusted constructor: ``removals`` were checked by a replay."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "initial", initial)
+        object.__setattr__(t, "removals", removals)
+        return t
 
     @property
     def m(self) -> int:
@@ -167,25 +176,39 @@ def tuple_from_rank_word(w: Word) -> FilterTuple:
     step.  :func:`fixed_point_oracle` reaches the same point by an
     independent route over the balanced filters.
 
-    The orbit starts at the balanced Dyck filter of the sorted word, which
-    usually lies far closer to the fixed point than the staircase; a
+    The orbit starts at the Dyck filter of the sorted word, balanced,
+    which usually lies far closer to the fixed point than the staircase; a
     balanced start can only shorten the orbit (see
-    :func:`ratpark.action.find_fixed_point`).
+    :func:`ratpark.action.find_fixed_point`).  The replay walks the
+    removals once and checks them as ``FilterTuple`` does: each level is
+    removable (:func:`_rank_removals`), and the last stage is the initial
+    filter shifted by n; so the tuple is built unchecked.
     """
     _require_parking(w, "rank-word inversion")
-    dyck = _dyck_filter(sorted(w.letters), w.m, w.n)
-    initial = _fixed_filter(w, to_balanced(dyck))
-    return FilterTuple(initial, _rank_removals(initial, w.letters))
+    m, n = w.m, w.n
+    initial = _fixed_filter(w, _dyck_filter(sorted(w.letters), m, n))
+    removals, final = _rank_removals(initial, w.letters)
+    # each removal lifts one minimum by m, so only n of them reach the sum
+    # of the initial minima shifted by n: a replay that stopped early fails
+    if final != [v + n for v in initial.row_minima]:
+        raise InternalInconsistency(
+            f"rank word {w} does not replay from its fixed point {initial.row_minima}"
+        )
+    return FilterTuple._of(initial, removals)
 
 
 def _fixed_filter(w: Word, start: Filter) -> Filter:
     """The balanced filter whose row minima are the fixed point of the
-    coprime parking word ``w``, solved from the balanced filter ``start``.
+    coprime parking word ``w``, solved from ``start`` balanced.
 
-    :func:`ratpark.sweep.sweep_inverse` hands over the balanced form of the
-    Dyck filter it inverts.  The solver's point is validated as a filter.
+    ``start`` is a filter of any translate: :func:`tuple_from_rank_word`
+    hands over the Dyck filter of the sorted word, and
+    :func:`ratpark.sweep.sweep_inverse` the Dyck filter it inverts.  The
+    solver's point is validated as a filter.
     """
-    report = action.find_fixed_point(w, start=action.Point._of(start.row_minima))
+    shift = _balancing_shift(start)
+    coords = tuple([v + shift for v in start.row_minima])
+    report = action.find_fixed_point(w, start=action.Point._of(coords))
     if not isinstance(report.outcome, action.Fixed):
         raise InternalInconsistency(
             f"solver did not fix a point for parking word {w}: {report}"
@@ -193,10 +216,13 @@ def _fixed_filter(w: Word, start: Filter) -> Filter:
     return Filter(w.m, w.n, report.outcome.point.coords)
 
 
-def _rank_removals(initial: Filter, letters: tuple[int, ...]) -> tuple[int, ...]:
-    """The levels removed by replaying ``letters`` as ranks from ``initial``:
-    each is the current row minimum of the letter's rank.  The replay stops
-    before the first level :func:`ratpark.filters._removable` refuses."""
+def _rank_removals(
+    initial: Filter, letters: tuple[int, ...]
+) -> tuple[tuple[int, ...], list[int]]:
+    """The levels removed by replaying ``letters`` as ranks from ``initial``,
+    and the sorted row minima after them: each is the current row minimum
+    of the letter's rank.  The replay stops before the first level
+    :func:`ratpark.filters._removable` refuses."""
     m, n = initial.m, initial.n
     table, minima, removals = list(initial.by_residue), list(initial.row_minima), []
     for letter in letters:
@@ -206,7 +232,7 @@ def _rank_removals(initial: Filter, letters: tuple[int, ...]) -> tuple[int, ...]
         table[v % m] = v + m
         removals.append(v)
         _lift_minimum(minima, letter, m)
-    return tuple(removals)
+    return tuple(removals), minima
 
 
 def fixed_point_oracle(w: Word) -> action.Point:
@@ -226,7 +252,7 @@ def fixed_point_oracle(w: Word) -> action.Point:
     _require_parking(w, "the fixed-point oracle")
     replayed = []
     for b in enumerate_balanced(w.m, w.n):
-        removals = _rank_removals(b, w.letters)
+        removals, _ = _rank_removals(b, w.letters)
         if len(removals) < w.n:
             continue
         try:

@@ -213,15 +213,31 @@ def test_construct_fixed_point_general_refuses_non_parking_words():
             construct_fixed_point_general(w(m, n, text))
 
 
+SMALL_GCD_SIZES = ((2, 2), (3, 3), (4, 4), (2, 4), (4, 2), (3, 6), (6, 3))
+
+
 def test_construct_fixed_point_general_exhaustive_small_gcd():
     # includes blocks that are themselves non-coprime, e.g. the (4,2)
     # block of the (6,3) word 004, where plain iteration orbits the
     # fixed region in a 2-cycle and the witness is the cycle's floored
     # centroid
-    for m, n in ((2, 2), (3, 3), (4, 4), (2, 4), (4, 2), (3, 6), (6, 3)):
+    for m, n in SMALL_GCD_SIZES:
         for word_ in enumerate_words(m, n, "parking"):
             witness = construct_fixed_point_general(word_)
             assert apply_word(witness, word_) == witness, word_
+
+
+def test_touch_blocks_keep_the_scaled_sums():
+    # the precondition of _scaled_block_fixed_point: each block q of a
+    # parking word's touch decomposition, acted on with add = m and
+    # cycle_sub = n, gains m * q.n and loses q.m * n per application
+    blocks = 0
+    for m, n in SMALL_GCD_SIZES:
+        for word_ in enumerate_words(m, n, "parking"):
+            for _, q in touch_decomposition(word_):
+                assert q.n * m == q.m * n, (word_, q)
+                blocks += 1
+    assert blocks == 1157
 
 
 def test_floor_commutes_with_the_action():
@@ -575,11 +591,17 @@ def test_coprime_parking_cycle_from_repeated_residues_is_no_inconsistency(
             outcome = find_fixed_point(word_, start=start).outcome
             assert isinstance(outcome, Cycle) and outcome.period == m
     # a cycle from a start with distinct residues stays a violation: a
-    # stand-in kernel that translates by +1 twice and then back by -2
-    # closes a 3-cycle from any start
+    # stand-in word that rotates the coordinates closes a 3-cycle from any
+    # start; like the real action it commutes with adding a constant, so
+    # the in-place kernel of the plain phase, which leaves out the shift of
+    # n per application, carries it too
     def cycling(coords, *args):
-        return tuple(c + 1 if coords[0] < 2 else c - 2 for c in coords)
+        return tuple(coords[1:]) + tuple(coords[:1])
 
+    def cycling_in_place(xs, letters, add):
+        xs[:] = [c + add * len(letters) // len(xs) for c in cycling(xs)]
+
+    monkeypatch.setattr(action, "_act", cycling_in_place)
     monkeypatch.setattr(action, "_apply_raw", cycling)
     # slots that differ at every application keep drift jumps out
     monkeypatch.setattr(action, "_apply_traced", lambda x, *a: (cycling(x), x))
@@ -781,6 +803,86 @@ def test_plain_phase_boundary():
         drifting += 1
 
 
+def _cycle_detected_at(report):
+    """The application at which Brent's tortoise met the hare: the report
+    counts ``detected + period + 2*first`` applications, and the first
+    repeat comes ``first + period`` applications from the start."""
+    period = report.outcome.period
+    return report.applications + period - 2 * report.iterations
+
+
+def test_each_exit_of_the_plain_phase(monkeypatch):
+    # within the first m + n applications the in-place plain phase fixes a
+    # point, escapes a small explicit bound, or closes a gcd > 1 cycle that
+    # the tortoise finds, as the plain orbit does, and traces nothing
+    m, n = 13, 21
+    rng = random.Random(33)
+    fixed = []
+    while len(fixed) < 4:
+        word_ = _random_parking_word(rng, m, n)
+        start = _warm_start(word_)
+        if find_fixed_point(word_, start=start).iterations <= m + n:
+            fixed.append((word_, start))
+    near = Word(m, n, (m - 1,) + _random_parking_word(rng, m, n).letters[1:])
+    assert not is_parking_word(near)
+    orbit = [staircase_point(m, n).coords]
+    for _ in range(m + n):
+        orbit.append(_apply_raw(orbit[-1], near.letters, m, n))
+    escapes = [(near, _norm(orbit[k]) - 1, k) for k in (1, 2, 17, m + n)]
+    # (4,6) 102120 from a start off the balanced slice: a 2-cycle that the
+    # tortoise placed at application 7 meets at application 9
+    cycle = (w(4, 6, "102120"), Point((-10, -2, 9, 11)))
+    expected = [_run(_plain_orbit, u, start=s) for u, s in fixed]
+    expected += [_run(_plain_orbit, u, escape_bound=b) for u, b, _ in escapes]
+    expected.append(_run(_plain_orbit, cycle[0], start=cycle[1]))
+    monkeypatch.setattr(action, "_apply_traced", _refuse("_apply_traced"))
+    monkeypatch.setattr(action, "_Piece", _refuse("_Piece"))
+    got = [_run(find_fixed_point, u, start=s) for u, s in fixed]
+    for u, bound, k in escapes:
+        report = find_fixed_point(u, escape_bound=bound)
+        assert isinstance(report.outcome, Diverged)
+        assert report.outcome.step <= k and report.applications == report.iterations
+        got.append(_run(find_fixed_point, u, escape_bound=bound))
+    report = find_fixed_point(cycle[0], start=cycle[1])
+    assert report.outcome.period == 2 and _cycle_detected_at(report) == 9 <= 10
+    got.append(_run(find_fixed_point, cycle[0], start=cycle[1]))
+    assert got == expected
+    assert {_outcome_kind(r) for r in got} == {Fixed, Diverged, Cycle}
+
+
+def test_tortoise_placed_in_the_plain_phase_meets_the_hare_after_it(monkeypatch):
+    # the tortoise is copied in the plain phase's in-place frame and handed
+    # to the traced phase, where it meets the hare: (6,9) 013004313 places
+    # it at application 15 = m + n and closes a 2-cycle at 17; a coprime
+    # (13,21) word from a start that repeats a residue places it at 31 and
+    # closes its 13-cycle at 44, three applications into the traced phase
+    # at the hand-off after application 34
+    cases = [
+        (w(6, 9, "013004313"), (-18, -11, -11, -4, 15, 17), 15, 2),
+        (
+            Word(13, 21, (5, 10, 2, 2, 1, 8, 9, 12, 3, 1, 6, 6, 3, 4, 7, 0, 8, 7, 11, 3, 0)),
+            (-38, -34, -34, -29, -25, -14, -12, 11, 16, 28, 36, 37, 38),
+            31,
+            13,
+        ),
+    ]
+    traced = []
+    apply_traced = action._apply_traced
+
+    def counted(*args):
+        traced.append(args[0])
+        return apply_traced(*args)
+
+    monkeypatch.setattr(action, "_apply_traced", counted)
+    for word_, coords, placed, period in cases:
+        traced.clear()
+        start = Point(coords)
+        assert _assert_matches_plain(word_, start=start)[0].period == period
+        detected = _cycle_detected_at(find_fixed_point(word_, start=start))
+        assert placed == detected - period <= word_.m + word_.n < detected
+        assert traced
+
+
 def test_trusted_points_equal_validated_points(monkeypatch):
     # the action, the solver, the oracle and the warm start of rank-word
     # inversion build their points unchecked; each must be the point the
@@ -832,15 +934,35 @@ def test_solver_memory_is_bounded():
 # a solver change that lengthens the worst orbit fails here, long before
 # an orbit nears its budget of 10*(m+n)**2 applications
 STAIRCASE_ORBIT_MAXIMA = {(3, 7): 7, (4, 7): 10, (5, 7): 18, (7, 5): 22}
+# the same at sizes too large for tier-1 ((7,8) has 823,543 parking words);
+# the slow tier, pytest -m slow, replays them
+SLOW_STAIRCASE_ORBIT_MAXIMA = {(6, 7): 16, (5, 8): 21, (7, 8): 22}
+
+
+def _longest_staircase_orbit(m, n):
+    """The most iterations from the staircase over every parking word, each
+    of which must reach its fixed point; streamed, in O(m) memory."""
+    longest = 0
+    for u in enumerate_words(m, n, "parking"):
+        report = find_fixed_point(u)
+        assert isinstance(report.outcome, Fixed), u
+        longest = max(longest, report.iterations)
+    return longest
 
 
 def test_staircase_orbit_maxima_are_replayed(monkeypatch):
     monkeypatch.delenv("RATPARK_MAX_ITER", raising=False)
     for (m, n), longest in STAIRCASE_ORBIT_MAXIMA.items():
-        reports = [find_fixed_point(u) for u in enumerate_words(m, n, "parking")]
-        assert all(isinstance(r.outcome, Fixed) for r in reports)
-        assert max(r.iterations for r in reports) == longest
+        assert _longest_staircase_orbit(m, n) == longest
         assert 50 * longest < action.default_budget(m, n) <= 1440
+
+
+@pytest.mark.slow
+def test_staircase_orbit_maxima_are_replayed_at_larger_sizes(monkeypatch):
+    monkeypatch.delenv("RATPARK_MAX_ITER", raising=False)
+    for (m, n), longest in SLOW_STAIRCASE_ORBIT_MAXIMA.items():
+        assert _longest_staircase_orbit(m, n) == longest, (m, n)
+        assert 50 * longest < action.default_budget(m, n)
 
 
 def test_budget_must_be_a_positive_integer(monkeypatch):
@@ -848,7 +970,9 @@ def test_budget_must_be_a_positive_integer(monkeypatch):
     for bad in (0, -5, 2.5, True, "10"):
         with pytest.raises(InvalidBudget):
             find_fixed_point(word_, max_iterations=bad)
-    for bad in ("abc", "0", "-5", "1.5"):
+    # the environment variable is read by the integer rule of text input:
+    # other scripts' digits, underscores and a sign other than - are refused
+    for bad in ("abc", "0", "-5", "1.5", "١٠", "1_0", "+5"):
         monkeypatch.setenv("RATPARK_MAX_ITER", bad)
         with pytest.raises(InvalidBudget):
             action.default_budget(3, 5)

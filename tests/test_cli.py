@@ -218,6 +218,33 @@ def test_non_ascii_integer_entries_are_usage_errors(capsys):
     assert run(capsys, *args)[:2] == (0, "yes\n")
 
 
+def test_integer_options_are_ascii_only(capsys):
+    # --m, --n, --max-iter and --seed take an optional - and ASCII digits,
+    # as the text readers do; int() read each of these, and classify and
+    # fixed-point exited 0
+    fixed_point = ("fixed-point", "--m", "3", "--n", "5", "--word", "10011")
+    refused = [
+        (("classify", "--m", "٣", "--n", "2", "--word", "00"), "--m", "٣"),
+        (("classify", "--m", "3", "--n", "+2", "--word", "00"), "--n", "+2"),
+        (("classify", "--m", "1_0", "--n", "2", "--word", "00"), "--m", "1_0"),
+        (("classify", "--m", " 3", "--n", "2", "--word", "00"), "--m", " 3"),
+        ((*fixed_point, "--max-iter", "1_0"), "--max-iter", "1_0"),
+        ((*fixed_point, "--max-iter", "١٠"), "--max-iter", "١٠"),
+        (("verify", "--paper", "--seed", "+1"), "--seed", "+1"),
+        (("enumerate", "--m", "2", "--n=--3"), "--n", "--3"),
+        (("enumerate", "--m", "2", "--n=-"), "--n", "-"),
+    ]
+    for argv, option, value in refused:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, ""), argv
+        assert f"argument {option}: not an ASCII integer: {value!r}" in captured.err
+    assert run(capsys, *fixed_point, "--max-iter", "20")[:2] == (0, "fixed -1,3,4\n")
+    code, out, err = run(capsys, "enumerate", "--m", "3", "--n", "-1")
+    assert (code, out, err) == (2, "", "error: need m,n >= 1, got m=3 n=-1\n")
+
+
 def test_verify_reference_only(capsys):
     code, out, _ = run(capsys, "verify", "--paper")
     assert code == 0

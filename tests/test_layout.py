@@ -120,6 +120,7 @@ TRUSTED_SITES = {
         "tuples.fixed_point_oracle",
     },
     "AffinePermutation": {"affine.tuple_to_window", "affine.enumerate_sommers"},
+    "FilterTuple": {"tuples.tuple_from_rank_word"},
 }
 
 
@@ -344,6 +345,7 @@ def test_one_balancing_shift():
         "affine.tuple_to_window",
         "filters.is_balanced",
         "filters.to_balanced",
+        "tuples._fixed_filter",
         "tuples.tuple_to_balanced",
     ]
     for name in ("Filter", "FilterTuple", "translate", "tuple_to_balanced"):

@@ -152,6 +152,24 @@ def test_rank_word_inverse_matches_the_staircase_orbit():
         assert warm < find_fixed_point(word_).iterations // 2, slack
 
 
+def test_rank_word_inverse_checks_its_replay(monkeypatch):
+    # the one replay checks what FilterTuple would: handed any other
+    # balanced (3,5) filter as the fixed point of 10011, it refuses the
+    # two whose replay stops at a level that is not removable and the four
+    # whose replay removes all five levels but ends elsewhere
+    word_ = w(3, 5, "10011")
+    stopped = ended = 0
+    for b in tuples.enumerate_balanced(3, 5):
+        if b.row_minima == (-1, 3, 4):
+            continue
+        monkeypatch.setattr(tuples, "_fixed_filter", lambda u, start, b=b: b)
+        with pytest.raises(InternalInconsistency, match="does not replay"):
+            tuple_from_rank_word(word_)
+        full = len(tuples._rank_removals(b, word_.letters)[0]) == 5
+        stopped, ended = stopped + (not full), ended + full
+    assert (stopped, ended) == (2, 4)
+
+
 def test_rank_word_inverse_oracle_mode():
     assert fixed_point_oracle(w(3, 4, "0012")).coords == (-2, 2, 6)
 
@@ -455,17 +473,18 @@ def test_public_filter_validations_per_op_do_not_grow_with_n(monkeypatch):
             op(*args)
             per_op[op.__name__, m, n] = tuple(counts[cls] for cls in types)
     # dyck filters of checked words are trusted; the solver's fixed point is
-    # not; a window is read off the checked removals, with no second tuple
-    # and no second check; a word the library derives is checked by its
-    # theorem, not validated; the solver's start and outcome are points by
-    # construction
+    # not, and the replay of its rank word checks the removals as it walks
+    # them, so rank-word inversion validates no tuple; a window is read off
+    # the checked removals, with no second tuple and no second check; a word
+    # the library derives is checked by its theorem, not validated; the
+    # solver's start and outcome are points by construction
     expected = {
         "zeta": (1, 0, 0, 0, 0),
-        "zeta_inverse": (1, 1, 0, 0, 0),
+        "zeta_inverse": (0, 1, 0, 0, 0),
         "dinv": (1, 0, 0, 0, 0),
         "sweep_inverse": (0, 1, 0, 0, 0),
         "anderson_inverse": (1, 0, 0, 0, 0),
-        "pak_stanley_inverse": (1, 1, 0, 0, 0),
+        "pak_stanley_inverse": (0, 1, 0, 0, 0),
         "anderson": (0, 0, 0, 0, 0),
         "pak_stanley": (0, 0, 0, 0, 0),
     }
@@ -561,10 +580,12 @@ def _check_kernels(word_):
     t = tuple_from_area_word(word_)
     ranks = rank_word(t).letters
     assert ranks == _reference_rank_word(t), word_
-    assert tuples._rank_removals(t.initial, ranks) == t.removals, word_
+    removals, final = tuples._rank_removals(t.initial, ranks)
+    assert removals == t.removals, word_
+    assert final == [v + n for v in t.initial.row_minima], word_
     # a replay from a start that is not the fixed point stops early
     start = to_balanced(d)
-    assert tuples._rank_removals(start, word_.letters) == _reference_rank_removals(
+    assert tuples._rank_removals(start, word_.letters)[0] == _reference_rank_removals(
         start, word_.letters
     ), word_
 
