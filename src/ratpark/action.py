@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left, insort_left
 from collections.abc import Sequence
-from math import comb, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 from itertools import repeat
 from operator import add, eq, gt, mul
 
@@ -168,9 +168,10 @@ def _staircase(m: int, n: int) -> tuple[int, ...]:
     return tuple(range(1, m + 1))
 
 
-def _positive_budget(value, source: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise InvalidBudget(f"{source} must be a positive integer, got {value!r}")
+def _require_count(value, source: str, least: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "a positive" if least else "a non-negative"
+        raise InvalidBudget(f"{source} must be {kind} integer, got {value!r}")
     return value
 
 
@@ -181,7 +182,7 @@ def default_budget(m: int, n: int) -> int:
     if env is None:
         return 10 * (m + n) ** 2
     value = _ascii_integer(env)
-    return _positive_budget(env if value is None else value, MAX_ITER_ENV)
+    return _require_count(env if value is None else value, MAX_ITER_ENV)
 
 
 def _apply_traced(
@@ -318,10 +319,12 @@ def _orbit(
     the first point beyond the bound when ``period`` is 0, the fixed
     point when ``period`` is 1, and else the first repeat of a cycle of
     that period; ``it`` counts the plain orbit's applications to the
-    outcome.  Each of the
-    ``C(m,2)`` squared differences in the norm is at most the squared
-    spread, so the exact norm is computed only when ``C(m,2)`` times the
-    squared spread exceeds the bound.
+    outcome.  The norm is at most ``floor(m*m/4)`` times the squared
+    spread (``k`` coordinates at the low end and ``m - k`` at the high
+    end give the most, ``k*(m - k)`` squared spreads), so the exact norm
+    is computed only when that product exceeds the bound: under the
+    default coprime bound of :func:`find_fixed_point`, once the spread
+    passes ``2*S + S0``.
 
     Drift jumps.  The letters' final slots during one application name an
     affine piece, on which the word acts as ``x -> Px + c`` with ``P`` a
@@ -371,7 +374,7 @@ def _orbit(
     the budget counts as exhaustion.
     """
     m = len(start)
-    pairs = comb(m, 2)
+    spread_norm = m * m // 4
     plain = min(budget, m + len(letters))
     act = _act
     xs, tortoise = list(start), list(start)
@@ -384,7 +387,7 @@ def _orbit(
         low = xs[0]
         if low == before[0] + sub and _raised_by(xs, before, sub):
             return tuple([x - it * sub for x in xs]), 1, it, it
-        if bound is not None and pairs * (xs[-1] - low) ** 2 > bound:
+        if bound is not None and spread_norm * (xs[-1] - low) ** 2 > bound:
             if _norm(xs) > bound:
                 return tuple([x - it * sub for x in xs]), 0, it, it
         lam += 1
@@ -406,7 +409,7 @@ def _orbit(
             applications += 1
             if nxt == cur:
                 return cur, 1, it, applications
-            if bound is not None and pairs * (nxt[-1] - nxt[0]) ** 2 > bound:
+            if bound is not None and spread_norm * (nxt[-1] - nxt[0]) ** 2 > bound:
                 if _norm(nxt) > bound:
                     return nxt, 0, it, applications
             lam += 1
@@ -487,16 +490,37 @@ def find_fixed_point(
     ``Diverged`` once the norm exceeds the escape bound, and ``Cycle`` on a
     repeat of period > 1.  A non-parking word provably never fixes a point
     or closes a cycle (the descent argument below), but it reaches
-    ``Diverged`` only if the budget lasts until its norm passes the bound:
-    under the default budget and bound some non-parking words, such as
-    near misses at (13,21), raise :class:`IterationBudgetExhausted` instead.
+    ``Diverged`` only if the budget lasts until its norm passes the bound.
     ``iterations`` counts word applications of the plain orbit from
     ``start``, and ``applications`` those actually computed: after the
     first ``m + n`` applications, which run plain, the solver skips whole
     periods of the orbit's drift inside one affine piece.
-    The escape bound ``norm(start) + (m*n)**4``, taken at the start
-    actually used, is an engineering constant, not derived from any
-    sharper estimate.
+    ``escape_bound`` must be an integer of at least 0, else
+    :class:`InvalidBudget`.
+
+    The default escape bound is proven when gcd(m, n) = 1: no orbit of a
+    parking word, from any start, has a norm above
+    ``B = floor(m*m/4) * (2*S + S0)**2``, with ``S = (m-1)*n`` and ``S0``
+    the spread (largest minus smallest coordinate) of the start used.
+
+    * ``sqrt(norm)`` is a seminorm, ``distance`` its square on the
+      coordinatewise difference, and the action is 1-Lipschitz in it and
+      commutes with adding a constant to every coordinate.
+    * The word has a fixed point ``p``, a translate of the row minima of
+      a filter.  Shifted so that its least element is 0, the filter holds
+      ``k*n`` for every ``k >= 0``, and for ``k < m`` these meet every
+      residue mod m; so every row minimum lies in ``[0, (m-1)*n]``, and
+      ``spread(p) <= S``.
+    * A vector of spread ``s`` has norm at most ``floor(m*m/4) * s**2``.
+    * So ``sqrt(norm(x_k)) <= sqrt(norm(p)) + sqrt(distance(x_k, p))
+      <= sqrt(norm(p)) + sqrt(distance(x_0, p))``, and the two terms are
+      at most ``sqrt(floor(m*m/4))`` times ``S`` and ``S + S0``; so
+      ``norm(x_k) <= B``.
+
+    So an orbit whose norm passes ``B`` is that of a word with no fixed
+    point, which does not park.  When gcd(m, n) > 1 the default bound is
+    ``norm(start) + (m*n)**4``, an engineering constant, not derived from
+    any sharper estimate.  An explicit ``escape_bound`` wins at any gcd.
 
     A coprime parking word has one fixed point up to translation, the row
     minima of a filter, whose residues mod m are distinct.  Each letter
@@ -520,11 +544,16 @@ def find_fixed_point(
     if max_iterations is None:
         budget = default_budget(m, n)
     else:
-        budget = _positive_budget(max_iterations, "max_iterations")
+        budget = _require_count(max_iterations, "max_iterations")
     if start is not None and not (isinstance(start, Point) and start.m == m):
         raise DimensionMismatch(f"start {start!r} is not a point with {m} coordinates")
     start = _staircase(m, n) if start is None else start.coords
-    bound = (_norm(start) + (m * n) ** 4) if escape_bound is None else escape_bound
+    if escape_bound is not None:
+        bound = _require_count(escape_bound, "escape_bound", 0)
+    elif gcd(m, n) == 1:
+        bound = m * m // 4 * (2 * (m - 1) * n + start[-1] - start[0]) ** 2
+    else:
+        bound = _norm(start) + (m * n) ** 4
     orbit = _orbit(start, w.letters, m, n, budget, bound)
     if orbit is None:
         raise IterationBudgetExhausted(

@@ -1,7 +1,7 @@
 import itertools
 import random
 import tracemalloc
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -474,6 +474,21 @@ def test_apply_raw_leaves_its_argument_untouched():
 # ------------------------------------------ drift jumps against the plain orbit
 
 
+def _escape_bound(m, n, start):
+    """The solver's default escape bound, from its statement: proven for
+    coprime sizes, the engineering constant otherwise."""
+    if gcd(m, n) == 1:
+        return m * m // 4 * (2 * (m - 1) * n + max(start) - min(start)) ** 2
+    return _old_bound(m, n, start)
+
+
+def _old_bound(m, n, start=None):
+    """The default escape bound before the coprime bound was proven: far
+    above it, so orbits run long drifts before they escape."""
+    start = staircase_point(m, n).coords if start is None else start
+    return _norm(start) + (m * n) ** 4
+
+
 def _plain_orbit(w, max_iterations=None, escape_bound=None, start=None):
     """Plain value iteration with every orbit point recorded.
 
@@ -486,7 +501,7 @@ def _plain_orbit(w, max_iterations=None, escape_bound=None, start=None):
     else:
         budget = max_iterations
     start = (staircase_point(m, n) if start is None else start).coords
-    bound = (_norm(start) + (m * n) ** 4) if escape_bound is None else escape_bound
+    bound = _escape_bound(m, n, start) if escape_bound is None else escape_bound
     seen = {start: 0}
     cur = start
     for it in range(1, budget + 1):
@@ -685,38 +700,55 @@ def test_solver_matches_plain_orbit_on_large_rank_words():
         )
 
 
+def _near_miss(rng, m, n):
+    """A uniform parking word with one letter raised until it stops parking;
+    a draw whose raised letter reaches m - 1 still parking is drawn again."""
+    while True:
+        letters = list(_random_parking_word(rng, m, n).letters)
+        j = rng.randrange(n)
+        while letters[j] < m - 1:
+            letters[j] += 1
+            word_ = Word(m, n, tuple(letters))
+            if not is_parking_word(word_):
+                return word_
+
+
 def test_solver_matches_plain_orbit_on_near_misses():
     # parking words at (13,21) with one letter raised until they stop
     # parking: their orbits drift off through long runs in one piece
     rng = random.Random(5)
     m, n = 13, 21
-    near = []
-    while len(near) < 6:
-        letters = list(_random_parking_word(rng, m, n).letters)
-        j = rng.randrange(n)
-        while letters[j] < m - 1:
-            letters[j] += 1
-            if not is_parking_word(Word(m, n, tuple(letters))):
-                near.append(Word(m, n, tuple(letters)))
-                break
+    near = [_near_miss(rng, m, n) for _ in range(6)]
+    # under the proven default bound all six escape within the budget
+    reports = [find_fixed_point(u) for u in near]
+    for word_, report in zip(near, reports):
+        assert _assert_matches_plain(word_) == (report.outcome, report.iterations)
+    assert [r.iterations for r in reports] == [874, 874, 874, 236, 148, 236]
+    assert [r.applications for r in reports] == [64, 94, 64, 68, 40, 68]
+    # the far higher old bound keeps the long drifts: three words escape
+    # after thousands of iterations and three exhaust the budget, as the
+    # plain orbit does; all three drifts start inside the plain phase of
+    # the first m + n = 34 applications, so each is jumped only from
+    # application 35 on
+    old = _old_bound(m, n)
     diverged, applications = [], []
     for word_ in near:
-        result = _assert_matches_plain(word_)
+        result = _assert_matches_plain(word_, escape_bound=old)
         if isinstance(result[0], Diverged):
             diverged.append(word_)
-            applications.append(find_fixed_point(word_).applications)
+            applications.append(
+                find_fixed_point(word_, escape_bound=old).applications
+            )
             assert applications[-1] < result[1] // 4
-    # the other three exhaust the budget, as the plain orbit does; all
-    # three drifts start inside the plain phase of the first m + n = 34
-    # applications, so each is jumped only from application 35 on
+        else:
+            assert result[0] is IterationBudgetExhausted
     assert applications == [60, 40, 60]
     # exhaustion and escape inside a jump window
     word_ = diverged[0]
-    outcome, iterations = _assert_matches_plain(word_)
+    outcome, iterations = _assert_matches_plain(word_, escape_bound=old)
     for budget in (iterations // 3, iterations // 2 + 1, iterations - 1):
-        assert _assert_matches_plain(word_, max_iterations=budget)[0] is (
-            IterationBudgetExhausted
-        )
+        result = _assert_matches_plain(word_, max_iterations=budget, escape_bound=old)
+        assert result[0] is IterationBudgetExhausted
     steps = set()
     for k in range(1, 12):
         escaped, step = _assert_matches_plain(word_, escape_bound=outcome.norm >> k)
@@ -724,8 +756,9 @@ def test_solver_matches_plain_orbit_on_near_misses():
         steps.add(step)
     assert len(steps) > 5 and max(steps) < iterations
     # escape is strict, and the solver skips the exact norm only where
-    # C(m,2) times the squared spread rules escape out: a bound one below
-    # the escaping norm still escapes there, a bound equal to it does not
+    # floor(m*m/4) times the squared spread rules escape out: a bound one
+    # below the escaping norm still escapes there, a bound equal to it does
+    # not
     edge_words = [diverged[0]]
     for m, n in ((4, 3), (5, 4)):
         words = enumerate_words(m, n, "all")
@@ -738,6 +771,112 @@ def test_solver_matches_plain_orbit_on_near_misses():
         assert below[0] == outcome
         at = _assert_matches_plain(word_, escape_bound=outcome.norm)[0]
         assert not (isinstance(at, Diverged) and at.step == outcome.step)
+
+
+# ------------------------------------------------ the proven escape bound
+
+
+def test_no_coprime_parking_orbit_crosses_the_escape_bound():
+    # every parking word at small coprime sizes, from the staircase and
+    # from seeded starts off the balanced slice, some of spread far above
+    # (m-1)*n and some that repeat a residue mod m and cycle: no orbit
+    # passes floor(m*m/4) * (2*(m-1)*n + spread(start))**2, the bound of
+    # the plain orbit, which runs to the first repeat
+    rng = random.Random(2)
+    sizes = [(m, n) for m in range(2, 6) for n in range(1, 6) if gcd(m, n) == 1]
+    for m, n in sizes + [(3, 7), (7, 3)]:
+        for word_ in enumerate_words(m, n, "parking"):
+            wide = 4 * m * n
+            starts = [staircase_point(m, n)] + [
+                Point(tuple(sorted(rng.randrange(-wide, wide) for _ in range(m))))
+                for _ in range(2)
+            ]
+            for start in starts:
+                outcome, _ = _plain_orbit(word_, start=start)
+                assert isinstance(outcome, (Fixed, Cycle)), (word_, start, outcome)
+
+
+def _descent_budget(word_, start, bound):
+    """Applications within which the orbit of a non-parking word from
+    ``start`` passes ``bound``, by the descent lemma, in exact integers.
+
+    For ``0 < i < m`` with ``delta = i*n - m*c_i > 0``, ``c_i`` the letters
+    below ``i``, one application lowers the sum ``S_i`` of the ``i``
+    smallest coordinates by at least ``delta`` and keeps the mean ``mu``.
+    With ``e = m*(i*mu - S_i(start)) >= 0``, Cauchy-Schwarz on the ``i``
+    smallest coordinates gives ``norm(x_k) >= (e + k*m*delta)**2 / (m*i)``,
+    which passes ``bound`` once ``e + k*m*delta > isqrt(bound*m*i)``.
+    """
+    m, n = word_.m, word_.n
+    total, below, least = sum(start), 0, None
+    for i in range(1, m):
+        below += word_.letters.count(i - 1)
+        delta = i * n - m * below
+        if delta > 0:
+            e = i * total - m * sum(start[:i])
+            k = max(1, -((e - isqrt(bound * m * i) - 1) // (m * delta)))
+            least = k if least is None else min(least, k)
+    return least
+
+
+def _assert_escapes_within_the_descent_budget(word_, start):
+    m, n = word_.m, word_.n
+    report = find_fixed_point(word_, start=Point(start))
+    assert isinstance(report.outcome, Diverged), (word_, start, report)
+    k = _descent_budget(word_, start, _escape_bound(m, n, start))
+    assert report.iterations <= k, (word_, start, report, k)
+    # at coprime sizes the lemma proves the default budget enough
+    if gcd(m, n) == 1:
+        assert k <= action.default_budget(m, n), (word_, start, k)
+    return report.iterations, k
+
+
+def test_non_parking_orbits_escape_within_the_descent_budget(monkeypatch):
+    # every non-parking word with m, n <= 5, from the staircase and from a
+    # seeded start, and seeded near misses at (13,21): the default bound is
+    # passed within k* applications
+    monkeypatch.delenv("RATPARK_MAX_ITER", raising=False)
+    rng = random.Random(17)
+    used = []
+    for m in range(2, 6):
+        for n in range(1, 6):
+            for word_ in enumerate_words(m, n, "all"):
+                if is_parking_word(word_):
+                    continue
+                seeded = sorted(rng.randrange(-3 * m * n, 3 * m * n) for _ in range(m))
+                for start in (staircase_point(m, n).coords, tuple(seeded)):
+                    it, k = _assert_escapes_within_the_descent_budget(word_, start)
+                    used.append(it / k)
+    # the lemma is sharp: some orbits need all k* applications
+    assert max(used) == 1
+    rng = random.Random(5)
+    start = staircase_point(13, 21).coords
+    used = []
+    for _ in range(200):
+        word_ = _near_miss(rng, 13, 21)
+        it, k = _assert_escapes_within_the_descent_budget(word_, start)
+        used.append(it / k)
+    assert max(used) > 0.9
+
+
+@pytest.mark.parametrize(
+    "m,n,count",
+    [
+        (50, 77, 10),
+        (77, 101, 4),
+        pytest.param(50, 77, 60, marks=pytest.mark.slow),
+        pytest.param(77, 101, 20, marks=pytest.mark.slow),
+    ],
+)
+def test_near_misses_escape_within_the_default_budget(monkeypatch, m, n, count):
+    # seeded near misses from the staircase at the benchmark's sizes: each
+    # orbit passes the default bound within k* applications, and k* is
+    # within the default budget
+    monkeypatch.delenv("RATPARK_MAX_ITER", raising=False)
+    rng = random.Random(5)
+    start = staircase_point(m, n).coords
+    for _ in range(count):
+        _assert_escapes_within_the_descent_budget(_near_miss(rng, m, n), start)
 
 
 def _refuse(name):
@@ -970,6 +1109,13 @@ def test_budget_must_be_a_positive_integer(monkeypatch):
     for bad in (0, -5, 2.5, True, "10"):
         with pytest.raises(InvalidBudget):
             find_fixed_point(word_, max_iterations=bad)
+    # an escape bound follows the same rule, except that 0 is allowed, on a
+    # parking and on a non-parking word alike
+    for word_ in (word_, w(4, 3, "022")):
+        for bad in (-1, 2.5, True, "x", "10"):
+            with pytest.raises(InvalidBudget, match="escape_bound"):
+                find_fixed_point(word_, escape_bound=bad)
+        assert isinstance(find_fixed_point(word_, escape_bound=0).outcome, Diverged)
     # the environment variable is read by the integer rule of text input:
     # other scripts' digits, underscores and a sign other than - are refused
     for bad in ("abc", "0", "-5", "1.5", "١٠", "1_0", "+5"):

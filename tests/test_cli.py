@@ -85,6 +85,17 @@ def test_fixed_point_divergence(capsys):
     assert json.loads(out)["outcome"] == "diverged"
 
 
+def test_fixed_point_near_miss_diverges_within_the_default_budget(capsys):
+    # a (13,21) near miss that ran out of its 11,560 applications under the
+    # old escape bound passes the proven one
+    word = "5,7,8,0,1,10,8,0,8,9,11,5,1,0,11,0,12,5,0,5,1"
+    code, out, err = run(
+        capsys, "fixed-point", "--m", "13", "--n", "21", "--word", word
+    )
+    assert (code, err) == (0, "")
+    assert out == "diverged at application 1960 with norm 24012872\n"
+
+
 def test_zeta_round_trip(capsys):
     code, out, _ = run(capsys, "zeta", "--m", "4", "--n", "3", "--word", "012")
     assert code == 0 and out.strip() == "000"
