@@ -98,6 +98,21 @@ def _act(xs: list[int], letters: Sequence[int], add: int) -> None:
         insort_left(xs, pop(letter) + add, letter)
 
 
+def _act_traced(xs: list[int], letters: Sequence[int], add: int) -> list[int]:
+    """:func:`_act` that also returns each letter's final slot.
+
+    The slots name the affine piece that ``xs`` lay in.
+    """
+    pop, insert = xs.pop, xs.insert
+    slots = []
+    for letter in letters:
+        v = pop(letter) + add
+        j = bisect_left(xs, v, letter)
+        insert(j, v)
+        slots.append(j)
+    return slots
+
+
 def _apply_raw(
     coords: tuple[int, ...], letters: Sequence[int], add: int, total_sub: int
 ) -> tuple[int, ...]:
@@ -185,23 +200,6 @@ def default_budget(m: int, n: int) -> int:
     return _require_count(env if value is None else value, MAX_ITER_ENV)
 
 
-def _apply_traced(
-    coords: tuple[int, ...], letters: Sequence[int], add: int, total_sub: int
-) -> tuple[tuple[int, ...], list[int]]:
-    """:func:`_apply_raw` that also returns each letter's final slot.
-
-    The slots name the affine piece that ``coords`` lies in.
-    """
-    xs = list(coords)
-    slots = []
-    for letter in letters:
-        v = xs.pop(letter) + add
-        j = bisect_left(xs, v, letter)
-        xs.insert(j, v)
-        slots.append(j)
-    return tuple([x - total_sub for x in xs]), slots
-
-
 class _Piece:
     """The affine map of a word on one piece, and its drift per period.
 
@@ -257,14 +255,14 @@ class _Piece:
             if drift[hi] < drift[lo]
         ]
 
-    def periods_to_skip(
-        self, cur: tuple[int, ...], bound: int | None, limit: int
-    ) -> int:
+    def periods_to_skip(self, cur: Sequence[int], bound: int | None, limit: int) -> int:
         """How many whole periods the orbit can skip from ``cur``.
 
         Requires the last ``period`` inputs of the orbit to lie in this
         piece, so that they are ``y_r = A^r(cur - drift)`` and
-        ``cur = y_0 + drift``.  Skipping ``k`` periods applies the word to
+        ``cur = y_0 + drift``.  The walls and the norm read only coordinate
+        differences (the drift sums to 0), so ``cur`` may be translated by
+        any constant.  Skipping ``k`` periods applies the word to
         ``y_r + s*drift`` for ``1 <= s <= k`` and yields outputs between
         ``y_r + drift`` and ``y_r + (k+1)*drift``.  Returns the largest
         ``k <= limit`` for which every skipped input stays in the piece
@@ -326,6 +324,17 @@ def _orbit(
     default coprime bound of :func:`find_fixed_point`, once the spread
     passes ``2*S + S0``.
 
+    One loop in one frame.  Every application acts in place on one list
+    and leaves out the ``-sub`` of each application: after ``it``
+    applications the list holds the orbit point plus ``it*sub``.  The
+    action commutes with adding a constant, so the tests read that frame
+    directly.  The point is fixed when the last application raised the
+    list by exactly ``sub``, and it equals Brent's tortoise, a copy taken
+    ``lam`` applications ago, when it lies ``lam*sub`` above that copy;
+    both compare the first coordinate before the rest.  The spread and
+    the norm ignore a uniform shift.  A point in the orbit's own frame
+    is built only at an exit, the exhausted budget's included.
+
     Drift jumps.  The letters' final slots during one application name an
     affine piece, on which the word acts as ``x -> Px + c`` with ``P`` a
     permutation.  If the orbit stays in one piece for ``L = ord(P)``
@@ -334,32 +343,22 @@ def _orbit(
     inputs stay in the piece the orbit is ``x_{k+tL+r} = x_{k+r} + tD``.
     The loop then skips as many whole periods as keep every skipped input
     in the piece, every skipped output within the bound and the count
-    within the budget (:meth:`_Piece.periods_to_skip`).  A piece with
-    ``D != 0`` holds no fixed point (``x = Px + c`` forces ``D = 0``), a
-    jump lands on the plain orbit, and the first repeat is found by
-    re-walking the plain orbit, so outcome and ``iterations`` are those of
-    plain iteration.  A piece is built at the second application in it,
-    in one walk of the letters.  The first ``m + n`` applications
-    (``n = len(letters)``) run plain: no slots, no runs, no pieces.  A
-    traced application costs about 1.2 times a plain one at (50,77), and
-    tracing pays only on long drifts, which run for thousands of
+    within the budget (:meth:`_Piece.periods_to_skip`); a jump of ``k``
+    periods adds ``k*(D + L*sub)`` to the list.  A piece with ``D != 0``
+    holds no fixed point (``x = Px + c`` forces ``D = 0``), a jump lands
+    on the plain orbit, and the first repeat is found by re-walking the
+    plain orbit, so outcome and ``iterations`` are those of plain
+    iteration.  A piece is built at the second application in it, in one
+    walk of the letters.  The first ``m + n`` applications
+    (``n = len(letters)``) run plain, by :func:`_act`: no slots, no runs,
+    no pieces.  Later ones run by :func:`_act_traced`, which costs about
+    1.2 times :func:`_act` at (50,77), each after the same list copy.
+    Tracing pays only on long drifts, which run for thousands of
     applications, while a start near the fixed point (the warm start of
     rank-word inversion) mostly resolves within ``m + n``.  A drift is
     then jumped at most about ``m + n`` applications later,
     ``1/(10*(m+n))`` of the default budget; the budget, the escape test
-    and Brent's tortoise see every application in both phases.
-
-    The plain phase acts in place on one list by :func:`_act`, which
-    leaves out the ``-sub`` of each application: after ``it``
-    applications the list holds the orbit point plus ``it*sub``.  The
-    action commutes with adding a constant, so the tests read that frame
-    directly.  The point is fixed when the last application raised the
-    list by exactly ``sub``, and it equals Brent's tortoise, a copy taken
-    ``lam`` applications ago, when it lies ``lam*sub`` above that copy;
-    both compare the first coordinate before the rest.  The spread and
-    the norm ignore a uniform shift.  A point in the orbit's own frame is
-    built only at an exit, or once, with the tortoise, at the hand-off to
-    the traced phase.
+    and Brent's tortoise see every application.
 
     Cycles are found by Brent's method in O(m) memory: the hare is
     compared with a tortoise moved to the hare at each power of two, which
@@ -375,21 +374,24 @@ def _orbit(
     """
     m = len(start)
     spread_norm = m * m // 4
-    plain = min(budget, m + len(letters))
-    act = _act
+    plain = m + len(letters)
     xs, tortoise = list(start), list(start)
-    it = period = lam = 0
+    it = applications = period = lam = 0
     power = 1
-    while it < plain:
+    run_slots, piece = None, None
+    run = 0  # consecutive inputs in the piece since it was entered or skipped
+    while it < budget:
         before = xs[:]
-        act(xs, letters, add)
+        # _act returns None: a plain application traces no slots
+        slots = _act(xs, letters, add) if it < plain else _act_traced(xs, letters, add)
         it += 1
+        applications += 1
         low = xs[0]
         if low == before[0] + sub and _raised_by(xs, before, sub):
-            return tuple([x - it * sub for x in xs]), 1, it, it
+            return tuple([x - it * sub for x in xs]), 1, it, applications
         if bound is not None and spread_norm * (xs[-1] - low) ** 2 > bound:
             if _norm(xs) > bound:
-                return tuple([x - it * sub for x in xs]), 0, it, it
+                return tuple([x - it * sub for x in xs]), 0, it, applications
         lam += 1
         gap = lam * sub
         if low == tortoise[0] + gap and _raised_by(xs, tortoise, gap):
@@ -397,53 +399,33 @@ def _orbit(
             break
         if lam == power:
             tortoise, power, lam = xs[:], 2 * power, 0
-    applications = it
-    if not period:
+        if slots is None or slots != run_slots:
+            run_slots, piece, run = slots, None, 1
+            continue
+        run += 1
+        if piece is None:
+            piece = _Piece(slots, letters, m, add, sub)
+        if run >= piece.period:
+            run = 0
+            k = piece.periods_to_skip(xs, bound, (budget - it) // piece.period)
+            if k:
+                lift = piece.period * sub
+                xs = [x + k * (d + lift) for x, d in zip(xs, piece.drift)]
+                it += k * piece.period
+                tortoise, power, lam = xs[:], 1, 0
+    else:  # the budget ran out
+        if gcd(add, sub) == 1 and len({c % add for c in start}) == m:
+            return None
+        # a repeat that closed within the budget puts ``cur`` on its cycle
         cur = tuple([x - it * sub for x in xs])
-        tortoise = tuple([t - (it - lam) * sub for t in tortoise])
-        run_slots, piece = None, None
-        run = 0  # consecutive inputs in the piece since it was entered or skipped
-        while it < budget:
-            nxt, slots = _apply_traced(cur, letters, add, sub)
-            it += 1
-            applications += 1
-            if nxt == cur:
-                return cur, 1, it, applications
-            if bound is not None and spread_norm * (nxt[-1] - nxt[0]) ** 2 > bound:
-                if _norm(nxt) > bound:
-                    return nxt, 0, it, applications
-            lam += 1
-            if nxt == tortoise:
-                period = lam
-                break
-            if lam == power:
-                tortoise, power, lam = nxt, 2 * power, 0
-            cur = nxt
-            if slots != run_slots:
-                run_slots, piece, run = slots, None, 1
-                continue
-            run += 1
-            if piece is None:
-                piece = _Piece(slots, letters, m, add, sub)
-            if run >= piece.period:
-                run = 0
-                k = piece.periods_to_skip(cur, bound, (budget - it) // piece.period)
-                if k:
-                    cur = tuple(c + k * d for c, d in zip(cur, piece.drift))
-                    it += k * piece.period
-                    tortoise, power, lam = cur, 1, 0
-        else:  # the budget ran out
-            if gcd(add, sub) == 1 and len({c % add for c in start}) == m:
+        ahead = _apply_raw(cur, letters, add, sub)
+        period = 1
+        while ahead != cur:
+            if period == budget:
                 return None
-            # a repeat that closed within the budget puts ``cur`` on its cycle
-            ahead = _apply_raw(cur, letters, add, sub)
-            period = 1
-            while ahead != cur:
-                if period == budget:
-                    return None
-                ahead = _apply_raw(ahead, letters, add, sub)
-                period += 1
-            applications += period
+            ahead = _apply_raw(ahead, letters, add, sub)
+            period += 1
+        applications += period
     first, x = _first_repeat(start, letters, add, sub, period)
     if first + period > budget:
         return None
@@ -492,9 +474,10 @@ def find_fixed_point(
     or closes a cycle (the descent argument below), but it reaches
     ``Diverged`` only if the budget lasts until its norm passes the bound.
     ``iterations`` counts word applications of the plain orbit from
-    ``start``, and ``applications`` those actually computed: after the
-    first ``m + n`` applications, which run plain, the solver skips whole
-    periods of the orbit's drift inside one affine piece.
+    ``start``, and ``applications`` those actually computed: one loop acts
+    on the point in place, and after the first ``m + n`` applications,
+    which record no slots, it skips whole periods of the orbit's drift
+    inside one affine piece.
     ``escape_bound`` must be an integer of at least 0, else
     :class:`InvalidBudget`.
 

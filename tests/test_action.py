@@ -159,7 +159,7 @@ def test_fixed_point_oracle_examples(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the oracle called the action or the solver")
 
-    for name in ("find_fixed_point", "_act", "_apply_raw", "_apply_traced"):
+    for name in ("find_fixed_point", "_act", "_apply_raw", "_act_traced"):
         monkeypatch.setattr(action, name, boom)
     assert fixed_point_oracle(w(3, 5, "10011")).coords == (-1, 3, 4)
     assert fixed_point_oracle(w(3, 4, "0000")).coords == (1, 2, 3)
@@ -407,7 +407,9 @@ def _tied_point(rng, mu, add):
     return tuple(sorted(values + [rng.choice(values)]))
 
 
-def test_apply_traced_matches_the_loop():
+def test_act_traced_matches_the_loop():
+    # the traced in-place kernel records the loop's slots and leaves the
+    # list that _act leaves, which is the action without its uniform shift
     rng = random.Random(17)
     ties = 0
     sizes = ((3, 3), (4, 6), (5, 4), (13, 21), (50, 77))
@@ -417,8 +419,11 @@ def test_apply_traced_matches_the_loop():
             word_ = tuple(rng.randrange(mu) for _ in range(n_j))
             for letters, total_sub in [((i,), 1) for i in range(mu)] + [(word_, sub)]:
                 expected = _bubble_traced(coords, letters, add, total_sub)
-                got = action._apply_traced(coords, letters, add, total_sub)
-                assert got == expected
+                xs, plain = list(coords), list(coords)
+                slots = action._act_traced(xs, letters, add)
+                action._act(plain, letters, add)
+                assert (tuple(x - total_sub for x in xs), slots) == expected
+                assert xs == plain
                 assert _apply_raw(coords, letters, add, total_sub) == expected[0]
             ties += sum(c + add in coords for c in coords)
     assert ties > 0
@@ -608,18 +613,23 @@ def test_coprime_parking_cycle_from_repeated_residues_is_no_inconsistency(
     # a cycle from a start with distinct residues stays a violation: a
     # stand-in word that rotates the coordinates closes a 3-cycle from any
     # start; like the real action it commutes with adding a constant, so
-    # the in-place kernel of the plain phase, which leaves out the shift of
-    # n per application, carries it too
+    # the in-place kernels, which leave out the shift of n per application,
+    # carry it too
     def cycling(coords, *args):
         return tuple(coords[1:]) + tuple(coords[:1])
 
     def cycling_in_place(xs, letters, add):
         xs[:] = [c + add * len(letters) // len(xs) for c in cycling(xs)]
 
+    def cycling_traced(xs, letters, add):
+        # slots that differ at every application keep drift jumps out: the
+        # in-place list rises by n per application
+        cycling_in_place(xs, letters, add)
+        return xs[:]
+
     monkeypatch.setattr(action, "_act", cycling_in_place)
+    monkeypatch.setattr(action, "_act_traced", cycling_traced)
     monkeypatch.setattr(action, "_apply_raw", cycling)
-    # slots that differ at every application keep drift jumps out
-    monkeypatch.setattr(action, "_apply_traced", lambda x, *a: (cycling(x), x))
     with pytest.raises(InternalInconsistency, match="entered a 3-cycle") as info:
         find_fixed_point(w(3, 4, "0012"), start=Point((0, 1, 2)))
     assert info.value.witness == Point((0, 1, 2))
@@ -898,7 +908,7 @@ def test_short_orbits_run_plain(monkeypatch):
         if report.iterations <= m + n:
             assert report.applications == report.iterations
             short.append((word_, tuples.tuple_from_rank_word(word_)))
-    monkeypatch.setattr(action, "_apply_traced", _refuse("_apply_traced"))
+    monkeypatch.setattr(action, "_act_traced", _refuse("_act_traced"))
     monkeypatch.setattr(action, "_Piece", _refuse("_Piece"))
     for word_, expected in short:
         assert tuples.tuple_from_rank_word(word_) == expected
@@ -930,10 +940,9 @@ def test_plain_phase_boundary():
         if is_parking_word(near):
             continue
         # the slots of application m + n + 1 repeat those of m + n
-        cur, slots = staircase_point(m, n).coords, []
+        xs, slots = list(staircase_point(m, n).coords), []
         for _ in range(m + n + 1):
-            cur, traced = action._apply_traced(cur, near.letters, m, n)
-            slots.append(traced)
+            slots.append(action._act_traced(xs, near.letters, m))
         outcome, iterations = _assert_matches_plain(near)
         if slots[-1] != slots[-2] or not isinstance(outcome, Diverged):
             continue
@@ -974,7 +983,7 @@ def test_each_exit_of_the_plain_phase(monkeypatch):
     expected = [_run(_plain_orbit, u, start=s) for u, s in fixed]
     expected += [_run(_plain_orbit, u, escape_bound=b) for u, b, _ in escapes]
     expected.append(_run(_plain_orbit, cycle[0], start=cycle[1]))
-    monkeypatch.setattr(action, "_apply_traced", _refuse("_apply_traced"))
+    monkeypatch.setattr(action, "_act_traced", _refuse("_act_traced"))
     monkeypatch.setattr(action, "_Piece", _refuse("_Piece"))
     got = [_run(find_fixed_point, u, start=s) for u, s in fixed]
     for u, bound, k in escapes:
@@ -990,12 +999,12 @@ def test_each_exit_of_the_plain_phase(monkeypatch):
 
 
 def test_tortoise_placed_in_the_plain_phase_meets_the_hare_after_it(monkeypatch):
-    # the tortoise is copied in the plain phase's in-place frame and handed
-    # to the traced phase, where it meets the hare: (6,9) 013004313 places
-    # it at application 15 = m + n and closes a 2-cycle at 17; a coprime
+    # the tortoise is copied in the plain phase and meets the hare after
+    # tracing begins, in the same in-place frame: (6,9) 013004313 places it
+    # at application 15 = m + n and closes a 2-cycle at 17; a coprime
     # (13,21) word from a start that repeats a residue places it at 31 and
-    # closes its 13-cycle at 44, three applications into the traced phase
-    # at the hand-off after application 34
+    # closes its 13-cycle at 44, ten applications after the plain phase
+    # ends at application 34
     cases = [
         (w(6, 9, "013004313"), (-18, -11, -11, -4, 15, 17), 15, 2),
         (
@@ -1006,13 +1015,13 @@ def test_tortoise_placed_in_the_plain_phase_meets_the_hare_after_it(monkeypatch)
         ),
     ]
     traced = []
-    apply_traced = action._apply_traced
+    act_traced = action._act_traced
 
     def counted(*args):
         traced.append(args[0])
-        return apply_traced(*args)
+        return act_traced(*args)
 
-    monkeypatch.setattr(action, "_apply_traced", counted)
+    monkeypatch.setattr(action, "_act_traced", counted)
     for word_, coords, placed, period in cases:
         traced.clear()
         start = Point(coords)

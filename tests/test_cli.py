@@ -290,12 +290,31 @@ def test_cli_import_loads_no_verify_suites():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+ORBIT_TRACE = Path(__file__).resolve().parents[1] / "scripts" / "orbit_trace.py"
+
+
 def test_orbit_trace_script_reaches_the_fixed_point():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "orbit_trace.py"
-    proc = _fresh_python(str(script), "--m", "3", "--n", "5", "--word", "10011")
+    proc = _fresh_python(str(ORBIT_TRACE), "--m", "3", "--n", "5", "--word", "10011")
     assert (proc.returncode, proc.stderr) == (0, "")
     last = proc.stdout.splitlines()[-1]
     assert "(-1, 3, 4)" in last and last.endswith("<- fixed")
+
+
+def test_orbit_trace_script_refuses_bad_input_with_exit_2():
+    # 1 would read as a failed verification: a refused word prints the
+    # library's error, and integers follow the CLI's ASCII rule
+    word = ("--m", "3", "--n", "5", "--word")
+    proc = _fresh_python(str(ORBIT_TRACE), *word, "99999")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    for argv in (
+        ("--m", "1_0", "--n", "5", "--word", "10011"),
+        (*word, "10011", "--steps", "0"),
+        (*word, "10011", "--steps", "-3"),
+    ):
+        proc = _fresh_python(str(ORBIT_TRACE), *argv)
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr, argv
 
 
 def test_verify_paper_from_a_cold_start():

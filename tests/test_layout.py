@@ -176,9 +176,27 @@ def test_one_orbit_loop():
     # it applies words with their slots traced, builds affine pieces and
     # walks to a cycle's first repeat, at its one cycle exit; a piece is
     # built in one step
-    for name in ("_apply_traced", "_Piece", "_first_repeat"):
+    for name in ("_act_traced", "_Piece", "_first_repeat"):
         assert _sites(name) == ["action._orbit"], name
     assert not hasattr(ratpark.action._Piece, "_affine")
+    # one loop in one frame: the plain and the traced kernel are called
+    # once each, in the same while loop, and the loop holds the one escape
+    # test, so no second copy of the orbit's tests can come back
+    for name in ("_act", "_act_traced", "_norm"):
+        assert _scopes(_calls(name)).count("action._orbit") == 1, name
+    tree = ast.parse((PACKAGE / "action.py").read_text())
+    (orbit,) = [node for node in tree.body if getattr(node, "name", None) == "_orbit"]
+    loops = [node for node in ast.walk(orbit) if isinstance(node, ast.While)]
+    called = [
+        {
+            node.func.id
+            for statement in loop.body
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        for loop in loops
+    ]
+    assert [names >= {"_act", "_act_traced"} for names in called].count(True) == 1
 
 
 def _exports() -> list[str]:
@@ -243,11 +261,11 @@ def test_one_sorted_minima_step():
 
 def test_one_insertion_per_letter():
     # the plain in-place kernel puts each moved value back with one
-    # insort_left; only the traced kernel, which records the slot, bisects
-    # and inserts
+    # insort_left; only the traced in-place kernel, which records the slot,
+    # bisects and inserts
     assert _sites("insort_left") == ["action._act"]
     in_action = [s for s in _sites("bisect_left") if s.startswith("action.")]
-    assert in_action == ["action._apply_traced"]
+    assert in_action == ["action._act_traced"]
 
 
 def test_sommers_routes_read_positions_off_one_table():
