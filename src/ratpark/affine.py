@@ -29,6 +29,8 @@ from .filters import (
     Filter,
     _balancing_shift,
     _dyck_classes,
+    _letter_starts,
+    _next_levels,
     area_letters,
     column_minima,
     filter_from_column_minima,
@@ -199,20 +201,19 @@ def enumerate_sommers(m: int, n: int) -> Iterator[AffinePermutation]:
     Generated through the balanced tuples of the parking words, so the
     stream has ``m**(n-1)`` entries, in lexicographic area-word order: the
     window of ``u`` is ``tuple_to_window(tuple_from_area_word(u))``.  The
-    balanced filter and shifted area groups of each Dyck class are built
+    balanced filter and shifted letter starts of each Dyck class are built
     once, from :func:`ratpark.filters._dyck_classes`, into a dict keyed by
-    the class's sorted letters; the parking words then look up their class.
+    the class's sorted letters; a parking word takes its levels from them.
     Each window is the removals of one checked balanced ``FilterTuple``;
     removability is invariant under translation, so no parking tuple is built.
     """
-    classes: dict[tuple[int, ...], tuple[Filter, dict[int, list[int]]]] = {}
-    for letters, d, groups in _dyck_classes(m, n):
+    classes: dict[tuple[int, ...], tuple[Filter, list[int]]] = {}
+    for letters, d, _ in _dyck_classes(m, n):
         b, shift = to_balanced(d), _balancing_shift(d)
-        classes[letters] = b, {a: [v + shift for v in g] for a, g in groups.items()}
+        classes[letters] = b, [v + shift for v in _letter_starts(letters, m, n)]
     for u in enumerate_words(m, n, "parking"):
-        b, groups = classes[tuple(sorted(u.letters))]
-        levels = {a: iter(g) for a, g in groups.items()}
-        removals = tuple([next(levels[a]) for a in u.letters])
+        b, starts = classes[tuple(sorted(u.letters))]
+        removals = tuple(_next_levels(u.letters, starts.copy(), m))
         yield AffinePermutation._of(FilterTuple(b, removals).removals)
 
 

@@ -53,7 +53,7 @@ class Filter(_Record):
     :func:`to_balanced`, :func:`ratpark.tuples.translate`), a filter less a
     level checked to be removable (:func:`remove`, ``FilterTuple.stages``),
     the m<->n mirror, whose row minima are the column minima (:func:`mn_swap`),
-    and Dyck paths: a sorted parking word's (:func:`_dyck_filter`) and a
+    and Dyck paths: a parking word's (:func:`_dyck_filter`) and a
     walk's that never dips below level 0 (:func:`_walk_filter`).
     Both constructors store ``by_residue``, the row minima by residue mod
     m, in a slot outside ``_fields``, so equality, hash and ``repr`` never
@@ -107,28 +107,34 @@ class Filter(_Record):
 
 
 def _class_minima(table: Sequence[int], step: int, modulus: int) -> tuple[int, ...]:
-    """Least level ``v + k*step`` (``k >= 0``) in each class mod ``modulus``, sorted.
+    """Least level in each class mod ``modulus``, sorted, by one boundary walk.
 
-    ``table`` holds the minima of a filter's classes mod ``step`` by residue,
-    and ``step`` is coprime to ``modulus``.  A level v is a class minimum iff
-    ``v - modulus`` is not in the filter, so start ``a`` contributes
-    ``a, a+step, ...`` strictly below ``b + modulus``, where ``b`` is the
-    start of class ``(a - modulus) mod step``.  Raw starts that are no such
-    minima are cut off once more than ``modulus`` levels turn up.
+    ``table`` holds a filter's class minima mod ``step`` by residue, and
+    ``step`` is coprime to ``modulus``.  From the least level the walk goes
+    up by ``modulus`` from a level the table holds, else down by ``step``,
+    recording each level it reaches going down: rows to columns, m steps up
+    and n down (:func:`dyck_filter_to_path`); columns to rows, n up and m
+    down.  Closure: back at its start after ``step + modulus`` steps, it
+    went up ``step`` times, from every level of the table (coprime sizes
+    allow no shorter period), each time to or above its class minimum, else
+    it would go down in that class for good.  So only an up-closed table, a
+    filter's, closes the walk; any other raises InternalInconsistency.
     """
+    lvl = start = min(table)
     out = []
-    for a in table:
-        out += range(a, table[(a - modulus) % step] + modulus, step)[: modulus + 1]
-        if len(out) > modulus:
-            raise InternalInconsistency(f"{table}: over {modulus} class minima")
+    for _ in range(step + modulus):
+        if table[lvl % step] == lvl:
+            lvl += modulus
+        else:
+            lvl -= step
+            out.append(lvl)
+    if lvl != start:
+        raise InternalInconsistency(f"{table}: the boundary walk does not close")
     return tuple(sorted(out))
 
 
 def column_minima(f: Filter) -> tuple[int, ...]:
-    """Least filter level in each residue class mod n, sorted.
-
-    Row r holds the levels ``min_r + k*m``.
-    """
+    """Least filter level in each residue class mod n, sorted."""
     return _class_minima(f.by_residue, f.m, f.n)
 
 
@@ -223,9 +229,8 @@ def filter_from_column_minima(m: int, n: int, cols: Sequence[int]) -> Filter:
     """Build the filter generated upward by one level per column.
 
     Every filter level sits above its column minimum, so the up-closure of
-    the column minima recovers the whole filter; column v holds the levels
-    ``v + k*n``, and the row minima are the least of them in each class
-    mod m (the m<->n mirror of :func:`column_minima`).
+    the column minima recovers the whole filter, and its row minima are
+    their class minima mod m (the m<->n mirror of :func:`column_minima`).
 
     ``cols`` are raw levels, so the result is validated and its column
     minima rechecked.
@@ -271,33 +276,43 @@ def dyck_word(f: Filter) -> Word:
     return _derived_word(f.m, f.n, tuple(sorted(letters)), "dyck word")
 
 
-def _dyck_filter(letters: Sequence[int], m: int, n: int) -> Filter:
-    """The Dyck filter whose boundary path has the sorted column lengths
-    ``letters``.  Unchecked: ``letters`` must be a sorted parking word of
-    coprime sizes, as every caller has checked or enumerated.
+def _letter_starts(letters: Iterable[int], m: int, n: int) -> list[int]:
+    """``m * #{k : c_k < c} - n * c`` for ``c`` in ``0..m``, counted from the
+    histogram of the column lengths ``letters``, in any order.  Sorted, the
+    k-th ends its west step at level ``(k - n)*m + (m - c_k)*n``: start c is
+    the least column minimum of area letter c, the others rising by m.
+    Starts 1 to m are the row minima: the north step at height ``m - c``
+    starts west of the ``#{k : c_k >= c}`` west steps below it."""
+    starts = [0] * (m + 1)
+    for c in letters:
+        starts[c + 1] += 1
+    k = 0
+    for c in range(m + 1):
+        k += starts[c]
+        starts[c] = m * k - n * c
+    return starts
 
-    From (0,0) the west steps come in falling column length (see
-    :func:`_column_groups`).  The north step at height ``h`` starts at a
-    row minimum, west of the ``#{k : c_k >= m - h}`` west steps at heights
-    up to ``h``, so at level ``h*n - m * #{k : c_k >= m - h}``: a bisection
-    of ``letters``, no table.
-    """
-    rows = [h * n - m * (n - bisect_left(letters, m - h)) for h in range(m)]
-    return Filter._of(m, n, sorted(rows))
+
+def _next_levels(letters: Iterable[int], starts: list[int], m: int) -> list[int]:
+    """Each letter ``c`` in turn takes ``starts[c]``, which then rises by m in place."""
+    out = []
+    for c in letters:
+        out.append(starts[c])
+        starts[c] += m
+    return out
+
+
+def _dyck_filter(letters: Iterable[int], m: int, n: int) -> Filter:
+    """The Dyck filter of the parking word ``letters``, unchecked (every
+    caller checked or enumerated it): starts 1 to m of :func:`_letter_starts`."""
+    return Filter._of(m, n, sorted(_letter_starts(letters, m, n)[1:]))
 
 
 def _column_groups(letters: Sequence[int], m: int, n: int) -> dict[int, list[int]]:
-    """The column minima of the Dyck filter of the sorted column lengths
-    ``letters`` (:func:`_dyck_filter`), grouped by column length (the area
-    letter), each group increasing.
-
-    From (0,0) the west steps come in falling column length, so sorted
-    letter ``k`` ends its west step at ``x = k - n``, height ``m - c_k``:
-    its column minimum, of area letter ``c_k`` as the least is 0 (``k = 0``).
-    """
+    """Column minima of the Dyck filter of sorted ``letters`` by area letter."""
     groups: dict[int, list[int]] = {}
-    for k, c in enumerate(letters):
-        groups.setdefault(c, []).append((k - n) * m + (m - c) * n)
+    for c, v in zip(letters, _next_levels(letters, _letter_starts(letters, m, n), m)):
+        groups.setdefault(c, []).append(v)
     return groups
 
 

@@ -37,9 +37,10 @@ from .filters import (
     Filter,
     _dyck_classes,
     _balancing_shift,
-    _column_groups,
     _dyck_filter,
+    _letter_starts,
     _lift_minimum,
+    _next_levels,
     _removable,
     after_removal,
     area_letters,
@@ -138,16 +139,14 @@ def area_word(t: FilterTuple) -> Word:
 def tuple_from_area_word(w: Word) -> FilterTuple:
     """The unique parking tuple whose area word is ``w``.
 
-    The sorted word gives the underlying Dyck filter; each letter then
-    picks the residue class of its removed level (levels sharing a class
-    are consumed in increasing order).
+    The letters give the underlying Dyck filter; the j-th letter c then
+    removes the j-th column minimum of area letter c, counted from the
+    letters' histogram (:func:`ratpark.filters._letter_starts`).
     """
     _require_parking(w, "area-word tuples")
-    letters = sorted(w.letters)
-    d = _dyck_filter(letters, w.m, w.n)
-    groups = _column_groups(letters, w.m, w.n)
-    levels = {letter: iter(group) for letter, group in groups.items()}
-    return FilterTuple(d, tuple(next(levels[letter]) for letter in w.letters))
+    m, n = w.m, w.n
+    removals = _next_levels(w.letters, _letter_starts(w.letters, m, n), m)
+    return FilterTuple(_dyck_filter(w.letters, m, n), tuple(removals))
 
 
 def dyck_embedding(d: Filter) -> FilterTuple:
@@ -186,7 +185,7 @@ def tuple_from_rank_word(w: Word) -> FilterTuple:
     """
     _require_parking(w, "rank-word inversion")
     m, n = w.m, w.n
-    initial = _fixed_filter(w, _dyck_filter(sorted(w.letters), m, n))
+    initial = _fixed_filter(w, _dyck_filter(w.letters, m, n))
     removals, final = _rank_removals(initial, w.letters)
     # each removal lifts one minimum by m, so only n of them reach the sum
     # of the initial minima shifted by n: a replay that stopped early fails

@@ -2,7 +2,7 @@ import random
 import sys
 import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd
 
 import pytest
@@ -338,7 +338,8 @@ def test_per_word_routes_never_enumerate_classes(monkeypatch):
 
 
 def _walking_class_minima(starts, step, modulus):
-    """The O(len(starts) * modulus) walk the counting rule replaced."""
+    """The O(len(starts) * modulus) scan of each start's first ``modulus``
+    levels, the reference for the boundary walk of ``_class_minima``."""
     best = [None] * modulus
     for v in starts:
         for lvl in range(v, v + modulus * step, step):
@@ -348,24 +349,66 @@ def _walking_class_minima(starts, step, modulus):
     return tuple(sorted(best))
 
 
-def test_counting_class_minima_matches_the_walk():
-    def check(f):
-        cols = column_minima(f)
-        assert cols == _walking_class_minima(f.row_minima, f.m, f.n)
-        # the m<->n mirror recovers the row minima from the column minima
-        assert _class_minima(_residue_table(cols, f.n), f.n, f.m) == f.row_minima
-        assert _walking_class_minima(cols, f.n, f.m) == f.row_minima
+def _check_boundary_walk(f):
+    cols = column_minima(f)
+    assert cols == _walking_class_minima(f.row_minima, f.m, f.n)
+    # the m<->n mirror recovers the row minima from the column minima
+    assert _class_minima(_residue_table(cols, f.n), f.n, f.m) == f.row_minima
+    assert _walking_class_minima(cols, f.n, f.m) == f.row_minima
 
-    for m, n in ((3, 4), (4, 7), (5, 3), (5, 8), (7, 4)):
-        for b in enumerate_balanced(m, n):
-            check(b)
+
+def _check_boundary_walk_on_balanced_filters(most_m, most_n, translates):
+    seen = 0
+    for m in range(1, most_m + 1):
+        for n in range(1, most_n + 1):
+            if gcd(m, n) != 1:
+                continue
+            for b in enumerate_balanced(m, n):
+                _check_boundary_walk(b)
+                if translates:
+                    low = Filter(m, n, [v - m - n for v in b.row_minima])
+                    _check_boundary_walk(to_dyck(b))
+                    _check_boundary_walk(low)
+                seen += 1
+    return seen
+
+
+def test_boundary_walk_matches_the_class_scan():
+    # every balanced filter, its Dyck translate and one with negative levels
+    assert _check_boundary_walk_on_balanced_filters(9, 11, translates=True) == 27_731
     # 200 seeded filters at (50,77): a balanced Dyck filter and a tuple stage
     rng = random.Random(8)
     for _ in range(100):
         w = _random_parking_word(rng, 50, 77)
         dyck = filter_from_dyck_word(Word(50, 77, tuple(sorted(w.letters))))
-        check(to_balanced(dyck))
-        check(rng.choice(list(tuple_from_area_word(w).stages())))
+        _check_boundary_walk(to_balanced(dyck))
+        _check_boundary_walk(rng.choice(list(tuple_from_area_word(w).stages())))
+
+
+@pytest.mark.slow
+def test_boundary_walk_matches_the_class_scan_at_larger_sizes():
+    assert _check_boundary_walk_on_balanced_filters(12, 12, translates=False) == 206_227
+
+
+def test_boundary_walk_closes_only_on_a_filter():
+    # a table that is not up-closed sends the walk down one class for good
+    with pytest.raises(InternalInconsistency, match="does not close"):
+        _class_minima((0, 7, 2), 3, 4)  # 0 + 4 lies below row minimum 7
+    # every residue table in a box: the walk closes exactly on the tables
+    # that Filter accepts, in both directions
+    for step, modulus in ((3, 4), (4, 3), (2, 5), (5, 2), (4, 5)):
+        closed = 0
+        for shifts in product(range(-2, 3), repeat=step):
+            table = tuple(r + step * k for r, k in enumerate(shifts))
+            try:
+                want = column_minima(Filter(step, modulus, table))
+            except InternalInconsistency:
+                with pytest.raises(InternalInconsistency):
+                    _class_minima(table, step, modulus)
+            else:
+                assert _class_minima(table, step, modulus) == want
+                closed += 1
+        assert 0 < closed < 5**step
 
 
 def test_far_off_levels_cost_little():

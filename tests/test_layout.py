@@ -296,6 +296,19 @@ def test_column_minima_only_where_the_columns_are_unknown():
     ]
 
 
+def test_one_dyck_filter_rule():
+    # a Dyck filter's rows and column minima come from one histogram rule,
+    # filters._letter_starts, and only the Dyck-class builder groups the
+    # columns by area letter
+    assert _scopes(_calls("_column_groups")) == ["filters._dyck_classes"]
+    assert sorted(_scopes(_calls("_letter_starts"))) == [
+        "affine.enumerate_sommers",
+        "filters._column_groups",
+        "filters._dyck_filter",
+        "tuples.tuple_from_area_word",
+    ]
+
+
 def _raises(name: str):
     return lambda node: isinstance(node, ast.Raise) and _calls(name)(node.exc)
 

@@ -577,7 +577,12 @@ def _check_kernels(word_):
     want_rows, want_groups = _reference_dyck_filter(letters, m, n)
     assert d.row_minima == want_rows, word_
     assert list(groups.items()) == list(want_groups.items()), word_
+    # the letters in word order give the same filter as sorted ones
+    assert _dyck_filter(word_.letters, m, n) == d, word_
+    # each letter removes the next level of its group, groups taken in order
     t = tuple_from_area_word(word_)
+    levels = {c: iter(group) for c, group in want_groups.items()}
+    assert t.removals == tuple(next(levels[c]) for c in word_.letters), word_
     ranks = rank_word(t).letters
     assert ranks == _reference_rank_word(t), word_
     removals, final = tuples._rank_removals(t.initial, ranks)
