@@ -29,7 +29,6 @@ from .filters import (
     Filter,
     _balancing_shift,
     _dyck_classes,
-    _letter_starts,
     _next_levels,
     area_letters,
     column_minima,
@@ -208,9 +207,9 @@ def enumerate_sommers(m: int, n: int) -> Iterator[AffinePermutation]:
     removability is invariant under translation, so no parking tuple is built.
     """
     classes: dict[tuple[int, ...], tuple[Filter, list[int]]] = {}
-    for letters, d, _ in _dyck_classes(m, n):
+    for letters, d, starts in _dyck_classes(m, n):
         b, shift = to_balanced(d), _balancing_shift(d)
-        classes[letters] = b, [v + shift for v in _letter_starts(letters, m, n)]
+        classes[letters] = b, [v + shift for v in starts]
     for u in enumerate_words(m, n, "parking"):
         b, starts = classes[tuple(sorted(u.letters))]
         removals = tuple(_next_levels(u.letters, starts.copy(), m))

@@ -26,7 +26,13 @@ from .errors import (
     _require_ints,
     require_coprime,
 )
-from .words import Word, _derived_word, _require_parking, enumerate_words
+from .words import (
+    Word,
+    _derived_word,
+    _letter_starts,
+    _require_parking,
+    enumerate_words,
+)
 
 
 def level(i: int, j: int, m: int, n: int) -> int:
@@ -53,8 +59,9 @@ class Filter(_Record):
     :func:`to_balanced`, :func:`ratpark.tuples.translate`), a filter less a
     level checked to be removable (:func:`remove`, ``FilterTuple.stages``),
     the m<->n mirror, whose row minima are the column minima (:func:`mn_swap`),
-    and Dyck paths: a parking word's (:func:`_dyck_filter`) and a
-    walk's that never dips below level 0 (:func:`_walk_filter`).
+    and Dyck paths: a parking word's (:func:`_dyck_filter`), and a walk's
+    (:func:`_walk_filter`) or a sweep's (:func:`ratpark.sweep.sweep`)
+    that never dips below level 0.
     Both constructors store ``by_residue``, the row minima by residue mod
     m, in a slot outside ``_fields``, so equality, hash and ``repr`` never
     see it.
@@ -276,23 +283,6 @@ def dyck_word(f: Filter) -> Word:
     return _derived_word(f.m, f.n, tuple(sorted(letters)), "dyck word")
 
 
-def _letter_starts(letters: Iterable[int], m: int, n: int) -> list[int]:
-    """``m * #{k : c_k < c} - n * c`` for ``c`` in ``0..m``, counted from the
-    histogram of the column lengths ``letters``, in any order.  Sorted, the
-    k-th ends its west step at level ``(k - n)*m + (m - c_k)*n``: start c is
-    the least column minimum of area letter c, the others rising by m.
-    Starts 1 to m are the row minima: the north step at height ``m - c``
-    starts west of the ``#{k : c_k >= c}`` west steps below it."""
-    starts = [0] * (m + 1)
-    for c in letters:
-        starts[c + 1] += 1
-    k = 0
-    for c in range(m + 1):
-        k += starts[c]
-        starts[c] = m * k - n * c
-    return starts
-
-
 def _next_levels(letters: Iterable[int], starts: list[int], m: int) -> list[int]:
     """Each letter ``c`` in turn takes ``starts[c]``, which then rises by m in place."""
     out = []
@@ -302,26 +292,31 @@ def _next_levels(letters: Iterable[int], starts: list[int], m: int) -> list[int]
     return out
 
 
-def _dyck_filter(letters: Iterable[int], m: int, n: int) -> Filter:
-    """The Dyck filter of the parking word ``letters``, unchecked (every
-    caller checked or enumerated it): starts 1 to m of :func:`_letter_starts`."""
-    return Filter._of(m, n, sorted(_letter_starts(letters, m, n)[1:]))
+def _dyck_filter(starts: list[int], m: int, n: int) -> Filter:
+    """The Dyck filter of a parking word whose :func:`ratpark.words._letter_starts`
+    are ``starts``: starts 1 to m are its row minima.  One starts pass serves
+    the parking check, the rows and the removals of the word's tuple.
+    Unchecked: every caller checked or enumerated the word."""
+    return Filter._of(m, n, sorted(starts[1:]))
 
 
-def _column_groups(letters: Sequence[int], m: int, n: int) -> dict[int, list[int]]:
-    """Column minima of the Dyck filter of sorted ``letters`` by area letter."""
+def _column_groups(
+    letters: Sequence[int], starts: list[int], m: int
+) -> dict[int, list[int]]:
+    """Column minima of the Dyck filter of sorted ``letters`` by area letter,
+    taken from their ``starts``, which it uses up."""
     groups: dict[int, list[int]] = {}
-    for c, v in zip(letters, _next_levels(letters, _letter_starts(letters, m, n), m)):
+    for c, v in zip(letters, _next_levels(letters, starts, m)):
         groups.setdefault(c, []).append(v)
     return groups
 
 
 def filter_from_dyck_word(w: Word) -> Filter:
     """The Dyck filter whose boundary path has the given column lengths."""
-    _require_parking(w, "filters")
+    starts = _require_parking(w, "filters")
     if any(a > b for a, b in zip(w.letters, w.letters[1:])):
         raise NotDyck(f"{w} is not weakly increasing")
-    return _dyck_filter(w.letters, w.m, w.n)
+    return _dyck_filter(starts, w.m, w.n)
 
 
 def dyck_filter_to_path(f: Filter) -> tuple[str, tuple[int, ...]]:
@@ -354,15 +349,15 @@ def dyck_filter_to_path(f: Filter) -> tuple[str, tuple[int, ...]]:
     return "".join(steps), tuple(levels)
 
 
-def _walk_filter(m: int, n: int, steps: Iterable[int]) -> Filter:
+def _walk_filter(m: int, n: int, steps: Iterable[bool]) -> Filter:
     """The Dyck filter whose boundary walk from level 0 goes north (+n) on
-    each odd entry of ``steps``, west (-m) on each even one; a north step
+    each true entry of ``steps``, west (-m) on each false one; a north step
     starts at a row minimum.  A dip below level 0 raises :class:`NotDyck`.
-    Trusted: ``steps`` has m odd and n even entries; callers check (m, n)."""
+    Trusted: ``steps`` has m true and n false entries; callers check (m, n)."""
     lvl = 0
     rows = []
-    for step in steps:
-        if step & 1:
+    for north in steps:
+        if north:
             rows.append(lvl)
             lvl += n
         else:
@@ -384,9 +379,9 @@ def filter_from_path(m: int, n: int, steps: str) -> Filter:
 
 def _dyck_classes(
     m: int, n: int
-) -> Iterator[tuple[tuple[int, ...], Filter, dict[int, list[int]]]]:
-    """Each Dyck class's sorted letters, Dyck filter and column minima by
-    area letter (see :func:`_column_groups`), in Dyck-word order.
+) -> Iterator[tuple[tuple[int, ...], Filter, list[int]]]:
+    """Each Dyck class's sorted letters, Dyck filter and letter starts (one
+    list per class, the caller's to use up), in Dyck-word order.
 
     The one builder of the classes behind every whole-space path.
     Coprimality is checked once; the enumerated words are sorted parking
@@ -394,8 +389,8 @@ def _dyck_classes(
     """
     require_coprime(m, n, "filters")
     for w in enumerate_words(m, n, "dyck"):
-        letters = w.letters
-        yield letters, _dyck_filter(letters, m, n), _column_groups(letters, m, n)
+        starts = _letter_starts(w.letters, m, n)
+        yield w.letters, _dyck_filter(starts, m, n), starts
 
 
 def enumerate_balanced(m: int, n: int) -> Iterator[Filter]:

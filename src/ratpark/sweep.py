@@ -14,10 +14,11 @@ the fixed point of that word is the original filter, balanced.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .errors import InternalInconsistency, NotDyck
 from .filters import (
     Filter,
-    _walk_filter,
     column_minima,
     dyck_word,
     is_dyck,
@@ -30,26 +31,26 @@ from .words import Word
 def sweep(d: Filter) -> Filter:
     """Reorder the boundary steps of ``d`` by their levels.
 
-    The north steps end at the row minima plus n and the west steps at the
-    column minima, so the levels are sorted without rendering the path:
-    each step is tagged ``2*level + 1`` if north, ``2*level`` if west, and
-    the tags are walked from level 0 in decreasing order, the order of the
-    swept path read from (0, 0).  Its north steps start at its row minima.
+    North steps end at the row minima plus n, west steps at the column
+    minima ``cols``.  Read from (0, 0), the swept path takes the steps in
+    decreasing level order, so with row minima ``v_0 < ... < v_{m-1}`` the
+    north step ending at ``v_a + n`` follows the ``m-1-a`` north steps and
+    the west steps above it: it starts at the swept row minimum
+    ``(m-1-a)*n - m*(n - bisect_right(cols, v_a + n))``.  The swept walk
+    starts and ends at level 0, so if it dips below 0 it climbs back by a
+    north step that starts below 0: it is Dyck exactly when its least row
+    minimum is at least 0.
     """
     if not is_dyck(d):
         raise NotDyck(f"row minima {d.row_minima} have nonzero minimum")
-    cols = column_minima(d)
-    if not {v + d.n for v in d.row_minima}.isdisjoint(cols):
+    m, n = d.m, d.n
+    cols, ends = column_minima(d), [v + n for v in d.row_minima]
+    if not set(ends).isdisjoint(cols):
         raise InternalInconsistency(f"step levels collide on {d.row_minima}")
-    tags = [2 * (v + d.n) + 1 for v in d.row_minima] + [2 * c for c in cols]
-    tags.sort(reverse=True)
-    # a walk at or above level 0 ends on a west step at level 0: it is Dyck
-    try:
-        return _walk_filter(d.m, d.n, tags)
-    except NotDyck as exc:
-        raise InternalInconsistency(
-            f"sweep of {d.row_minima} left the Dyck cone"
-        ) from exc
+    rows = sorted([m * bisect_right(cols, e) - n * a for a, e in enumerate(ends, 1)])
+    if rows[0] < 0:
+        raise InternalInconsistency(f"sweep of {d.row_minima} left the Dyck cone")
+    return Filter._of(m, n, rows)
 
 
 def sweep_column_word(d: Filter) -> Word:

@@ -37,8 +37,8 @@ from .filters import (
     Filter,
     _dyck_classes,
     _balancing_shift,
+    _column_groups,
     _dyck_filter,
-    _letter_starts,
     _lift_minimum,
     _next_levels,
     _removable,
@@ -139,14 +139,14 @@ def area_word(t: FilterTuple) -> Word:
 def tuple_from_area_word(w: Word) -> FilterTuple:
     """The unique parking tuple whose area word is ``w``.
 
-    The letters give the underlying Dyck filter; the j-th letter c then
-    removes the j-th column minimum of area letter c, counted from the
-    letters' histogram (:func:`ratpark.filters._letter_starts`).
+    One starts pass (:func:`ratpark.words._letter_starts`) serves the
+    parking check, the rows and the removals: starts 1 to m are the row
+    minima of the underlying Dyck filter, and the j-th letter c removes
+    the j-th column minimum of area letter c, which rises from start c.
     """
-    _require_parking(w, "area-word tuples")
-    m, n = w.m, w.n
-    removals = _next_levels(w.letters, _letter_starts(w.letters, m, n), m)
-    return FilterTuple(_dyck_filter(w.letters, m, n), tuple(removals))
+    starts = _require_parking(w, "area-word tuples")
+    initial = _dyck_filter(starts, w.m, w.n)
+    return FilterTuple(initial, tuple(_next_levels(w.letters, starts, w.m)))
 
 
 def dyck_embedding(d: Filter) -> FilterTuple:
@@ -183,9 +183,9 @@ def tuple_from_rank_word(w: Word) -> FilterTuple:
     removable (:func:`_rank_removals`), and the last stage is the initial
     filter shifted by n; so the tuple is built unchecked.
     """
-    _require_parking(w, "rank-word inversion")
+    starts = _require_parking(w, "rank-word inversion")
     m, n = w.m, w.n
-    initial = _fixed_filter(w, _dyck_filter(w.letters, m, n))
+    initial = _fixed_filter(w, _dyck_filter(starts, m, n))
     removals, final = _rank_removals(initial, w.letters)
     # each removal lifts one minimum by m, so only n of them reach the sum
     # of the initial minima shifted by n: a replay that stopped early fails
@@ -348,11 +348,12 @@ def qt_table(m: int, n: int, over: str = "parking") -> QTTable:
     require_coprime(m, n, "qt_table")
     ceiling = _statistic_ceiling(m, n)
     counts = [[0] * (ceiling + 1) for _ in range(ceiling + 1)]
-    for letters, d, groups in _dyck_classes(m, n):
+    for letters, d, starts in _dyck_classes(m, n):
         row = counts[ceiling - sum(letters)]
         if over == "dyck":
             row[ceiling - sum(rank_word(dyck_embedding(d)).letters)] += 1
         else:
+            groups = _column_groups(letters, starts, m)
             for rank_sum, k in _class_rank_sums(d, groups).items():
                 row[ceiling - rank_sum] += k
     return QTTable(m, n, over, tuple(tuple(row) for row in counts))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from math import gcd
 
 from .errors import (
@@ -76,11 +76,14 @@ def word(m: int, n: int, letters: Sequence[int]) -> Word:
     return Word(m, n, tuple(letters))
 
 
-def _require_parking(w: Word, what: str) -> None:
-    """Coprime sizes (else :class:`NotCoprime` naming ``what``) and a parking word."""
+def _require_parking(w: Word, what: str) -> list[int]:
+    """Coprime sizes (else :class:`NotCoprime` naming ``what``) and a parking
+    word; returns its :func:`_letter_starts`."""
     require_coprime(w.m, w.n, what)
-    if not is_parking_word(w):
+    starts = _letter_starts(w.letters, w.m, w.n)
+    if min(starts) < 0:
         raise NotAParkingWord(f"{w} is not a parking word")
+    return starts
 
 
 def _derived_word(m: int, n: int, letters: tuple[int, ...], what: str) -> Word:
@@ -102,15 +105,22 @@ def letter_histogram(w: Word) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _letter_starts(letters: Iterable[int], m: int, n: int) -> list[int]:
+    """``m * #{k : c_k < c} - n * c`` for ``c`` in ``0..m``: the parking
+    inequality of the letters, cross-multiplied, from one histogram in any
+    letter order.  Read as a Dyck path's column lengths, start c is the
+    least column minimum of area letter c, the others rising by m, and
+    starts 1 to m are the row minima: the north step at height ``m - c``
+    starts west of the ``#{k : c_k >= c}`` west steps below it."""
+    steps = [-n] * m
+    for c in letters:
+        steps[c] += m
+    return list(itertools.accumulate(steps, initial=0))
+
+
 def is_parking_word(w: Word) -> bool:
     """Check ``m * #{j : w_j < i} >= i * n`` for every ``i`` in ``1..m``."""
-    counts = letter_histogram(w)
-    below = 0
-    for i in range(1, w.m + 1):
-        below += counts[i - 1]
-        if w.m * below < i * w.n:
-            return False
-    return True
+    return min(_letter_starts(w.letters, w.m, w.n)) >= 0
 
 
 def touch_points(w: Word) -> tuple[int, ...]:
@@ -118,16 +128,10 @@ def touch_points(w: Word) -> tuple[int, ...]:
 
     Defined only for parking words; always empty when gcd(m, n) = 1.
     """
-    counts = letter_histogram(w)
-    below = 0
-    touches = []
-    for i in range(1, w.m + 1):
-        below += counts[i - 1]
-        if w.m * below < i * w.n:
-            raise NotAParkingWord(f"touch points undefined for non-parking word {w}")
-        if w.m * below == i * w.n and i < w.m:
-            touches.append(i)
-    return tuple(touches)
+    starts = _letter_starts(w.letters, w.m, w.n)
+    if min(starts) < 0:
+        raise NotAParkingWord(f"touch points undefined for non-parking word {w}")
+    return tuple(i for i in range(1, w.m) if starts[i] == 0)
 
 
 def touch_decomposition(w: Word) -> list[tuple[int, Word]]:

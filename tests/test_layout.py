@@ -108,6 +108,7 @@ TRUSTED_SITES = {
         "filters.mn_swap",
         "filters._dyck_filter",
         "filters._walk_filter",
+        "sweep.sweep",
         "tuples.FilterTuple.stages",
         "tuples.translate",
     },
@@ -272,13 +273,11 @@ def test_sommers_routes_read_positions_off_one_table():
     # membership reads one position table per call; only the Pak-Stanley
     # inversion count still scans the window for each inverse evaluation
     assert _scopes(_calls("value_position")) == ["affine.pak_stanley"]
-    # the sweep walks its sorted step tags, with no step string to parse
+    # the sweep bisects the column minima once per row, with no step string
+    # to parse and no walk: only a path's step string is walked
     for name in ("filter_from_path", "join"):
         assert "sweep.sweep" not in _scopes(_calls(name)), name
-    assert sorted(_scopes(_calls("_walk_filter"))) == [
-        "filters.filter_from_path",
-        "sweep.sweep",
-    ]
+    assert _scopes(_calls("_walk_filter")) == ["filters.filter_from_path"]
 
 
 def test_column_minima_only_where_the_columns_are_unknown():
@@ -297,16 +296,22 @@ def test_column_minima_only_where_the_columns_are_unknown():
 
 
 def test_one_dyck_filter_rule():
-    # a Dyck filter's rows and column minima come from one histogram rule,
-    # filters._letter_starts, and only the Dyck-class builder groups the
-    # columns by area letter
-    assert _scopes(_calls("_column_groups")) == ["filters._dyck_classes"]
+    # the parking inequality is written once, as the letter starts of
+    # words._letter_starts, counted once per word or Dyck class: every
+    # parking test reads them, the precondition hands them on to the Dyck
+    # filter and the removals, and only the whole-space qt_table groups a
+    # class's columns by area letter
+    defined = _scopes(
+        lambda node: isinstance(node, ast.FunctionDef) and node.name == "_letter_starts"
+    )
+    assert defined == ["words._letter_starts"]
     assert sorted(_scopes(_calls("_letter_starts"))) == [
-        "affine.enumerate_sommers",
-        "filters._column_groups",
-        "filters._dyck_filter",
-        "tuples.tuple_from_area_word",
+        "filters._dyck_classes",
+        "words._require_parking",
+        "words.is_parking_word",
+        "words.touch_points",
     ]
+    assert _scopes(_calls("_column_groups")) == ["tuples.qt_table"]
 
 
 def _raises(name: str):

@@ -167,6 +167,22 @@ def test_level_walks_match_the_rendered_path():
         assert sweep(d) == _path_sorting_sweep(d)
 
 
+@pytest.mark.parametrize(
+    "m, n, seed",
+    [(149, 200, 37), pytest.param(300, 401, 38, marks=pytest.mark.slow)],
+)
+def test_level_walks_match_the_rendered_path_at_larger_sizes(m, n, seed):
+    # twenty seeded Dyck filters at sizes beyond the 300 (50,77) filters above
+    rng = random.Random(seed)
+    for _ in range(20):
+        letters = sorted(_random_parking_word(rng, m, n).letters)
+        d = filter_from_dyck_word(Word(m, n, tuple(letters)))
+        steps, levels = dyck_filter_to_path(d)
+        assert (steps, levels) == _heights_path(d)
+        assert filter_from_path(m, n, steps) == _column_path_filter(m, n, steps)
+        assert sweep(d) == _path_sorting_sweep(d)
+
+
 def test_broken_level_sets_are_inconsistencies(monkeypatch):
     d = Filter(3, 4, (0, 2, 4))  # north levels 4, 6, 8; west 0, 2, 3, 5
     # a row set that is no filter leaves the walk short of north levels

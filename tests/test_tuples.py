@@ -54,6 +54,7 @@ from ratpark.filters import (
     after_removal,
     area_letters,
 )
+from ratpark.words import _letter_starts
 from ratpark.reference import (
     QT_4_3_DYCK,
     QT_4_3_PARKING,
@@ -322,13 +323,12 @@ def test_dyck_qt_table_matches_the_embeddings():
 
 
 def test_qt_table_refuses_a_group_out_of_order(monkeypatch):
-    classes = tuples._dyck_classes
+    groups_of = tuples._column_groups
 
-    def reversed_groups(m, n):
-        for letters, d, groups in classes(m, n):
-            yield letters, d, {k: g[::-1] for k, g in groups.items()}
+    def reversed_groups(letters, starts, m):
+        return {k: g[::-1] for k, g in groups_of(letters, starts, m).items()}
 
-    monkeypatch.setattr(tuples, "_dyck_classes", reversed_groups)
+    monkeypatch.setattr(tuples, "_column_groups", reversed_groups)
     with pytest.raises(InternalInconsistency, match="not removable"):
         qt_table(3, 4)
 
@@ -572,13 +572,14 @@ def _reference_dyck_filter(letters, m, n):
 def _check_kernels(word_):
     m, n = word_.m, word_.n
     letters = sorted(word_.letters)
-    d = _dyck_filter(letters, m, n)
-    groups = _column_groups(letters, m, n)
+    starts = _letter_starts(letters, m, n)
+    d = _dyck_filter(starts, m, n)
+    groups = _column_groups(letters, starts, m)
     want_rows, want_groups = _reference_dyck_filter(letters, m, n)
     assert d.row_minima == want_rows, word_
     assert list(groups.items()) == list(want_groups.items()), word_
-    # the letters in word order give the same filter as sorted ones
-    assert _dyck_filter(word_.letters, m, n) == d, word_
+    # the letters in word order give the same starts as sorted ones
+    assert _letter_starts(word_.letters, m, n) == _letter_starts(letters, m, n), word_
     # each letter removes the next level of its group, groups taken in order
     t = tuple_from_area_word(word_)
     levels = {c: iter(group) for c, group in want_groups.items()}
@@ -617,7 +618,8 @@ def test_dyck_rows_match_the_class_minima_on_every_small_class():
         for n in range(1, 10):
             if gcd(m, n) != 1:
                 continue
-            for letters, d, groups in _dyck_classes(m, n):
+            for letters, d, starts in _dyck_classes(m, n):
+                groups = _column_groups(letters, starts, m)
                 want_rows, want_groups = _reference_dyck_filter(letters, m, n)
                 assert (d.row_minima, groups) == (want_rows, want_groups), letters
                 seen += 1
@@ -640,7 +642,8 @@ def test_dyck_class_groups_match_the_row_minima():
         for n in range(1, 10):
             if gcd(m, n) != 1 or m ** (n - 1) > 20_000:
                 continue
-            for _, d, groups in _dyck_classes(m, n):
+            for letters, d, starts in _dyck_classes(m, n):
+                groups = _column_groups(letters, starts, m)
                 assert groups == _reference_area_groups(d)
                 assert all(g == sorted(g) for g in groups.values())
                 seen += 1

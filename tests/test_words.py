@@ -8,6 +8,7 @@ from ratpark import (
     Classification,
     LetterOutOfRange,
     NotAParkingWord,
+    NotCoprime,
     Word,
     classify,
     enumerate_words,
@@ -17,6 +18,7 @@ from ratpark import (
     touch_points,
 )
 from ratpark.reference import PARKING_WORDS_4_3, PARKING_WORDS_5_3
+from ratpark.words import _require_parking
 
 
 def w(m, n, text):
@@ -161,3 +163,38 @@ def test_enumerated_words_equal_checked_words():
             for kind in ("all", "parking", "dyck"):
                 for x in enumerate_words(m, n, kind):
                     assert x == Word(m, n, x.letters), (kind, x)
+
+
+def test_one_parking_inequality_on_every_small_word():
+    # is_parking_word, touch_points and the precondition's starts all read
+    # the cross-multiplied definition m * #{w_j < i} >= i * n, on every word
+    # at every m, n <= 6, coprime or not
+    seen = 0
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for letters in itertools.product(range(m), repeat=n):
+                word_ = Word(m, n, letters)
+                slack = [m * sum(c < i for c in letters) - i * n for i in range(m + 1)]
+                parking = min(slack) >= 0
+                assert is_parking_word(word_) is parking, word_
+                if parking:
+                    touches = tuple(i for i in range(1, m) if slack[i] == 0)
+                    assert touch_points(word_) == touches, word_
+                else:
+                    with pytest.raises(NotAParkingWord) as info:
+                        touch_points(word_)
+                    message = f"touch points undefined for non-parking word {word_}"
+                    assert str(info.value) == message
+                if gcd(m, n) != 1:
+                    with pytest.raises(NotCoprime) as info:
+                        _require_parking(word_, "tests")
+                    message = f"tests: (m, n) must be coprime, got ({m}, {n})"
+                    assert str(info.value) == message
+                elif parking:
+                    assert _require_parking(word_, "tests") == slack, word_
+                else:
+                    with pytest.raises(NotAParkingWord) as info:
+                        _require_parking(word_, "tests")
+                    assert str(info.value) == f"{word_} is not a parking word"
+                seen += 1
+    assert seen == sum(m**n for m in range(1, 7) for n in range(1, 7))
