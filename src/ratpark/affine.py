@@ -156,7 +156,7 @@ def window_to_tuple(w: AffinePermutation, m: int) -> FilterTuple:
     """Replay the window as removals from the balanced filter it sorts to."""
     require_coprime(m, w.n, "window tuples")
     try:
-        initial = filter_from_column_minima(m, w.n, tuple(sorted(w.window)))
+        initial = filter_from_column_minima(m, w.n, w.window)
         return FilterTuple(initial, w.window)
     except RatparkError as exc:
         raise NotInSommers(

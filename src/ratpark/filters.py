@@ -53,9 +53,10 @@ class Filter(_Record):
 
     ``Filter(m, n, minima)`` validates: coprime sizes, one integer minimum
     per residue class mod m, up-closed under ``+n``.  Every filter built
-    from outside data goes through it, the solver's fixed point included
-    (:func:`ratpark.tuples._fixed_filter`).  The trusted :meth:`_of` builds
-    what the theory makes a filter: translates (:func:`to_dyck`,
+    from outside data goes through it: the solver's fixed point
+    (:func:`ratpark.tuples._fixed_filter`), and column minima as the m<->n
+    mirror (:func:`filter_from_column_minima`).  The trusted :meth:`_of`
+    builds what the theory makes a filter: translates (:func:`to_dyck`,
     :func:`to_balanced`, :func:`ratpark.tuples.translate`), a filter less a
     level checked to be removable (:func:`remove`, ``FilterTuple.stages``),
     the m<->n mirror, whose row minima are the column minima (:func:`mn_swap`),
@@ -235,26 +236,15 @@ def mn_swap(f: Filter) -> Filter:
 def filter_from_column_minima(m: int, n: int, cols: Sequence[int]) -> Filter:
     """Build the filter generated upward by one level per column.
 
-    Every filter level sits above its column minimum, so the up-closure of
-    the column minima recovers the whole filter, and its row minima are
-    their class minima mod m (the m<->n mirror of :func:`column_minima`).
-
-    ``cols`` are raw levels, so the result is validated and its column
-    minima rechecked.
+    A filter's column minima are the row minima of its m<->n mirror
+    (Gorsky, Mazin and Vazirani), so ``cols`` are validated once, as the
+    mirror ``Filter(n, m, cols)`` (integers, one per residue class mod n,
+    up-closed under ``+m``), and the mirror's column minima, one walk, are
+    the row minima.  Coprimality is checked first, so :class:`NotCoprime`
+    names the pair in the caller's order.
     """
     require_coprime(m, n, "filters")
-    cols = tuple(cols)
-    table = _residue_table(cols, n)
-    if len(cols) != n or None in table:
-        raise InternalInconsistency(
-            f"expected one column minimum per residue class mod {n}, got {cols}"
-        )
-    f = Filter(m, n, _class_minima(table, n, m))
-    if column_minima(f) != tuple(sorted(cols)):
-        raise InternalInconsistency(
-            f"levels {sorted(cols)} are not the column minima of a filter"
-        )
-    return f
+    return mn_swap(Filter(n, m, cols))
 
 
 def generator_filter(m: int, n: int) -> Filter:

@@ -31,7 +31,7 @@ def word_to_json(w: Word) -> dict:
     return {"m": w.m, "n": w.n, "letters": list(w.letters)}
 
 
-def word_from_text(text: str, m: int, n: int | None = None) -> Word:
+def word_from_text(text: str, m: int, n: int) -> Word:
     """Parse a compact ASCII digit string (m <= 10 only) or comma-joined letters."""
     text = text.strip()
     if "," in text or "-" in text:
@@ -45,7 +45,7 @@ def word_from_text(text: str, m: int, n: int | None = None) -> Word:
             raise SchemaViolation("word", f"bad digit string {text!r}")
         letters = tuple(int(ch) for ch in text)
     try:
-        return Word(m, n if n is not None else len(letters), letters)
+        return Word(m, n, letters)
     except RatparkError as exc:
         raise SchemaViolation("word", str(exc)) from exc
 

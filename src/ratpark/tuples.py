@@ -61,8 +61,10 @@ class FilterTuple(_Record):
     the last stage must be the initial filter shifted by n (else
     :class:`InternalInconsistency`), without building the n intermediate
     filters.  So :meth:`stages` builds each by the trusted ``Filter._of``.
-    The trusted :meth:`_of` builds the one tuple whose removals a replay
-    has checked the same way (:func:`tuple_from_rank_word`).
+    The trusted :meth:`_of` builds the tuple whose removals a replay has
+    checked the same way (:func:`tuple_from_rank_word`), and the translate
+    of a tuple (:func:`translate`): removability and the final stage do
+    not change when every level is shifted alike.
     """
 
     __slots__ = _fields = ("initial", "removals")
@@ -120,9 +122,10 @@ class FilterTuple(_Record):
 
 
 def translate(t: FilterTuple, shift: int) -> FilterTuple:
-    return FilterTuple(
+    """Shift every level of the checked tuple ``t`` by ``shift``, unchecked."""
+    return FilterTuple._of(
         Filter._of(t.m, t.n, [v + shift for v in t.initial.row_minima]),
-        tuple(v + shift for v in t.removals),
+        tuple([v + shift for v in t.removals]),
     )
 
 
@@ -179,17 +182,13 @@ def tuple_from_rank_word(w: Word) -> FilterTuple:
     which usually lies far closer to the fixed point than the staircase; a
     balanced start can only shorten the orbit (see
     :func:`ratpark.action.find_fixed_point`).  The replay walks the
-    removals once and checks them as ``FilterTuple`` does: each level is
-    removable (:func:`_rank_removals`), and the last stage is the initial
-    filter shifted by n; so the tuple is built unchecked.
+    removals once and checks them as ``FilterTuple`` does
+    (:func:`_rank_removals`), so the tuple is built unchecked.
     """
     starts = _require_parking(w, "rank-word inversion")
-    m, n = w.m, w.n
-    initial = _fixed_filter(w, _dyck_filter(starts, m, n))
-    removals, final = _rank_removals(initial, w.letters)
-    # each removal lifts one minimum by m, so only n of them reach the sum
-    # of the initial minima shifted by n: a replay that stopped early fails
-    if final != [v + n for v in initial.row_minima]:
+    initial = _fixed_filter(w, _dyck_filter(starts, w.m, w.n))
+    removals = _rank_removals(initial, w.letters)
+    if removals is None:
         raise InternalInconsistency(
             f"rank word {w} does not replay from its fixed point {initial.row_minima}"
         )
@@ -217,21 +216,27 @@ def _fixed_filter(w: Word, start: Filter) -> Filter:
 
 def _rank_removals(
     initial: Filter, letters: tuple[int, ...]
-) -> tuple[tuple[int, ...], list[int]]:
-    """The levels removed by replaying ``letters`` as ranks from ``initial``,
-    and the sorted row minima after them: each is the current row minimum
-    of the letter's rank.  The replay stops before the first level
-    :func:`ratpark.filters._removable` refuses."""
+) -> tuple[int, ...] | None:
+    """The levels removed by replaying the n ``letters`` as ranks from
+    ``initial`` (each is the current row minimum of the letter's rank), if
+    the replay lands, else None.
+
+    It lands when :func:`ratpark.filters._removable` accepts every level
+    and the last stage is the initial filter shifted by n: all that
+    ``FilterTuple`` checks of these removals.
+    """
     m, n = initial.m, initial.n
     table, minima, removals = list(initial.by_residue), list(initial.row_minima), []
     for letter in letters:
         v = minima[letter]
         if not _removable(table, v, m, n):
-            break
+            return None
         table[v % m] = v + m
         removals.append(v)
         _lift_minimum(minima, letter, m)
-    return tuple(removals), minima
+    if minima != [v + n for v in initial.row_minima]:
+        return None
+    return tuple(removals)
 
 
 def fixed_point_oracle(w: Word) -> action.Point:
@@ -239,26 +244,19 @@ def fixed_point_oracle(w: Word) -> action.Point:
 
     Replays ``w`` as ranks from every balanced filter ``b``
     (:func:`_rank_removals`, the replay of :func:`tuple_from_rank_word`)
-    and keeps ``b`` when ``FilterTuple`` accepts the removals.  The rank
-    word is a bijection from balanced tuples to parking words, so exactly
-    one ``b`` replays; its row minima are the fixed point.  Only
-    candidates that remove all n levels reach ``FilterTuple``, and none or
-    two replaying raise :class:`InternalInconsistency`.  The
-    cost is at most O(n·m) per class over the
-    ``binomial(m+n, n)/(m+n)`` balanced filters; neither the word action
-    nor the solver is used.
+    and keeps ``b`` when the replay lands.  The rank word is a bijection
+    from balanced tuples to parking words, so exactly one ``b`` lands; its
+    row minima are the fixed point.  None or two landing raise
+    :class:`InternalInconsistency`.  The cost is at most O(n·m) per class
+    over the ``binomial(m+n, n)/(m+n)`` balanced filters; neither the word
+    action nor the solver is used.
     """
     _require_parking(w, "the fixed-point oracle")
-    replayed = []
-    for b in enumerate_balanced(w.m, w.n):
-        removals, _ = _rank_removals(b, w.letters)
-        if len(removals) < w.n:
-            continue
-        try:
-            FilterTuple(b, removals)
-        except InternalInconsistency:
-            continue
-        replayed.append(b)
+    replayed = [
+        b
+        for b in enumerate_balanced(w.m, w.n)
+        if _rank_removals(b, w.letters) is not None
+    ]
     if len(replayed) != 1:
         raise InternalInconsistency(
             f"{len(replayed)} balanced tuples have rank word {w}"

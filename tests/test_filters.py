@@ -395,7 +395,8 @@ def test_boundary_walk_closes_only_on_a_filter():
     with pytest.raises(InternalInconsistency, match="does not close"):
         _class_minima((0, 7, 2), 3, 4)  # 0 + 4 lies below row minimum 7
     # every residue table in a box: the walk closes exactly on the tables
-    # that Filter accepts, in both directions
+    # that Filter accepts, in both directions, and exactly there the table,
+    # read as column minima, builds the filter with those column minima
     for step, modulus in ((3, 4), (4, 3), (2, 5), (5, 2), (4, 5)):
         closed = 0
         for shifts in product(range(-2, 3), repeat=step):
@@ -405,8 +406,13 @@ def test_boundary_walk_closes_only_on_a_filter():
             except InternalInconsistency:
                 with pytest.raises(InternalInconsistency):
                     _class_minima(table, step, modulus)
+                with pytest.raises(InternalInconsistency):
+                    filter_from_column_minima(modulus, step, table)
             else:
                 assert _class_minima(table, step, modulus) == want
+                f = filter_from_column_minima(modulus, step, table)
+                assert f.row_minima == want
+                assert column_minima(f) == tuple(sorted(table))
                 closed += 1
         assert 0 < closed < 5**step
 

@@ -121,7 +121,7 @@ TRUSTED_SITES = {
         "tuples.fixed_point_oracle",
     },
     "AffinePermutation": {"affine.tuple_to_window", "affine.enumerate_sommers"},
-    "FilterTuple": {"tuples.tuple_from_rank_word"},
+    "FilterTuple": {"tuples.tuple_from_rank_word", "tuples.translate"},
 }
 
 
@@ -170,6 +170,12 @@ def test_trusted_filter_constructor_stays_at_its_sites():
     for name, sites in TRUSTED_SITES.items():
         assert set(_scopes(_trusted(name))) == sites, name
     assert set(_sites("_of")) == set().union(*TRUSTED_SITES.values())
+
+
+def test_fixed_point_oracle_builds_no_tuple():
+    # the oracle keeps the balanced filters whose rank replay lands, the
+    # replay's one verdict, with no tuple built to check them a second time
+    assert "tuples.fixed_point_oracle" not in _sites("FilterTuple")
 
 
 def test_one_orbit_loop():
@@ -227,14 +233,13 @@ def test_exports_are_the_supported_surface():
 
 def test_one_residue_table():
     # a filter's row minima by residue are built by one helper, for the
-    # filter's own table, which both constructors store outside the fields,
-    # and for the column table of the m<->n mirror builder; no per-call
-    # rebuild is left, a Dyck filter's rows are counted from its column
+    # filter's own table, which both constructors store outside the fields;
+    # no per-call rebuild is left, column minima are read in as the table
+    # of the m<->n mirror, a Dyck filter's rows are counted from its column
     # lengths, and a path's rows are read off its walk, with no table
     assert sorted(_sites("_residue_table")) == [
         "filters.Filter.__post_init__",
         "filters.Filter._of",
-        "filters.filter_from_column_minima",
     ]
     assert not hasattr(ratpark.filters, "_by_residue")
     assert ratpark.Filter._fields == ("m", "n", "row_minima")
@@ -288,11 +293,20 @@ def test_column_minima_only_where_the_columns_are_unknown():
     assert sorted(sites) == [
         "affine.filter_to_dominant",
         "filters.dyck_word",
-        "filters.filter_from_column_minima",
         "filters.mn_swap",
         "sweep.sweep",
         "tuples.dyck_embedding",
     ]
+
+
+def test_column_minima_are_read_in_as_the_mirror():
+    # column minima from outside are validated once, as the row minima of
+    # the m<->n mirror, and the mirror's columns are the one walk back: the
+    # boundary walk runs only inside column_minima
+    scope = "filters.filter_from_column_minima"
+    assert scope in _scopes(_calls("mn_swap"))
+    assert scope in _scopes(_calls("Filter"))
+    assert _scopes(_calls("_class_minima")) == ["filters.column_minima"]
 
 
 def test_one_dyck_filter_rule():

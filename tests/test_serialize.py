@@ -16,15 +16,15 @@ def test_word_round_trip():
     obj = {"m": 6, "n": 9, "letters": [0, 2, 0, 1, 0, 1, 1, 5, 1]}
     assert ser.word_to_json(w) == obj
     assert _through_json(ser.word_to_json(w)) == obj
-    assert ser.word_from_text("020101151", 6) == w
-    assert ser.word_from_text("0,2,0,1,0,1,1,5,1", 6) == w
+    assert ser.word_from_text("020101151", 6, 9) == w
+    assert ser.word_from_text("0,2,0,1,0,1,1,5,1", 6, 9) == w
 
 
 def test_word_schema_violations():
     with pytest.raises(SchemaViolation):
-        ser.word_from_text("012", 11)
+        ser.word_from_text("012", 11, 3)
     with pytest.raises(SchemaViolation):
-        ser.word_from_text("0x2", 4)
+        ser.word_from_text("0x2", 4, 3)
     # a comma-separated letter is an optional '-' and ASCII digits: int()
     # also reads Arabic-Indic digits, underscores and a '+', and past its
     # digit limit an ASCII entry is refused too

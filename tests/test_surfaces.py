@@ -2,13 +2,16 @@
 
 import copy
 import pickle
+import random
 
 import pytest
 
 from ratpark import (
     Cycle,
+    DimensionMismatch,
     Diverged,
     Filter,
+    FilterTuple,
     InternalInconsistency,
     Point,
     Word,
@@ -21,9 +24,11 @@ from ratpark import (
     is_dyck,
     qt_table,
     tuple_from_area_word,
+    tuple_from_rank_word,
     tuple_to_balanced,
 )
 from ratpark.tuples import translate
+from test_action import _random_parking_word
 
 
 def test_filter_predicates():
@@ -43,6 +48,47 @@ def test_filter_from_column_minima():
     with pytest.raises(InternalInconsistency):
         # full residue system, but 7 is not column-minimal in the closure
         filter_from_column_minima(3, 4, (0, 1, 2, 7))
+    # column minima hold to the integer rule of every value type
+    for cols in ((1.0, 2, 3, 4), (True, 2, 3, 4), (-1, 1, 2, 4.0)):
+        with pytest.raises(DimensionMismatch, match="not all integers"):
+            filter_from_column_minima(3, 4, cols)
+
+
+def _seeded_tuples():
+    """Area- and rank-word tuples of seeded parking words, with a shift each."""
+    rng = random.Random(38)
+    out = []
+    for m, n in ((3, 5), (5, 3), (4, 7), (13, 21)):
+        for _ in range(10):
+            word_ = _random_parking_word(rng, m, n)
+            for t in (tuple_from_area_word(word_), tuple_from_rank_word(word_)):
+                out.append((t, rng.randrange(-50, 51)))
+    return out
+
+
+def test_translates_are_built_unchecked(monkeypatch):
+    # a translate keeps removability and the final stage, so translate and
+    # tuple_to_balanced validate no tuple; each result still passes the
+    # validating constructor, with a valid initial filter
+    corpus = _seeded_tuples()
+    checked = []
+    post_init = FilterTuple.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FilterTuple, "__post_init__", counted)
+    results = [tuple_to_balanced(t) for t, _ in corpus]
+    results += [translate(t, shift) for t, shift in corpus]
+    assert checked == []
+    monkeypatch.undo()
+    assert len(results) == 160
+    for r in results:
+        initial = Filter(r.m, r.n, r.initial.row_minima)
+        assert initial.by_residue == r.initial.by_residue
+        assert r == FilterTuple(initial, r.removals)
+    assert all(is_balanced(r.initial) for r in results[:80])
 
 
 def test_tuple_representative_predicates():

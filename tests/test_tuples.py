@@ -18,6 +18,7 @@ from ratpark import (
     Word,
     anderson,
     anderson_inverse,
+    apply_word,
     area,
     area_word,
     column_minima,
@@ -166,7 +167,10 @@ def test_rank_word_inverse_checks_its_replay(monkeypatch):
         monkeypatch.setattr(tuples, "_fixed_filter", lambda u, start, b=b: b)
         with pytest.raises(InternalInconsistency, match="does not replay"):
             tuple_from_rank_word(word_)
-        full = len(tuples._rank_removals(b, word_.letters)[0]) == 5
+        assert tuples._rank_removals(b, word_.letters) is None
+        removals, final = _reference_rank_removals(b, word_.letters)
+        full = len(removals) == 5
+        assert not full or final != [v + 5 for v in b.row_minima]
         stopped, ended = stopped + (not full), ended + full
     assert (stopped, ended) == (2, 4)
 
@@ -296,20 +300,27 @@ def test_fixed_point_oracle_needs_exactly_one_replay(monkeypatch):
 
 
 def test_fixed_point_oracle_drops_candidates_at_a_refused_level(monkeypatch):
-    # a candidate leaves at its first non-removable level; only the five
-    # of the seven balanced (3,5) filters that replay 10011 to the end
-    # reach FilterTuple, which accepts exactly one of them
-    constructions = []
+    # the replay of each of the seven balanced (3,5) filters gives the one
+    # verdict: exactly one lands for 10011, and no tuple is validated
+    constructions, verdicts = [], {}
     post_init = FilterTuple.__post_init__
+    rank_removals = tuples._rank_removals
 
     def counted(self):
         constructions.append(self.initial.row_minima)
         post_init(self)
 
+    def replay(b, letters):
+        verdicts[b.row_minima] = rank_removals(b, letters)
+        return verdicts[b.row_minima]
+
     monkeypatch.setattr(FilterTuple, "__post_init__", counted)
+    monkeypatch.setattr(tuples, "_rank_removals", replay)
     assert fixed_point_oracle(w(3, 5, "10011")).coords == (-1, 3, 4)
-    assert len(constructions) == 5 < sum(1 for _ in tuples.enumerate_balanced(3, 5))
-    assert (-1, 3, 4) in constructions
+    assert constructions == []
+    assert len(verdicts) == 7 == sum(1 for _ in tuples.enumerate_balanced(3, 5))
+    landed = [b for b, removals in verdicts.items() if removals is not None]
+    assert landed == [(-1, 3, 4)]
 
 
 def test_qt_table_matches_the_enumeration():
@@ -546,7 +557,8 @@ def _reference_rank_word(t):
 
 
 def _reference_rank_removals(initial, letters):
-    """:func:`tuples._rank_removals` with a copy per step."""
+    """The rank replay with a copy per step: the levels removed before the
+    first level that is not removable, and the sorted row minima after them."""
     m, n = initial.m, initial.n
     table, minima, removals = list(initial.by_residue), initial.row_minima, []
     for letter in letters:
@@ -556,7 +568,7 @@ def _reference_rank_removals(initial, letters):
         table[v % m] = v + m
         removals.append(v)
         minima = _copying_removal(minima, v, m)
-    return tuple(removals)
+    return tuple(removals), list(minima)
 
 
 def _reference_dyck_filter(letters, m, n):
@@ -586,14 +598,18 @@ def _check_kernels(word_):
     assert t.removals == tuple(next(levels[c]) for c in word_.letters), word_
     ranks = rank_word(t).letters
     assert ranks == _reference_rank_word(t), word_
-    removals, final = tuples._rank_removals(t.initial, ranks)
-    assert removals == t.removals, word_
-    assert final == [v + n for v in t.initial.row_minima], word_
-    # a replay from a start that is not the fixed point stops early
+    # the replay from the tuple's initial filter, a translate of the fixed
+    # point of its rank word, lands on its removals
+    assert tuples._rank_removals(t.initial, ranks) == t.removals, word_
+    # from any other balanced filter it lands nowhere: from the balanced
+    # Dyck filter of the word, it lands exactly when that is the fixed point
     start = to_balanced(d)
-    assert tuples._rank_removals(start, word_.letters)[0] == _reference_rank_removals(
-        start, word_.letters
-    ), word_
+    removals, final = _reference_rank_removals(start, word_.letters)
+    landed = len(removals) == n and final == [v + n for v in start.row_minima]
+    got = tuples._rank_removals(start, word_.letters)
+    assert got == (removals if landed else None), word_
+    point = Point._of(start.row_minima)
+    assert landed == (apply_word(point, word_) == point), word_
 
 
 def test_tuple_kernels_match_the_copying_references():
